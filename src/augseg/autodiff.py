@@ -65,6 +65,10 @@ class GradTape:
         Repeated calls without ``reset`` accumulate (each call adds one
         full gradient).  Adjoints of interior nodes live in a scratch
         table keyed by tensor identity; only leaves keep a ``grad``.
+
+        An adjoint closure never writes into the ``g`` it receives, and
+        interior adjoints are summed out of place, so a closure may
+        return ``g`` itself, a view of it, or a read-only broadcast.
         """
         if loss.size != 1:
             raise ContractError(
@@ -83,10 +87,7 @@ class GradTape:
                     t.grad += dt
                 else:
                     acc = adjoint.get(id(t))
-                    if acc is None:
-                        adjoint[id(t)] = np.array(dt, copy=True)
-                    else:
-                        acc += dt
+                    adjoint[id(t)] = dt if acc is None else acc + dt
 
 
 _default_tape = GradTape()
@@ -594,7 +595,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0) -> Tensor:
 
     def back(g):
         g2 = g.reshape(n, o, oh * ow)
-        dw = np.einsum("nop,ncp->oc", g2, cols).reshape(weight.shape)
+        dw = np.tensordot(g2, cols, axes=([0, 2], [0, 2])).reshape(weight.shape)
         dcols = np.matmul(w2.T, g2)
         dx = _col2im(dcols, (n, c, h, w), kh, kw, stride, padding, oh, ow)
         if bias is not None:
@@ -609,6 +610,10 @@ def conv_transpose2d(x, weight, bias=None, stride=1, padding=0) -> Tensor:
 
     x: [N,C,H,W]; weight: [C,O,kh,kw].
     Output extent per axis: (n - 1) * stride - 2*pad + k.
+
+    Shares conv2d's kernel: the forward is conv2d's input adjoint
+    ``col2im(W2^T x)``, and the input gradient is conv2d's forward
+    ``W2 im2col(g)``, with W2 the [C, O*kh*kw] kernel matrix.
     """
     x = _as_tensor(x)
     weight = _as_tensor(weight)
@@ -624,13 +629,10 @@ def conv_transpose2d(x, weight, bias=None, stride=1, padding=0) -> Tensor:
     ow = (w - 1) * stride - 2 * padding + kw
     if oh < 1 or ow < 1:
         raise DimensionError("padding too large for transposed output extent")
-    full = np.zeros((n, o, (h - 1) * stride + kh, (w - 1) * stride + kw),
-                    dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            full[:, :, i:i + stride * h:stride, j:j + stride * w:stride] += \
-                np.einsum("nchw,co->nohw", x.data, weight.data[:, :, i, j])
-    y = full[:, :, padding:padding + oh, padding:padding + ow]
+    w2 = weight.data.reshape(c, o * kh * kw)
+    x2 = x.data.reshape(n, c, h * w)
+    y = _col2im(np.matmul(w2.T, x2), (n, o, oh, ow), kh, kw, stride, padding,
+                h, w)
     inputs = [x, weight]
     if bias is not None:
         bias = _as_tensor(bias)
@@ -643,13 +645,9 @@ def conv_transpose2d(x, weight, bias=None, stride=1, padding=0) -> Tensor:
     def back(g):
         gp = np.pad(g, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2)) \
             if padding else g
-        dx = np.zeros_like(x.data)
-        dw = np.zeros_like(weight.data)
-        for i in range(kh):
-            for j in range(kw):
-                gsub = gp[:, :, i:i + stride * h:stride, j:j + stride * w:stride]
-                dx += np.einsum("nohw,co->nchw", gsub, weight.data[:, :, i, j])
-                dw[:, :, i, j] = np.einsum("nchw,nohw->co", x.data, gsub)
+        gcols = _im2col(gp, kh, kw, stride, h, w)
+        dx = np.matmul(w2, gcols).reshape(x.shape)
+        dw = np.tensordot(x2, gcols, axes=([0, 2], [0, 2])).reshape(weight.shape)
         if bias is not None:
             return dx, dw, g.sum(axis=(0, 2, 3))
         return dx, dw
@@ -660,8 +658,26 @@ def conv_transpose2d(x, weight, bias=None, stride=1, padding=0) -> Tensor:
 # ----------------------------------------------------------------------
 # bilinear resize
 # ----------------------------------------------------------------------
+def _interp_matrix(n_in, n_out, dtype):
+    """[n_out, n_in] linear-interpolation weights, half-pixel centers."""
+    src = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
+    src = np.clip(src, 0.0, n_in - 1.0)
+    lo = np.floor(src).astype(np.int64)
+    hi = np.minimum(lo + 1, n_in - 1)
+    t = src - lo
+    rows = np.arange(n_out)
+    m = np.zeros((n_out, n_in))
+    m[rows, lo] = 1.0 - t
+    m[rows, hi] += t        # (row, hi) pairs are distinct, so += is safe
+    return m.astype(dtype)
+
+
 def bilinear_resize(x, out_hw) -> Tensor:
-    """Bilinear interpolation on [N,C,H,W] with half-pixel centers."""
+    """Bilinear interpolation on [N,C,H,W] with half-pixel centers.
+
+    Separable: with row and column interpolation matrices R and C the
+    forward is ``R x C^T`` per channel and the adjoint ``R^T g C``.
+    """
     x = _as_tensor(x)
     if x.ndim != 4:
         raise DimensionError("bilinear_resize expects a rank-4 tensor")
@@ -669,39 +685,10 @@ def bilinear_resize(x, out_hw) -> Tensor:
     oh, ow = out_hw
     if oh < 1 or ow < 1:
         raise ContractError("output extents must be >= 1")
-
-    def coords(n_in, n_out):
-        src = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
-        src = np.clip(src, 0.0, n_in - 1.0)
-        lo = np.floor(src).astype(np.int64)
-        hi = np.minimum(lo + 1, n_in - 1)
-        t = src - lo
-        return lo, hi, t
-
-    r0, r1, tr = coords(h, oh)
-    c0, c1, tc = coords(w, ow)
-    wr0, wr1 = (1.0 - tr)[:, None], tr[:, None]
-    wc0, wc1 = (1.0 - tc)[None, :], tc[None, :]
-    w00 = (wr0 * wc0).astype(x.dtype)
-    w01 = (wr0 * wc1).astype(x.dtype)
-    w10 = (wr1 * wc0).astype(x.dtype)
-    w11 = (wr1 * wc1).astype(x.dtype)
-    d = x.data
-    y = (d[:, :, r0[:, None], c0[None, :]] * w00 +
-         d[:, :, r0[:, None], c1[None, :]] * w01 +
-         d[:, :, r1[:, None], c0[None, :]] * w10 +
-         d[:, :, r1[:, None], c1[None, :]] * w11)
-    out = Tensor(y)
-
-    def back(g):
-        dx = np.zeros_like(d)
-        np.add.at(dx, (slice(None), slice(None), r0[:, None], c0[None, :]), g * w00)
-        np.add.at(dx, (slice(None), slice(None), r0[:, None], c1[None, :]), g * w01)
-        np.add.at(dx, (slice(None), slice(None), r1[:, None], c0[None, :]), g * w10)
-        np.add.at(dx, (slice(None), slice(None), r1[:, None], c1[None, :]), g * w11)
-        return (dx,)
-
-    return _record(out, (x,), back)
+    rm = _interp_matrix(h, oh, x.dtype)
+    cm = _interp_matrix(w, ow, x.dtype)
+    out = Tensor(rm @ x.data @ cm.T)
+    return _record(out, (x,), lambda g: (rm.T @ g @ cm,))
 
 
 # ----------------------------------------------------------------------

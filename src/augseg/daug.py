@@ -17,7 +17,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, InputError
 
 MAGIC = b"DAUG"
 VERSION = 1
@@ -47,8 +47,11 @@ def write_tensor(path, array: np.ndarray):
 
 
 def read_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        raise InputError(f"tensor file not found: {path}") from None
     return _parse(data, str(path))
 
 

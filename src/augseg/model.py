@@ -34,7 +34,7 @@ from .autodiff import (
     no_grad,
     relu,
 )
-from .errors import ContractError, InputError
+from .errors import ContractError, InputError, NumericDomainError
 from .fusion import FusionParams, cg_fuse
 from .wavelet import WtAugConfig, wt_aug
 
@@ -233,13 +233,19 @@ class Network:
     # stages
     # ------------------------------------------------------------------
     def encode(self, image: Tensor) -> list:
-        """Four frozen stage feature maps at the configured strides."""
+        """Four frozen stage feature maps at the configured strides.
+
+        A pure function of the image: encoding a stacked batch gives the
+        per-sample encodings stacked, bit for bit.
+        """
         enc = self.config.encoder
         n, c, h, w = image.shape
         if h % enc.strides[-1] or w % enc.strides[-1]:
             raise ContractError(
                 f"input {h}x{w} not divisible by deepest stride "
                 f"{enc.strides[-1]}")
+        if not np.all(np.isfinite(image.numpy())):
+            raise NumericDomainError("input image has non-finite pixels")
         if enc.kind == "file":
             return self._encode_from_files(image)
         if c != enc.in_channels:
@@ -270,6 +276,9 @@ class Network:
             if arr.shape != want:
                 raise InputError(
                     f"stage {i} feature shape {arr.shape} != expected {want}")
+            if not np.all(np.isfinite(arr)):
+                raise NumericDomainError(
+                    f"stage {i} features have non-finite values: {path}")
             stages.append(Tensor(arr.astype(np.float32)))
         return stages
 
@@ -277,12 +286,14 @@ class Network:
     # forward
     # ------------------------------------------------------------------
     def forward(self, image: Tensor, mode: str = "eval", rng=None,
-                feature_aug=None) -> Tensor:
+                feature_aug=None, stages=None) -> Tensor:
         """Logits [N, num_classes, H, W].
 
         ``mode='train'`` augments the stage features (wavelet masking by
         default, or ``feature_aug(stage_tensor, stage_index)`` when
         given); eval mode is deterministic and applies no augmentation.
+        ``stages``, when given, must be ``self.encode(image)``; callers
+        that see the same images repeatedly pass it to skip the encoder.
         """
         if mode not in ("train", "eval"):
             raise ContractError(f"unknown mode {mode!r}")
@@ -291,7 +302,8 @@ class Network:
             raise ContractError(
                 f"input spatial {image.shape[2:]} != configured "
                 f"{cfg.image_size}")
-        stages = self.encode(image)
+        if stages is None:
+            stages = self.encode(image)
         if mode == "train":
             if feature_aug is None:
                 if rng is None:

@@ -14,7 +14,16 @@ import tempfile
 import numpy as np
 
 from . import daug
-from .autodiff import Tensor, conv2d, finite_diff_check, softmax
+from .autodiff import (
+    GradTape,
+    Tensor,
+    bilinear_resize,
+    conv2d,
+    conv_transpose2d,
+    finite_diff_check,
+    softmax,
+    use_tape,
+)
 from .fusion import FusionParams, cg_fuse, cross_attention
 from .losses import combined_loss
 from .metrics import dice_score, hd95, wilcoxon_signed_rank
@@ -50,6 +59,33 @@ def _checks():
             lambda x: (conv2d(x, k, padding=1) * 1.5).sum(),
             Tensor(rng.normal(size=(1, 1, 5, 5))))
         assert err < 1e-4, f"conv gradient err {err}"
+
+    def adjoint_conv_transpose():
+        # <convT(x, W), y> == <x, conv2d(y, W)>: the two share one kernel
+        for k, s, p in [(2, 2, 0), (3, 2, 1), (2, 3, 0), (4, 2, 2)]:
+            w = rng.normal(size=(3, 2, k, k))
+            x = rng.normal(size=(2, 3, 4, 5))
+            out = conv_transpose2d(Tensor(x), Tensor(w), stride=s,
+                                   padding=p).numpy()
+            y = rng.normal(size=out.shape)
+            lhs = np.sum(out * y)
+            rhs = np.sum(x * conv2d(Tensor(y), Tensor(w), stride=s,
+                                    padding=p).numpy())
+            assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs)), \
+                f"k={k} s={s} p={p}: {lhs} != {rhs}"
+
+    def adjoint_bilinear():
+        # <resize(x), y> == <x, resize^T(y)>, the adjoint read off the tape
+        for shape, out_hw in [((1, 2, 4, 5), (9, 7)), ((2, 1, 9, 8), (4, 3))]:
+            x = Tensor(rng.normal(size=shape), requires_grad=True)
+            y = rng.normal(size=shape[:2] + out_hw)
+            with use_tape(GradTape()) as tape:
+                out = bilinear_resize(x, out_hw)
+                tape.backward((out * Tensor(y)).sum())
+            lhs = np.sum(out.numpy() * y)
+            rhs = np.sum(x.numpy() * x.grad)
+            assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs)), \
+                f"{shape}->{out_hw}: {lhs} != {rhs}"
 
     def gradient_fusion():
         params = FusionParams.create(4, 4, np.random.default_rng(1),
@@ -110,6 +146,8 @@ def _checks():
         ("wavelet energy preservation", wavelet_parseval),
         ("wavelet-mask identity", wt_aug_identity),
         ("conv2d gradient", gradient_conv),
+        ("conv2d / conv_transpose2d adjoint pair", adjoint_conv_transpose),
+        ("bilinear resize adjoint pair", adjoint_bilinear),
         ("fusion gradient", gradient_fusion),
         ("combined-loss gradient", gradient_loss),
         ("softmax probability rows", softmax_contract),

@@ -140,6 +140,10 @@ def train(train_cfg: TrainConfig, net_cfg: NetworkConfig, data_dir,
         trainables = {k: v for k, v in trainables.items()
                       if not k.startswith("fusion.")}
     state = AdamState.for_params(trainables)
+    # The encoder is frozen and a pure function of the image, so each
+    # clean sample is encoded once per run; only image_level, whose
+    # images change every epoch, re-encodes its training batches.
+    stages = [net.encode(Tensor(image[None])) for image, _ in data]
     log_rows = []
     tape = GradTape()
     for epoch in range(train_cfg.epochs):
@@ -153,6 +157,9 @@ def train(train_cfg: TrainConfig, net_cfg: NetworkConfig, data_dir,
                 images = [
                     _corrupt_image(img, aug_rng, train_cfg.corruption_strengths)
                     for img in images]
+                batch_stages = None
+            else:
+                batch_stages = _stack_stages([stages[i] for i in idx])
             batch = Tensor(np.stack(images))
             labels = np.stack([data[i][1] for i in idx])
             feature_aug = _make_feature_aug(
@@ -160,7 +167,8 @@ def train(train_cfg: TrainConfig, net_cfg: NetworkConfig, data_dir,
                 train_cfg.corruption_strengths)
             with use_tape(tape):
                 logits = net.forward(batch, mode="train",
-                                     feature_aug=feature_aug)
+                                     feature_aug=feature_aug,
+                                     stages=batch_stages)
                 loss = combined_loss(logits, labels)
                 loss_val = loss.item()
                 if not np.isfinite(loss_val):
@@ -175,7 +183,7 @@ def train(train_cfg: TrainConfig, net_cfg: NetworkConfig, data_dir,
                 p.zero_grad()
             epoch_losses.append(loss_val)
         log_rows.append((epoch, float(np.mean(epoch_losses)),
-                         _subset_dice(net, data, net_cfg.num_classes)))
+                         _subset_dice(net, data, stages, net_cfg.num_classes)))
     chosen_ids = [e["id"] for e in chosen]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -197,14 +205,23 @@ def _corrupt_image(image, rng, strengths):
     return corrupt(image, random_corruption(rng, **strengths))
 
 
-def _subset_dice(net, data, num_classes) -> float:
-    scores = []
+def _stack_stages(per_sample):
+    """Concatenate per-sample encoder stages into batch stages."""
+    return [Tensor(np.concatenate([t.numpy() for t in stage]))
+            for stage in zip(*per_sample)]
+
+
+def _subset_dice(net, data, stages, num_classes) -> float:
+    """Eval-mode mean foreground Dice of the samples, in one batched forward.
+
+    ``stages`` are the per-sample encodings of ``data``'s images.
+    """
     with no_grad():
-        for image, mask in data:
-            logits = net.forward(Tensor(image[None]), mode="eval")
-            pred = np.argmax(logits.numpy()[0], axis=0).astype(np.uint8)
-            scores.append(mean_foreground_dice(pred, mask, num_classes))
-    return float(np.mean(scores))
+        logits = net.forward(Tensor(np.stack([image for image, _ in data])),
+                             mode="eval", stages=_stack_stages(stages))
+    preds = np.argmax(logits.numpy(), axis=1).astype(np.uint8)
+    return float(np.mean([mean_foreground_dice(pred, mask, num_classes)
+                          for pred, (_, mask) in zip(preds, data)]))
 
 
 def evaluate(net_or_ckpt, data_dir, split="test", csv_path=None):

@@ -15,7 +15,11 @@ synthesis output is cropped back.
 
 The augmentation zeroes a random subset of coefficients per sub-band
 (Bernoulli keep masks shared across batch, and across channels by
-default) and reconstructs; gradients flow through the whole pipeline.
+default) and reconstructs.  With W the orthonormal analysis and M the
+0/1 mask, the map is W^T M W, which is symmetric, so ``wt_aug`` is one
+recorded op whose adjoint is the same map applied to the gradient.
+``haar_dwt2``/``haar_idwt2`` are the differentiable reference that
+composes it from primitive tape ops.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, concat, reshape
-from .errors import ContractError
+from .autodiff import Tensor, _record, concat, reshape
+from .errors import ContractError, DimensionError
 
 
 @dataclass
@@ -113,20 +117,6 @@ def haar_dwt2(f: Tensor) -> SubbandSet:
     return SubbandSet(ll, lh, hl, hh, orig_hw=(h, w) if was_padded else None)
 
 
-def _interleave_cols(left: Tensor, right: Tensor) -> Tensor:
-    n, c, h, w = left.shape
-    stacked = concat([reshape(left, (n, c, h, w, 1)),
-                      reshape(right, (n, c, h, w, 1))], axis=4)
-    return reshape(stacked, (n, c, h, 2 * w))
-
-
-def _interleave_rows(top: Tensor, bottom: Tensor) -> Tensor:
-    n, c, h, w = top.shape
-    stacked = concat([reshape(top, (n, c, h, 1, w)),
-                      reshape(bottom, (n, c, h, 1, w))], axis=3)
-    return reshape(stacked, (n, c, 2 * h, w))
-
-
 def haar_idwt2(s: SubbandSet) -> Tensor:
     """Exact inverse of :func:`haar_dwt2`; crops any analysis padding."""
     shapes = {band.shape for band in s.bands()}
@@ -137,9 +127,12 @@ def haar_idwt2(s: SubbandSet) -> Tensor:
     b = (ll - lh + hl - hh) * 0.5
     c = (ll + lh - hl - hh) * 0.5
     d = (ll - lh - hl + hh) * 0.5
-    top = _interleave_cols(a, b)
-    bottom = _interleave_cols(c, d)
-    out = _interleave_rows(top, bottom)
+    n, ch, h2, w2 = ll.shape
+    top = concat([reshape(a, (n, ch, h2, 1, w2, 1)),
+                  reshape(b, (n, ch, h2, 1, w2, 1))], axis=5)
+    bottom = concat([reshape(c, (n, ch, h2, 1, w2, 1)),
+                     reshape(d, (n, ch, h2, 1, w2, 1))], axis=5)
+    out = reshape(concat([top, bottom], axis=3), (n, ch, 2 * h2, 2 * w2))
     if s.orig_hw is not None:
         h, w = s.orig_hw
         out = out[:, :, :h, :w]
@@ -175,27 +168,84 @@ def make_masks(spatial_shape, cfg: WtAugConfig, rng=None) -> MaskSet:
     return MaskSet(*drawn)
 
 
+def _check_mask_shape(mask_shape, band_shape):
+    """Reject a mask that does not broadcast to the sub-band shape."""
+    if len(mask_shape) > len(band_shape) or any(
+            m not in (1, b) for m, b in zip(mask_shape[::-1], band_shape[::-1])):
+        raise DimensionError(
+            f"mask shape {mask_shape} does not broadcast to sub-band shape "
+            f"{band_shape}")
+
+
+def _butterfly(x6):
+    """Orthonormal 2x2 Haar on (n, c, h/2, 2, w/2, 2) blocks; its own inverse.
+
+    Block [[a, b], [c, d]] maps to [[LL, LH], [HL, HH]].
+    """
+    s = x6[..., 0] + x6[..., 1]          # a + b, c + d
+    d = x6[..., 0] - x6[..., 1]          # a - b, c - d
+    out = np.empty_like(x6)
+    out[:, :, :, 0, :, 0] = s[:, :, :, 0] + s[:, :, :, 1]
+    out[:, :, :, 1, :, 0] = s[:, :, :, 0] - s[:, :, :, 1]
+    out[:, :, :, 0, :, 1] = d[:, :, :, 0] + d[:, :, :, 1]
+    out[:, :, :, 1, :, 1] = d[:, :, :, 0] - d[:, :, :, 1]
+    out *= 0.5
+    return out
+
+
+def _masked_haar(x, m6):
+    """W^T M W on an even-extent [N,C,H,W] array."""
+    n, c, h, w = x.shape
+    x6 = x.reshape(n, c, h // 2, 2, w // 2, 2)
+    return _butterfly(_butterfly(x6) * m6).reshape(x.shape)
+
+
+def _pad_adjoint(gp, h, w):
+    """Adjoint of appending a mirrored last row/column (odd extents)."""
+    g = gp[:, :, :h, :w].copy()
+    if gp.shape[3] > w:
+        g[:, :, :, w - 2] += gp[:, :, :h, w]
+    if gp.shape[2] > h:
+        g[:, :, h - 2, :] += gp[:, :, h, :w]
+        if gp.shape[3] > w:
+            g[:, :, h - 2, w - 2] += gp[:, :, h, w]
+    return g
+
+
 def wt_aug(f: Tensor, cfg: WtAugConfig, rng=None, masks: MaskSet | None = None) -> Tensor:
     """Decompose, mask each sub-band, reconstruct.
 
     Output shape equals input shape and gradients flow through to ``f``.
     When every mask is all-ones the input is returned unchanged, which
     makes the identity configuration exact rather than merely within
-    float rounding.
+    float rounding.  Odd extents are reflect-padded before the transform
+    and cropped after it; the adjoint folds the padding back.
     """
     if f.ndim != 4:
         raise ContractError(f"wt_aug expects rank 4, got rank {f.ndim}")
-    sub = haar_dwt2(f)
+    n, c, h, w = f.shape
+    if h < 2 or w < 2:
+        raise ContractError("spatial extents must be >= 2")
+    ph, pw = h % 2, w % 2
+    h2, w2 = (h + ph) // 2, (w + pw) // 2
     if masks is None:
-        h2, w2 = sub.LL.shape[2], sub.LL.shape[3]
         if cfg.channel_shared:
             masks = make_masks((h2, w2), cfg, rng)
         else:
-            masks = make_masks((f.shape[1], h2, w2), cfg, rng)
+            masks = make_masks((c, h2, w2), cfg, rng)
+    for m in masks.masks():
+        _check_mask_shape(m.shape, (n, c, h2, w2))
     if masks.all_ones():
         return f
-    ll, lh, hl, hh = sub.bands()
-    m_ll, m_lh, m_hl, m_hh = masks.masks()
-    masked = SubbandSet(ll * m_ll, lh * m_lh, hl * m_hl, hh * m_hh,
-                        orig_hw=sub.orig_hw)
-    return haar_idwt2(masked)
+    m_ll, m_lh, m_hl, m_hh = np.broadcast_arrays(
+        *(m.numpy() for m in masks.masks()))
+    m6 = np.stack([np.stack([m_ll, m_lh], axis=-1),
+                   np.stack([m_hl, m_hh], axis=-1)], axis=-3)
+    pad = ((0, 0), (0, 0), (0, ph), (0, pw))
+    if ph or pw:
+        y = _masked_haar(np.pad(f.data, pad, mode="reflect"), m6)[:, :, :h, :w]
+        back = lambda g: (_pad_adjoint(_masked_haar(np.pad(g, pad), m6), h, w),)
+    else:
+        y = _masked_haar(f.data, m6)
+        back = lambda g: (_masked_haar(g, m6),)
+    return _record(Tensor(np.ascontiguousarray(y)), (f,), back)

@@ -331,6 +331,137 @@ class TestBilinearResize:
         assert err < 1e-7
 
 
+# ----------------------------------------------------------------------
+# Reference kernels: the per-tap einsum transposed convolution and the
+# gather/scatter bilinear resize that the BLAS kernels replaced.  Each
+# returns (forward output, vjp(g) -> input gradients).
+# ----------------------------------------------------------------------
+def ref_conv_transpose2d(x, wt, stride, padding):
+    n, c, h, w = x.shape
+    _, o, kh, kw = wt.shape
+    oh = (h - 1) * stride - 2 * padding + kh
+    ow = (w - 1) * stride - 2 * padding + kw
+    full = np.zeros((n, o, (h - 1) * stride + kh, (w - 1) * stride + kw))
+    for i in range(kh):
+        for j in range(kw):
+            full[:, :, i:i + stride * h:stride, j:j + stride * w:stride] += \
+                np.einsum("nchw,co->nohw", x, wt[:, :, i, j])
+    y = full[:, :, padding:padding + oh, padding:padding + ow]
+
+    def vjp(g):
+        gp = np.pad(g, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2))
+        dx = np.zeros_like(x)
+        dw = np.zeros_like(wt)
+        for i in range(kh):
+            for j in range(kw):
+                gsub = gp[:, :, i:i + stride * h:stride,
+                          j:j + stride * w:stride]
+                dx += np.einsum("nohw,co->nchw", gsub, wt[:, :, i, j])
+                dw[:, :, i, j] = np.einsum("nchw,nohw->co", x, gsub)
+        return dx, dw
+
+    return y, vjp
+
+
+def ref_bilinear_resize(x, out_hw):
+    h, w = x.shape[2:]
+    oh, ow = out_hw
+
+    def coords(n_in, n_out):
+        src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+        src = np.clip(src, 0.0, n_in - 1.0)
+        lo = np.floor(src).astype(np.int64)
+        return lo, np.minimum(lo + 1, n_in - 1), src - lo
+
+    r0, r1, tr = coords(h, oh)
+    c0, c1, tc = coords(w, ow)
+    taps = [(r0, c0, np.outer(1 - tr, 1 - tc)), (r0, c1, np.outer(1 - tr, tc)),
+            (r1, c0, np.outer(tr, 1 - tc)), (r1, c1, np.outer(tr, tc))]
+    y = sum(x[:, :, r[:, None], cc[None, :]] * wt for r, cc, wt in taps)
+
+    def vjp(g):
+        dx = np.zeros_like(x)
+        for r, cc, wt in taps:
+            np.add.at(dx, (slice(None), slice(None), r[:, None], cc[None, :]),
+                      g * wt)
+        return (dx,)
+
+    return y, vjp
+
+
+def tape_vjp(fn, inputs, g):
+    """Output and input gradients of ``sum(fn(*inputs) * g)`` via the tape."""
+    leaves = [Tensor(a, requires_grad=True) for a in inputs]
+    with use_tape(GradTape()) as tape:
+        y = fn(*leaves)
+        tape.backward((y * Tensor(g)).sum())
+    return y.numpy(), [t.grad for t in leaves]
+
+
+# float32 rounding of sums over a few dozen terms of unit scale
+F32_TOL = dict(rtol=1e-5, atol=1e-5)
+
+
+class TestKernelsAgainstReference:
+    @pytest.mark.parametrize("n,c,o,h,w,k,s,p", [
+        (2, 3, 4, 5, 6, 3, 2, 1),      # overlapping windows
+        (1, 2, 3, 4, 3, 2, 3, 0),      # stride > kernel (gaps)
+        (2, 4, 2, 3, 3, 4, 2, 2),      # padding > 0, cropped output
+        (1, 5, 6, 6, 6, 2, 2, 0),      # the decoder's up-sampling shape
+        (1, 1, 1, 1, 1, 3, 1, 1),
+    ])
+    def test_conv_transpose2d(self, n, c, o, h, w, k, s, p):
+        rng = np.random.default_rng(n * 1000 + c * 100 + k * 10 + s)
+        x = rng.normal(size=(n, c, h, w)).astype(np.float32)
+        wt = rng.normal(size=(c, o, k, k)).astype(np.float32)
+        want, vjp = ref_conv_transpose2d(x.astype(np.float64),
+                                         wt.astype(np.float64), s, p)
+        g = rng.normal(size=want.shape).astype(np.float32)
+        got, grads = tape_vjp(
+            lambda a, b: conv_transpose2d(a, b, stride=s, padding=p),
+            [x, wt], g)
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, want, **F32_TOL)
+        for gg, ref in zip(grads, vjp(g.astype(np.float64))):
+            np.testing.assert_allclose(gg, ref, **F32_TOL)
+
+    @pytest.mark.parametrize("shape,out_hw", [
+        ((2, 3, 4, 5), (9, 13)),       # up-sampling
+        ((1, 2, 16, 16), (64, 64)),    # the seg head's 4x up-sampling
+        ((2, 2, 9, 12), (4, 5)),       # down-sampling
+        ((1, 1, 7, 3), (3, 8)),        # down along one axis, up the other
+        ((1, 2, 1, 1), (3, 2)),
+    ])
+    def test_bilinear_resize(self, shape, out_hw):
+        rng = np.random.default_rng(sum(shape) + sum(out_hw))
+        x = rng.normal(size=shape).astype(np.float32)
+        want, vjp = ref_bilinear_resize(x.astype(np.float64), out_hw)
+        g = rng.normal(size=want.shape).astype(np.float32)
+        got, (dx,) = tape_vjp(lambda a: bilinear_resize(a, out_hw), [x], g)
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, want, **F32_TOL)
+        np.testing.assert_allclose(dx, vjp(g.astype(np.float64))[0], **F32_TOL)
+
+    def test_conv_transpose2d_padding_finite_differences(self):
+        rng = np.random.default_rng(21)
+        k = t64(rng.normal(size=(2, 3, 3, 3)))
+        b = t64(rng.normal(size=(3,)))
+        x = t64(rng.normal(size=(1, 2, 3, 4)))
+        w = t64(rng.normal(size=(1, 3, 5, 7)))
+        f = lambda xx, kk, bb: (conv_transpose2d(xx, kk, bb, stride=2,
+                                                 padding=1) * w).sum()
+        assert finite_diff_check(lambda xx: f(xx, k, b), x) < 1e-4
+        assert finite_diff_check(lambda kk: f(x, kk, b), k) < 1e-4
+        assert finite_diff_check(lambda bb: f(x, k, bb), b) < 1e-4
+
+    def test_bilinear_downsampling_finite_differences(self):
+        rng = np.random.default_rng(22)
+        w = t64(rng.normal(size=(1, 2, 3, 4)))
+        err = finite_diff_check(lambda x: (bilinear_resize(x, (3, 4)) * w).sum(),
+                                t64(rng.normal(size=(1, 2, 8, 9))))
+        assert err < 1e-4
+
+
 class TestFiniteDiffCheck:
     def test_sum_is_exact(self):
         assert finite_diff_check(lambda x: x.sum(), t64(np.ones((3, 3)))) < 1e-9

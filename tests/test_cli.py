@@ -184,6 +184,38 @@ class TestTrainEvalCommands:
         assert "mean dice" in capsys.readouterr().out
         assert csv_out.exists()
 
+    def test_eval_checkpoint_missing_tensor_is_exit_1(self, dataset, tmp_path,
+                                                      capsys):
+        run_dir = tmp_path / "run"
+        assert dispatch(["train", "--data", str(dataset), "--out",
+                         str(run_dir), "--epochs", "1", "--shots", "1",
+                         "--seed", "0"]) == 0
+        missing = run_dir / "checkpoint" / "head.out.bias.daug"
+        missing.unlink()
+        code = dispatch(["eval", "--checkpoint", str(run_dir / "checkpoint"),
+                         "--data", str(dataset)])
+        assert code == 1
+        assert "head.out.bias.daug" in capsys.readouterr().err
+
+    def test_eval_non_finite_stage_feature_is_exit_1(self, dataset, tmp_path,
+                                                     capsys):
+        from augseg.model import EncoderSpec, Network, NetworkConfig, \
+            save_checkpoint
+        template = str(tmp_path / "feat_stage{stage}.daug")
+        spec = EncoderSpec(kind="file", path_template=template)
+        for i, (c, s) in enumerate(zip(spec.channels, spec.strides), start=1):
+            arr = np.zeros((1, c, 64 // s, 64 // s), dtype=np.float32)
+            if i == 2:
+                arr[0, 0, 1, 1] = np.nan
+            daug.write_tensor(template.format(stage=i), arr)
+        ckpt = tmp_path / "ckpt"
+        save_checkpoint(ckpt, Network(NetworkConfig(encoder=spec)), epoch=0,
+                        seed=0)
+        code = dispatch(["eval", "--checkpoint", str(ckpt),
+                         "--data", str(dataset)])
+        assert code == 1
+        assert "non-finite" in capsys.readouterr().err
+
     def test_config_file_round(self, dataset, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({

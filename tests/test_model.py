@@ -7,7 +7,7 @@ import pytest
 
 from augseg import daug
 from augseg.autodiff import GradTape, Tensor, reset_tape, use_tape
-from augseg.errors import ContractError, InputError
+from augseg.errors import ContractError, InputError, NumericDomainError
 from augseg.losses import combined_loss
 from augseg.model import (
     CcuParams,
@@ -65,6 +65,43 @@ class TestEncode:
         b = net.encode(image)
         for sa, sb in zip(a, b):
             np.testing.assert_array_equal(sa.numpy(), sb.numpy())
+
+    @pytest.mark.parametrize("kind", ["toy", "default"])
+    def test_stacked_batch_equals_stacked_per_sample(self, kind):
+        # the trainer's encoder cache relies on this being bit-exact
+        net = Network(small_config() if kind == "toy" else NetworkConfig())
+        images = np.random.default_rng(3).random((3, 1, 64, 64)) \
+            .astype(np.float32)
+        batch = net.encode(Tensor(images))
+        single = [net.encode(Tensor(images[i:i + 1])) for i in range(3)]
+        for s, got in enumerate(batch):
+            want = np.concatenate([stages[s].numpy() for stages in single])
+            assert np.array_equal(got.numpy(), want)
+
+    def test_non_finite_image_rejected(self):
+        net = Network(small_config())
+        image = np.random.default_rng(4).random((1, 1, 64, 64)) \
+            .astype(np.float32)
+        image[0, 0, 5, 7] = np.nan
+        with pytest.raises(NumericDomainError, match="non-finite"):
+            net.forward(Tensor(image), mode="eval")
+        image[0, 0, 5, 7] = np.inf
+        with pytest.raises(NumericDomainError, match="non-finite"):
+            net.encode(Tensor(image))
+
+    def test_non_finite_file_feature_rejected(self, tmp_path):
+        template = str(tmp_path / "feat_stage{stage}.daug")
+        image = Tensor(np.zeros((1, 1, 64, 64), dtype=np.float32))
+        for i, s in enumerate(Network(small_config()).encode(image), start=1):
+            arr = s.numpy().copy()
+            if i == 3:
+                arr[0, 1, 2, 2] = np.nan
+            daug.write_tensor(template.format(stage=i), arr)
+        cfg = small_config(
+            encoder=EncoderSpec(kind="file", channels=(4, 6, 8, 10),
+                                path_template=template))
+        with pytest.raises(NumericDomainError, match="stage 3"):
+            Network(cfg).forward(image, mode="eval")
 
     def test_same_seed_same_features(self):
         image = Tensor(np.random.default_rng(1).random((1, 1, 64, 64))

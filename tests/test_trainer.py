@@ -5,11 +5,13 @@ import os
 import numpy as np
 import pytest
 
-from augseg.autodiff import Tensor
+from augseg.autodiff import Tensor, no_grad
 from augseg.errors import ContractError
-from augseg.model import EncoderSpec, NetworkConfig, load_checkpoint
-from augseg.synth import write_dataset
+from augseg.metrics import mean_foreground_dice
+from augseg.model import EncoderSpec, Network, NetworkConfig, load_checkpoint
+from augseg.synth import load_manifest, load_sample, write_dataset
 from augseg.trainer import (
+    ARMS,
     AdamState,
     ArmSpec,
     TrainConfig,
@@ -19,6 +21,7 @@ from augseg.trainer import (
     few_shot_subset,
     table6_arms,
     table8_arms,
+    _subset_dice,
     train,
 )
 from augseg.wavelet import WtAugConfig
@@ -100,6 +103,34 @@ class TestTrain:
         _, log_b, ids_b = train(cfg, tiny_net_config(), dataset)
         assert log_a == log_b
         assert ids_a == ids_b
+
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_arm_replays_with_and_without_encoder_cache(self, dataset, arm,
+                                                        monkeypatch):
+        cfg = TrainConfig(epochs=3, shots=3, seed=6, augmentation=arm)
+        _, cached, _ = train(cfg, tiny_net_config(), dataset)
+        _, again, _ = train(cfg, tiny_net_config(), dataset)
+        # dropping the cached stages makes every forward re-encode its batch
+        forward = Network.forward
+        monkeypatch.setattr(
+            Network, "forward",
+            lambda self, image, stages=None, **kw: forward(self, image, **kw))
+        _, uncached, _ = train(cfg, tiny_net_config(), dataset)
+        assert cached == again == uncached
+
+    def test_batched_monitor_matches_per_sample_loop(self, dataset):
+        net, _, _ = train(TrainConfig(epochs=2, shots=3, seed=7),
+                          tiny_net_config(), dataset)
+        manifest = load_manifest(os.path.join(dataset, "manifest.json"))
+        data = [load_sample(dataset, e) for e in manifest["samples"][:3]]
+        stages = [net.encode(Tensor(image[None])) for image, _ in data]
+        scores = []
+        with no_grad():
+            for image, mask in data:
+                logits = net.forward(Tensor(image[None]), mode="eval")
+                pred = np.argmax(logits.numpy()[0], axis=0).astype(np.uint8)
+                scores.append(mean_foreground_dice(pred, mask, 3))
+        assert _subset_dice(net, data, stages, 3) == float(np.mean(scores))
 
     def test_encoder_frozen_through_training(self, dataset):
         cfg = TrainConfig(epochs=2, shots=2, seed=0, augmentation="none")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from augseg.autodiff import GradTape, Tensor, finite_diff_check, use_tape
-from augseg.errors import ContractError
+from augseg.errors import ContractError, DimensionError
 from augseg.wavelet import (
     MaskSet,
     SubbandSet,
@@ -190,3 +190,73 @@ class TestWtAug:
             lambda f: (wt_aug(f, cfg, masks=masks) * w).sum(),
             Tensor(rng.normal(size=(1, 1, 5, 5))))
         assert err < 1e-5
+
+
+def reference_wt_aug(f, masks):
+    """haar_idwt2(mask * haar_dwt2(f)), composed from primitive tape ops."""
+    sub = haar_dwt2(f)
+    bands = [b * m for b, m in zip(sub.bands(), masks.masks())]
+    return haar_idwt2(SubbandSet(*bands, orig_hw=sub.orig_hw))
+
+
+class TestFusedWtAug:
+    @pytest.mark.parametrize("shape", [(2, 3, 8, 6), (1, 2, 7, 5),
+                                       (2, 1, 6, 9), (1, 4, 2, 3)])
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_subband_composition(self, shape, shared, dtype):
+        rng = np.random.default_rng(sum(shape))
+        cfg = WtAugConfig(keep_prob=(0.7, 0.5, 0.5, 0.3), seed=4,
+                          channel_shared=shared)
+        f = Tensor(rng.normal(size=shape).astype(dtype))
+        h2, w2 = (shape[2] + 1) // 2, (shape[3] + 1) // 2
+        masks = make_masks((h2, w2) if shared else (shape[1], h2, w2), cfg)
+        got = wt_aug(f, cfg, masks=masks).numpy()
+        want = reference_wt_aug(f, masks).numpy()
+        assert got.dtype == dtype and got.shape == shape
+        assert np.max(np.abs(got - want)) < 1e-6
+
+    @pytest.mark.parametrize("shape", [(2, 3, 8, 6), (1, 2, 7, 5)])
+    def test_gradient_matches_subband_composition(self, shape):
+        rng = np.random.default_rng(5)
+        cfg = WtAugConfig(keep_prob=(0.6,) * 4, seed=8, channel_shared=False)
+        masks = make_masks((shape[1], (shape[2] + 1) // 2,
+                            (shape[3] + 1) // 2), cfg)
+        g = Tensor(rng.normal(size=shape))
+        grads = []
+        for fn in (lambda x: wt_aug(x, cfg, masks=masks),
+                   lambda x: reference_wt_aug(x, masks)):
+            x = Tensor(rng.normal(size=shape), requires_grad=True)
+            with use_tape(GradTape()) as tape:
+                tape.backward((fn(x) * g).sum())
+            grads.append(x.grad)
+        assert np.max(np.abs(grads[0] - grads[1])) < 1e-12
+
+    def test_self_adjoint(self):
+        rng = np.random.default_rng(6)
+        cfg = WtAugConfig(keep_prob=(0.8, 0.4, 0.4, 0.4), seed=9,
+                          channel_shared=False)
+        masks = make_masks((3, 4, 5), cfg)
+        x = Tensor(rng.normal(size=(2, 3, 8, 10)))
+        g = Tensor(rng.normal(size=(2, 3, 8, 10)))
+        lhs = float(np.sum(wt_aug(x, cfg, masks=masks).numpy() * g.numpy()))
+        rhs = float(np.sum(x.numpy() * wt_aug(g, cfg, masks=masks).numpy()))
+        assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+
+    def test_all_ones_returns_input_object(self):
+        f = Tensor(np.ones((1, 2, 5, 6), dtype=np.float32), requires_grad=True)
+        assert wt_aug(f, WtAugConfig(keep_prob=(1, 1, 1, 1))) is f
+
+    def test_one_tape_node(self):
+        f = Tensor(np.ones((1, 2, 5, 6)), requires_grad=True)
+        with use_tape(GradTape()) as tape:
+            wt_aug(f, WtAugConfig(keep_prob=(0.5,) * 4, seed=1))
+            assert len(tape) == 1
+
+    def test_mask_shape_mismatch_rejected(self):
+        cfg = WtAugConfig(keep_prob=(0.5,) * 4, seed=2)
+        f = Tensor(np.ones((1, 2, 8, 8), dtype=np.float32))
+        with pytest.raises(DimensionError, match="mask shape"):
+            wt_aug(f, cfg, masks=make_masks((3, 3), cfg))
+        with pytest.raises(DimensionError, match="mask shape"):
+            wt_aug(f, cfg, masks=make_masks((3, 4, 4), cfg))
