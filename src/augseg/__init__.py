@@ -1,15 +1,7 @@
 """Few-shot segmentation toolkit: wavelet feature augmentation, cross-attention
 fusion, a small autodiff tensor core, synthetic data, and a training harness."""
 
-from .autodiff import (
-    GradTape,
-    Tensor,
-    backward,
-    finite_diff_check,
-    no_grad,
-    reset_tape,
-    use_tape,
-)
+from .autodiff import GradTape, Tensor, finite_diff_check, use_tape
 from .errors import (
     AugsegError,
     ContractError,
@@ -25,10 +17,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Tensor",
     "GradTape",
-    "backward",
     "finite_diff_check",
-    "no_grad",
-    "reset_tape",
     "use_tape",
     "AugsegError",
     "ContractError",

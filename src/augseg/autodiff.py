@@ -1,21 +1,24 @@
 """Dense tensors with tape-based reverse-mode differentiation.
 
 A ``Tensor`` wraps a row-major numpy array plus an optional gradient
-buffer.  Operations record their adjoint closures on the active
-``GradTape`` whenever gradients are enabled and some input requires
-them; ``backward(loss)`` replays the tape in reverse and accumulates
-gradients into every reachable leaf.
+buffer.  Ops record their adjoint closures only inside a
+``with use_tape(tape):`` block, and only when some input requires
+gradients; ``tape.backward(loss)`` replays the tape in reverse and
+accumulates gradients into every reachable leaf.  Outside any block an
+op is plain numpy and its output never requires gradients.
 
 Conventions:
   * default compute dtype is float32; tests typically run float64
   * convolution is cross-correlation (no kernel flip)
   * broadcasting is numpy-style singleton expansion only: shapes are
     right-aligned and each axis pair must match or be 1
-  * tensors that took part in a recorded op must not be mutated until
-    the tape is reset (``Tensor.assign`` enforces this)
+  * the tape is cleared when its block exits, so its records never
+    outlive the block
+  * ``Tensor.assign`` raises while a tape is recording, so no tensor can
+    change under a recorded graph
 
-A tape and the tensors recorded on it belong to a single worker; use
-``use_tape`` to give concurrent workers isolated tapes.
+The recording slot is one per process, so concurrent trainings run in
+separate processes.
 """
 
 from __future__ import annotations
@@ -41,28 +44,14 @@ class GradTape:
 
     def __init__(self):
         self._nodes = []          # (out, inputs, backward_fn)
-        self._touched = set()     # ids of tensors involved since last reset
 
     def __len__(self):
         return len(self._nodes)
 
-    def record(self, out, inputs, backward_fn):
-        self._nodes.append((out, inputs, backward_fn))
-        self._touched.add(id(out))
-        for t in inputs:
-            self._touched.add(id(t))
-
-    def touched(self, tensor):
-        return id(tensor) in self._touched
-
-    def reset(self):
-        self._nodes.clear()
-        self._touched.clear()
-
     def backward(self, loss):
         """Accumulate d loss / d leaf into ``grad`` of every reachable leaf.
 
-        Repeated calls without ``reset`` accumulate (each call adds one
+        Repeated calls within one block accumulate (each call adds one
         full gradient).  Adjoints of interior nodes live in a scratch
         table keyed by tensor identity; only leaves keep a ``grad``.
 
@@ -90,39 +79,23 @@ class GradTape:
                     adjoint[id(t)] = dt if acc is None else acc + dt
 
 
-_default_tape = GradTape()
-_tape_stack = [_default_tape]
-_grad_enabled = [True]
-
-
-def active_tape() -> GradTape:
-    return _tape_stack[-1]
-
-
-def reset_tape():
-    _tape_stack[-1].reset()
+_tape = None    # the recording tape; set only inside ``use_tape``
 
 
 @contextmanager
 def use_tape(tape: GradTape):
-    _tape_stack.append(tape)
+    """Record ops whose inputs require gradients on ``tape`` in this block.
+
+    On exit the outer tape (if any) records again and ``tape`` is
+    cleared; read gradients inside the block or from the leaves after.
+    """
+    global _tape
+    outer, _tape = _tape, tape
     try:
         yield tape
     finally:
-        _tape_stack.pop()
-
-
-@contextmanager
-def no_grad():
-    _grad_enabled.append(False)
-    try:
-        yield
-    finally:
-        _grad_enabled.pop()
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled[-1]
+        _tape = outer
+        tape._nodes.clear()
 
 
 class Tensor:
@@ -196,17 +169,14 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy(), requires_grad=self.requires_grad)
 
     def assign(self, new_data):
-        """Replace the value buffer in place (outside any recorded graph)."""
-        if active_tape().touched(self):
+        """Replace the value buffer in place; only outside ``use_tape``."""
+        if _tape is not None:
             raise ContractError(
-                "cannot mutate a tensor recorded on the active tape; reset it first")
+                "cannot mutate a tensor while a tape is recording")
         arr = np.asarray(new_data, dtype=self.data.dtype)
         if arr.shape != self.data.shape:
             raise DimensionError(
@@ -215,9 +185,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def backward(self):
-        backward(self)
 
     # ------------------------------------------------------------------
     # operator sugar
@@ -275,10 +242,10 @@ def _as_tensor(x, dtype=None) -> Tensor:
 
 def _record(out: Tensor, inputs, backward_fn):
     """Mark ``out`` as an interior node and push the adjoint closure."""
-    if grad_enabled() and any(t.requires_grad for t in inputs):
+    if _tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out._leaf = False
-        active_tape().record(out, tuple(inputs), backward_fn)
+        _tape._nodes.append((out, tuple(inputs), backward_fn))
     return out
 
 
@@ -692,13 +659,8 @@ def bilinear_resize(x, out_hw) -> Tensor:
 
 
 # ----------------------------------------------------------------------
-# backward entry point and gradient checking
+# gradient checking
 # ----------------------------------------------------------------------
-def backward(loss: Tensor):
-    """Populate ``grad`` of every requires_grad leaf reachable from ``loss``."""
-    active_tape().backward(loss)
-
-
 def finite_diff_check(f, x: Tensor, eps=1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
@@ -714,15 +676,14 @@ def finite_diff_check(f, x: Tensor, eps=1e-5) -> float:
     analytic = probe.grad if probe.grad is not None else np.zeros_like(probe.data)
     flat = probe.data.reshape(-1)
     numeric = np.zeros_like(flat)
-    with no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = f(Tensor(probe.data, requires_grad=False)).item()
-            flat[i] = orig - eps
-            lo = f(Tensor(probe.data, requires_grad=False)).item()
-            flat[i] = orig
-            numeric[i] = (hi - lo) / (2.0 * eps)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        hi = f(Tensor(probe.data, requires_grad=False)).item()
+        flat[i] = orig - eps
+        lo = f(Tensor(probe.data, requires_grad=False)).item()
+        flat[i] = orig
+        numeric[i] = (hi - lo) / (2.0 * eps)
     a = analytic.reshape(-1)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-12)
     return float(np.max(np.abs(a - numeric) / denom))

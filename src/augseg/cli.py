@@ -16,12 +16,11 @@ import numpy as np
 
 from . import __version__, daug
 from .errors import AugsegError, InputError, InvariantError
-from .model import EncoderSpec, Network, NetworkConfig
+from .model import NetworkConfig
 from .netpbm import read_pgm, write_ppm
 from .pca import feature_pca, pca_to_image
 from .synth import SynthConfig, write_dataset
 from .trainer import (
-    ArmSpec,
     TrainConfig,
     ablation_run,
     evaluate,

@@ -45,7 +45,6 @@ class FusionParams:
     ff_b1: Tensor
     ff_w2: Tensor  # [ff_mult * C_dec, C_dec]
     ff_b2: Tensor
-    use_positional: bool = False
 
     def __post_init__(self):
         if self.model_dim % self.head_count != 0:
@@ -62,11 +61,13 @@ class FusionParams:
         return self.model_dim // self.head_count
 
     @classmethod
-    def create(cls, c_dec, c_enc, rng, model_dim=None, head_count=4,
-               ff_mult=4, zero_out_proj=True, use_positional=False,
-               dtype=np.float32):
-        """Seeded initialization; ``zero_out_proj`` gives the identity start."""
-        d = c_dec if model_dim is None else model_dim
+    def create(cls, c_dec, c_enc, rng, head_count=4, ff_mult=4,
+               zero_out_proj=True, dtype=np.float32):
+        """Seeded initialization; ``zero_out_proj`` gives the identity start.
+
+        The model width equals the decoder width ``c_dec``.
+        """
+        d = c_dec
         hidden = ff_mult * c_dec
 
         def init(fan_in, shape):
@@ -86,7 +87,6 @@ class FusionParams:
             ff_b1=Tensor.zeros((hidden,), dtype=dtype, requires_grad=True),
             ff_w2=init(hidden, (hidden, c_dec)),
             ff_b2=Tensor.zeros((c_dec,), dtype=dtype, requires_grad=True),
-            use_positional=use_positional,
         )
 
     def named_tensors(self):
@@ -120,20 +120,6 @@ def _norm_tokens(tokens: Tensor) -> Tensor:
     centered = tokens - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
     return centered / sqrt(var + _NORM_EPS)
-
-
-def positional_encoding(h, w, dim) -> np.ndarray:
-    """Fixed 2-d sin/cos grid encoding, [h*w, dim]."""
-    half = dim // 2
-    enc = np.zeros((h, w, dim), dtype=np.float32)
-    div = np.exp(np.arange(0, half, 2) * (-np.log(10000.0) / max(half, 1)))
-    ys = np.arange(h)[:, None] * div[None, :]
-    xs = np.arange(w)[:, None] * div[None, :]
-    enc[:, :, 0:half:2] = np.sin(ys)[:, None, :]
-    enc[:, :, 1:half:2] = np.cos(ys)[:, None, :]
-    enc[:, :, half::2] = np.sin(xs)[None, :, :]
-    enc[:, :, half + 1::2] = np.cos(xs)[None, :, :]
-    return enc.reshape(h * w, dim)
 
 
 def cross_attention(q: Tensor, k: Tensor, v: Tensor, head_count: int) -> Tensor:
@@ -189,10 +175,6 @@ def cg_fuse(decoder_feat: Tensor, aug_enc_feat: Tensor,
     enc_tm = flatten_tokens(aug_enc_feat)
     dec_n = _norm_tokens(dec_tm.tokens)
     enc_n = _norm_tokens(enc_tm.tokens)
-    if params.use_positional:
-        h, w = dec_tm.spatial
-        dec_n = dec_n + Tensor(positional_encoding(h, w, dec_n.shape[-1]))
-        enc_n = enc_n + Tensor(positional_encoding(h, w, enc_n.shape[-1]))
     q = matmul(dec_n, params.w_q)
     k = matmul(enc_n, params.w_k)
     v = matmul(enc_n, params.w_v)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -167,8 +167,3 @@ def write_metrics_csv(path, records):
                 writer.writerow([rec.sample_id, cls,
                                  f"{rec.dice[cls]:.6f}", f"{rec.hd95[cls]:.6f}"])
 
-
-def write_wilcoxon_json(path, result: WilcoxonResult):
-    with open(path, "w") as fh:
-        fh.write(result.to_json())
-        fh.write("\n")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -31,7 +32,6 @@ from .autodiff import (
     conv2d,
     conv_transpose2d,
     gelu,
-    no_grad,
     relu,
 )
 from .errors import ContractError, InputError, NumericDomainError
@@ -253,13 +253,12 @@ class Network:
                 f"input channels {c} != encoder in_channels {enc.in_channels}")
         stages = []
         x = image
-        with no_grad():
-            for i, (wgt, b) in enumerate(self._encoder_params):
-                stride = enc.strides[0] if i == 0 else \
-                    enc.strides[i] // enc.strides[i - 1]
-                pad = 3 if i == 0 else 1
-                x = gelu(conv2d(x, wgt, b, stride=stride, padding=pad))
-                stages.append(x)
+        for i, (wgt, b) in enumerate(self._encoder_params):
+            stride = enc.strides[0] if i == 0 else \
+                enc.strides[i] // enc.strides[i - 1]
+            pad = 3 if i == 0 else 1
+            x = gelu(conv2d(x, wgt, b, stride=stride, padding=pad))
+            stages.append(x)
         return stages
 
     def _encode_from_files(self, image: Tensor) -> list:
@@ -330,8 +329,33 @@ class Network:
 # ----------------------------------------------------------------------
 def save_checkpoint(out_dir, network: Network, epoch: int, seed: int,
                     optimizer_state=None, extra=None):
-    """Write every parameter as a DAUG tensor plus a JSON manifest."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write every parameter as a DAUG tensor plus a JSON manifest.
+
+    The files are written to a sibling directory that then takes the
+    place of ``out_dir``, so an interrupted save never leaves a manifest
+    that does not match its tensors: an earlier checkpoint there stays
+    whole until the new one is complete.
+    """
+    parent, name = os.path.split(os.path.abspath(out_dir))
+    os.makedirs(parent, exist_ok=True)
+    partial = os.path.join(parent, f".{name}.partial-{os.getpid()}")
+    old = os.path.join(parent, f".{name}.old-{os.getpid()}")
+    shutil.rmtree(partial, ignore_errors=True)
+    os.mkdir(partial)
+    try:
+        _write_checkpoint(partial, network, epoch, seed, optimizer_state,
+                          extra)
+    except BaseException:
+        shutil.rmtree(partial, ignore_errors=True)
+        raise
+    if os.path.isdir(out_dir):
+        shutil.rmtree(old, ignore_errors=True)
+        os.replace(out_dir, old)
+    os.replace(partial, out_dir)
+    shutil.rmtree(old, ignore_errors=True)
+
+
+def _write_checkpoint(out_dir, network, epoch, seed, optimizer_state, extra):
     params = network.parameters()
     for name, tensor in params.items():
         daug.write_tensor(os.path.join(out_dir, name + ".daug"), tensor.numpy())

@@ -7,7 +7,6 @@ check; returns the number of failures.
 
 from __future__ import annotations
 
-import math
 import os
 import tempfile
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import GradTape, Tensor, no_grad, use_tape
+from .autodiff import GradTape, Tensor, use_tape
 from .errors import AugsegError, ContractError, InputError
 from .losses import combined_loss
 from .metrics import (
@@ -177,7 +177,6 @@ def train(train_cfg: TrainConfig, net_cfg: NetworkConfig, data_dir,
                         f"batch {start // train_cfg.batch_size}")
                 tape.backward(loss)
             grads = {k: p.grad for k, p in trainables.items()}
-            tape.reset()
             adam_step(trainables, grads, state, train_cfg)
             for p in trainables.values():
                 p.zero_grad()
@@ -216,9 +215,8 @@ def _subset_dice(net, data, stages, num_classes) -> float:
 
     ``stages`` are the per-sample encodings of ``data``'s images.
     """
-    with no_grad():
-        logits = net.forward(Tensor(np.stack([image for image, _ in data])),
-                             mode="eval", stages=_stack_stages(stages))
+    logits = net.forward(Tensor(np.stack([image for image, _ in data])),
+                         mode="eval", stages=_stack_stages(stages))
     preds = np.argmax(logits.numpy(), axis=1).astype(np.uint8)
     return float(np.mean([mean_foreground_dice(pred, mask, num_classes)
                           for pred, (_, mask) in zip(preds, data)]))
@@ -236,16 +234,15 @@ def evaluate(net_or_ckpt, data_dir, split="test", csv_path=None):
     if not entries:
         raise InputError(f"no samples in split {split!r}")
     records = []
-    with no_grad():
-        for entry in entries:
-            image, mask = load_sample(data_dir, entry)
-            logits = net.forward(Tensor(image[None]), mode="eval")
-            pred = np.argmax(logits.numpy()[0], axis=0).astype(np.uint8)
-            dice = {c: dice_score(pred, mask, c) for c in range(1, num_classes)}
-            hd = {c: hd95(pred, mask, c) for c in range(1, num_classes)}
-            records.append(MetricsRecord(
-                sample_id=entry["id"], dice=dice, hd95=hd,
-                mean_dice=float(np.mean(list(dice.values())))))
+    for entry in entries:
+        image, mask = load_sample(data_dir, entry)
+        logits = net.forward(Tensor(image[None]), mode="eval")
+        pred = np.argmax(logits.numpy()[0], axis=0).astype(np.uint8)
+        dice = {c: dice_score(pred, mask, c) for c in range(1, num_classes)}
+        hd = {c: hd95(pred, mask, c) for c in range(1, num_classes)}
+        records.append(MetricsRecord(
+            sample_id=entry["id"], dice=dice, hd95=hd,
+            mean_dice=float(np.mean(list(dice.values())))))
     summary = {
         "split": split,
         "count": len(records),

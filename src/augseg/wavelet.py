@@ -24,7 +24,7 @@ composes it from primitive tape ops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -5,14 +5,12 @@ many small networks and dominate the suite's runtime.
 """
 
 import hashlib
-import math
 import time
 
 import numpy as np
 import pytest
 
 from augseg.autodiff import (
-    GradTape,
     Tensor,
     bilinear_resize,
     concat,
@@ -25,30 +23,21 @@ from augseg.autodiff import (
     log,
     log_softmax,
     matmul,
-    mul,
     relu,
     softmax,
     sqrt,
     sub,
     transpose,
-    use_tape,
 )
 from augseg import daug
 from augseg.fusion import FusionParams, cg_fuse, cross_attention
 from augseg.losses import combined_loss
 from augseg.metrics import dice_score, hd95, wilcoxon_signed_rank
-from augseg.model import EncoderSpec, Network, NetworkConfig, load_checkpoint, save_checkpoint
+from augseg.model import EncoderSpec, Network, NetworkConfig, load_checkpoint
 from augseg.netpbm import read_pgm, write_pgm, write_ppm, read_ppm
 from augseg.synth import write_dataset
-from augseg.trainer import (
-    ArmSpec,
-    TrainConfig,
-    ablation_run,
-    evaluate,
-    table8_arms,
-    train,
-)
-from augseg.wavelet import WtAugConfig, haar_dwt2, haar_idwt2, make_masks, wt_aug
+from augseg.trainer import TrainConfig, train
+from augseg.wavelet import WtAugConfig, haar_dwt2, haar_idwt2, wt_aug
 from augseg.errors import FormatError
 
 from test_metrics import oracle_hd95, oracle_wilcoxon_p

@@ -1,14 +1,11 @@
 """Tensor core: arithmetic, convolution, softmax, and gradient checks."""
 
-import math
-
 import numpy as np
 import pytest
 
 from augseg.autodiff import (
     GradTape,
     Tensor,
-    backward,
     bilinear_resize,
     concat,
     conv2d,
@@ -19,12 +16,10 @@ from augseg.autodiff import (
     log,
     log_softmax,
     matmul,
-    no_grad,
     relu,
     reshape,
     softmax,
     transpose,
-    tsum,
     unary,
     use_tape,
 )
@@ -268,22 +263,38 @@ class TestBackward:
             tape.backward(loss)
         np.testing.assert_allclose(x.grad, 4 * x.numpy())
 
-    def test_no_grad_suppresses_recording(self):
+    def test_ops_outside_any_tape_record_nothing(self):
         x = t64([1.0], requires_grad=True)
+        y = (x * x).sum()
+        assert not y.requires_grad
         with use_tape(GradTape()) as tape:
-            with no_grad():
-                y = (x * x).sum()
             assert len(tape) == 0
-            assert not y.requires_grad
 
-    def test_mutation_on_active_tape_rejected(self):
+    def test_mutation_while_recording_rejected(self):
         x = t64([1.0], requires_grad=True)
+        unrecorded = t64([1.0], requires_grad=True)
         with use_tape(GradTape()) as tape:
             (x * x).sum()
-            with pytest.raises(ContractError):
-                x.assign([2.0])
-            tape.reset()
-            x.assign([2.0])  # fine after reset
+            assert len(tape) == 2
+            for t in (x, unrecorded):
+                with pytest.raises(ContractError):
+                    t.assign([2.0])
+        assert len(tape) == 0
+        x.assign([2.0])  # fine once the block has exited
+        np.testing.assert_array_equal(x.numpy(), [2.0])
+
+    def test_nested_tape_restores_outer(self):
+        x = t64([1.0], requires_grad=True)
+        outer, inner = GradTape(), GradTape()
+        with use_tape(outer):
+            x * x
+            with use_tape(inner):
+                x * x
+                x * x
+                assert (len(outer), len(inner)) == (1, 2)
+            assert len(inner) == 0
+            x * x
+            assert len(outer) == 2
 
     def test_uint8_never_tracks_gradient(self):
         with pytest.raises(ContractError):

@@ -8,7 +8,7 @@ import pytest
 
 from augseg import daug
 from augseg.cli import dispatch
-from augseg.netpbm import read_pgm, read_ppm, write_pgm
+from augseg.netpbm import read_ppm, write_pgm
 
 
 @pytest.fixture()

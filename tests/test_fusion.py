@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from augseg.autodiff import GradTape, Tensor, finite_diff_check, use_tape
+from augseg.autodiff import Tensor, finite_diff_check
 from augseg.errors import ContractError
 from augseg.fusion import (
     FusionParams,

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from augseg.autodiff import GradTape, Tensor, finite_diff_check, softmax, use_tape
+from augseg.autodiff import Tensor, finite_diff_check, softmax
 from augseg.errors import ContractError, DimensionError
 from augseg.losses import DICE_EPS, ce_loss, combined_loss, dice_loss, one_hot
 

@@ -13,7 +13,6 @@ from augseg.metrics import (
     boundary_pixels,
     dice_score,
     hd95,
-    mean_foreground_dice,
     wilcoxon_signed_rank,
     write_metrics_csv,
 )

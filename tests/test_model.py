@@ -1,12 +1,13 @@
 """Encoder/decoder assembly, forward contracts, checkpoint round-trips."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from augseg import daug
-from augseg.autodiff import GradTape, Tensor, reset_tape, use_tape
+from augseg.autodiff import GradTape, Tensor, use_tape
 from augseg.errors import ContractError, InputError, NumericDomainError
 from augseg.losses import combined_loss
 from augseg.model import (
@@ -226,10 +227,8 @@ class TestForward:
                        .astype(np.float32))
         a = net.forward(image, mode="train",
                         rng=np.random.default_rng(123)).numpy()
-        reset_tape()
         b = net.forward(image, mode="train",
                         rng=np.random.default_rng(123)).numpy()
-        reset_tape()
         np.testing.assert_array_equal(a, b)
 
     def test_keep_prob_one_matches_eval(self):
@@ -239,7 +238,6 @@ class TestForward:
                        .astype(np.float32))
         train_logits = net.forward(image, mode="train",
                                    rng=np.random.default_rng(0)).numpy()
-        reset_tape()
         eval_logits = net.forward(image, mode="eval").numpy()
         assert np.max(np.abs(train_logits - eval_logits)) < 1e-5
 
@@ -270,6 +268,39 @@ class TestForward:
         grads = [p.grad for n, p in net.trainable_parameters().items()]
         assert any(g is not None and np.abs(g).sum() > 0 for g in grads)
 
+    def test_ccu_skip_augmented_changes_train_mode_only(self):
+        image = Tensor(np.random.default_rng(17).random((1, 1, 64, 64))
+                       .astype(np.float32))
+        cfg = small_config(wt_aug=WtAugConfig(keep_prob=(0.5,) * 4))
+        raw = Network(cfg)
+        aug = Network(small_config(wt_aug=cfg.wt_aug, ccu_skip_augmented=True))
+        train = [net.forward(image, mode="train",
+                             rng=np.random.default_rng(5)).numpy()
+                 for net in (raw, aug)]
+        assert not np.array_equal(*train)
+        np.testing.assert_array_equal(raw.forward(image, mode="eval").numpy(),
+                                      aug.forward(image, mode="eval").numpy())
+
+    def test_eval_forwards_outside_a_tape_keep_nothing(self):
+        # Outside ``use_tape`` an eval forward is plain numpy: nothing
+        # holds its activations, and parameters stay assignable.
+        net = Network(NetworkConfig())
+        image = Tensor(np.random.default_rng(18).random((1, 1, 64, 64))
+                       .astype(np.float32))
+        net.forward(image, mode="eval")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(50):
+                logits = net.forward(image, mode="eval")
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert not logits.requires_grad
+        assert grown < 5 * 2**20
+        net.head.out_b.assign(np.ones(net.head.out_b.shape))
+        np.testing.assert_array_equal(net.head.out_b.numpy(), 1.0)
+
     def test_wrong_image_size_rejected(self):
         net = Network(small_config())
         with pytest.raises(ContractError):
@@ -292,6 +323,32 @@ class TestCheckpoint:
         assert manifest["epoch"] == 5 and manifest["seed"] == 99
         got = loaded.forward(image, mode="eval").numpy()
         np.testing.assert_array_equal(got, want)
+
+    def test_interrupted_overwrite_keeps_old_checkpoint(self, tmp_path,
+                                                        monkeypatch):
+        net = Network(small_config())
+        image = Tensor(np.random.default_rng(19).random((1, 1, 64, 64))
+                       .astype(np.float32))
+        save_checkpoint(tmp_path / "ckpt", net, epoch=1, seed=3)
+        want = load_checkpoint(tmp_path / "ckpt")[0].forward(image).numpy()
+
+        changed = Network(small_config(param_seed=8))
+        write_tensor, written = daug.write_tensor, []
+
+        def failing_write(path, arr):
+            # every tensor but the last one reaches the disk
+            if len(written) == len(changed.parameters()) - 1:
+                raise OSError("disk full")
+            written.append(path)
+            write_tensor(path, arr)
+
+        monkeypatch.setattr(daug, "write_tensor", failing_write)
+        with pytest.raises(OSError):
+            save_checkpoint(tmp_path / "ckpt", changed, epoch=2, seed=4)
+        loaded, manifest = load_checkpoint(tmp_path / "ckpt")
+        assert manifest["epoch"] == 1 and manifest["seed"] == 3
+        np.testing.assert_array_equal(loaded.forward(image).numpy(), want)
+        assert os.listdir(tmp_path) == ["ckpt"]
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(InputError):

@@ -1,8 +1,5 @@
 """Synthetic sample generation, corruptions, and dataset files."""
 
-import json
-import os
-
 import numpy as np
 import pytest
 

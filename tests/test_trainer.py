@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from augseg.autodiff import Tensor, no_grad
+from augseg.autodiff import Tensor
 from augseg.errors import ContractError
 from augseg.metrics import mean_foreground_dice
 from augseg.model import EncoderSpec, Network, NetworkConfig, load_checkpoint
@@ -125,11 +125,10 @@ class TestTrain:
         data = [load_sample(dataset, e) for e in manifest["samples"][:3]]
         stages = [net.encode(Tensor(image[None])) for image, _ in data]
         scores = []
-        with no_grad():
-            for image, mask in data:
-                logits = net.forward(Tensor(image[None]), mode="eval")
-                pred = np.argmax(logits.numpy()[0], axis=0).astype(np.uint8)
-                scores.append(mean_foreground_dice(pred, mask, 3))
+        for image, mask in data:
+            logits = net.forward(Tensor(image[None]), mode="eval")
+            pred = np.argmax(logits.numpy()[0], axis=0).astype(np.uint8)
+            scores.append(mean_foreground_dice(pred, mask, 3))
         assert _subset_dice(net, data, stages, 3) == float(np.mean(scores))
 
     def test_encoder_frozen_through_training(self, dataset):

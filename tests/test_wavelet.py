@@ -6,7 +6,6 @@ import pytest
 from augseg.autodiff import GradTape, Tensor, finite_diff_check, use_tape
 from augseg.errors import ContractError, DimensionError
 from augseg.wavelet import (
-    MaskSet,
     SubbandSet,
     WtAugConfig,
     haar_dwt2,
