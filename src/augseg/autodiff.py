@@ -460,21 +460,24 @@ def sqrt(x):
     return unary("sqrt", x)
 
 
+def softmax_array(x: np.ndarray, axis=-1) -> np.ndarray:
+    """Max-subtracted stable softmax of a numpy array along ``axis``."""
+    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
+def softmax_vjp(y: np.ndarray, g: np.ndarray, axis=-1) -> np.ndarray:
+    """Adjoint of softmax at output ``y``: ``y * (g - sum(g * y))``."""
+    return y * (g - np.sum(g * y, axis=axis, keepdims=True))
+
+
 def softmax(x, axis=-1) -> Tensor:
     """Max-subtracted stable softmax; slices along ``axis`` sum to 1."""
     x = _as_tensor(x)
     if not -x.ndim <= axis < x.ndim:
         raise DimensionError(f"softmax axis {axis} out of range for rank {x.ndim}")
-    z = x.data - np.max(x.data, axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / np.sum(e, axis=axis, keepdims=True)
-    out = Tensor(y)
-
-    def back(g):
-        dot = np.sum(g * y, axis=axis, keepdims=True)
-        return (y * (g - dot),)
-
-    return _record(out, (x,), back)
+    y = softmax_array(x.data, axis)
+    return _record(Tensor(y), (x,), lambda g: (softmax_vjp(y, g, axis),))
 
 
 def log_softmax(x, axis=-1) -> Tensor:

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -129,6 +130,15 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _check_keys(path, where, blob, known):
+    """Reject a config level that is not an object or has unknown keys."""
+    if not isinstance(blob, dict):
+        raise InputError(f"{path}: {where} must be a JSON object")
+    unknown = sorted(set(blob) - set(known))
+    if unknown:
+        raise InputError(f"{path}: unknown key {unknown[0]!r} in {where}")
+
+
 def _load_configs(args):
     train_kwargs, net_kwargs = {}, {}
     if args.config:
@@ -139,22 +149,22 @@ def _load_configs(args):
             raise InputError(f"config file not found: {args.config}")
         except json.JSONDecodeError as exc:
             raise InputError(f"{args.config}: invalid JSON ({exc})")
+        _check_keys(args.config, "the top level", blob, ("train", "network"))
         train_kwargs = blob.get("train", {})
         net_kwargs = blob.get("network", {})
+        for section, kwargs, cls in (("train", train_kwargs, TrainConfig),
+                                     ("network", net_kwargs, NetworkConfig)):
+            _check_keys(args.config, f"section {section!r}", kwargs,
+                        [f.name for f in fields(cls)])
         if "betas" in train_kwargs:
             train_kwargs["betas"] = tuple(train_kwargs["betas"])
-    if args.epochs is not None:
-        train_kwargs["epochs"] = args.epochs
-    if args.shots is not None:
-        train_kwargs["shots"] = args.shots
-    if args.lr is not None:
-        train_kwargs["learning_rate"] = args.lr
-    if args.batch_size is not None:
-        train_kwargs["batch_size"] = args.batch_size
-    if args.arm is not None:
-        train_kwargs["augmentation"] = args.arm
+    for flag, key in (("epochs", "epochs"), ("shots", "shots"),
+                      ("lr", "learning_rate"), ("batch_size", "batch_size"),
+                      ("arm", "augmentation")):
+        if getattr(args, flag) is not None:
+            train_kwargs[key] = getattr(args, flag)
     if args.no_cg_fuse:
-        train_kwargs["use_cg_fuse"] = False
+        net_kwargs["use_cg_fuse"] = False
     train_kwargs["seed"] = args.seed if args.seed is not None else _default_seed()
     return TrainConfig(**train_kwargs), NetworkConfig(**net_kwargs)
 

@@ -1,7 +1,8 @@
 """Cross-attention fusion: deep decoder features query augmented encoder
 features.
 
-Per head of width ``d_k = model_dim / head_count`` the attention is
+The model width D equals the decoder width, and per head of width
+``d_k = D / head_count`` the attention is
 ``Softmax(Q K^T / sqrt(d_k)) V``; heads are concatenated, projected, fed
 through a small feed-forward block, and added residually to the original
 decoder features.  Tokens are normalized (zero mean / unit variance over
@@ -17,25 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, gelu, matmul, reshape, softmax, sqrt, transpose
+from .autodiff import (Tensor, _record, gelu, matmul, reshape, softmax_array,
+                       softmax_vjp, sqrt, transpose)
 from .errors import ContractError, DimensionError
 
 _NORM_EPS = 1e-5
 
 
 @dataclass
-class TokenMap:
-    """Spatial map flattened to a [N, H*W, C] token sequence."""
-
-    tokens: Tensor
-    spatial: tuple  # (H, W)
-
-
-@dataclass
 class FusionParams:
     """Projection and feed-forward weights for one fusion block."""
 
-    model_dim: int
     head_count: int
     w_q: Tensor   # [C_dec, D]
     w_k: Tensor   # [C_enc, D]
@@ -46,42 +39,31 @@ class FusionParams:
     ff_w2: Tensor  # [ff_mult * C_dec, C_dec]
     ff_b2: Tensor
 
-    def __post_init__(self):
-        if self.model_dim % self.head_count != 0:
-            raise ContractError(
-                f"model_dim {self.model_dim} not divisible by "
-                f"head_count {self.head_count}")
-        for name in ("w_q", "w_k", "w_v", "w_o", "ff_w1", "ff_b1",
-                     "ff_w2", "ff_b2"):
-            if not np.all(np.isfinite(getattr(self, name).numpy())):
-                raise ContractError(f"non-finite values in {name}")
-
-    @property
-    def d_k(self) -> int:
-        return self.model_dim // self.head_count
-
     @classmethod
     def create(cls, c_dec, c_enc, rng, head_count=4, ff_mult=4,
                zero_out_proj=True, dtype=np.float32):
         """Seeded initialization; ``zero_out_proj`` gives the identity start.
 
-        The model width equals the decoder width ``c_dec``.
+        The model width D equals the decoder width ``c_dec``, which
+        ``head_count`` must divide.
         """
-        d = c_dec
+        if head_count < 1 or c_dec % head_count:
+            raise ContractError(
+                f"fusion width {c_dec} not divisible by head_count "
+                f"{head_count}")
         hidden = ff_mult * c_dec
 
         def init(fan_in, shape):
             return Tensor((rng.normal(size=shape) / np.sqrt(fan_in))
                           .astype(dtype), requires_grad=True)
 
-        w_o = (Tensor.zeros((d, c_dec), dtype=dtype, requires_grad=True)
-               if zero_out_proj else init(d, (d, c_dec)))
+        w_o = (Tensor.zeros((c_dec, c_dec), dtype=dtype, requires_grad=True)
+               if zero_out_proj else init(c_dec, (c_dec, c_dec)))
         return cls(
-            model_dim=d,
             head_count=head_count,
-            w_q=init(c_dec, (c_dec, d)),
-            w_k=init(c_enc, (c_enc, d)),
-            w_v=init(c_enc, (c_enc, d)),
+            w_q=init(c_dec, (c_dec, c_dec)),
+            w_k=init(c_enc, (c_enc, c_dec)),
+            w_v=init(c_enc, (c_enc, c_dec)),
             w_o=w_o,
             ff_w1=init(c_dec, (c_dec, hidden)),
             ff_b1=Tensor.zeros((hidden,), dtype=dtype, requires_grad=True),
@@ -95,25 +77,6 @@ class FusionParams:
                 "ff_w2": self.ff_w2, "ff_b2": self.ff_b2}
 
 
-def flatten_tokens(f: Tensor) -> TokenMap:
-    """[N,C,H,W] -> tokens [N, H*W, C] in row-major spatial order."""
-    if f.ndim != 4:
-        raise ContractError(f"flatten_tokens expects rank 4, got {f.ndim}")
-    n, c, h, w = f.shape
-    tokens = transpose(reshape(f, (n, c, h * w)), (0, 2, 1))
-    return TokenMap(tokens=tokens, spatial=(h, w))
-
-
-def unflatten(tm: TokenMap) -> Tensor:
-    """Inverse of :func:`flatten_tokens`."""
-    n, t, c = tm.tokens.shape
-    h, w = tm.spatial
-    if t != h * w:
-        raise ContractError(
-            f"token count {t} does not match spatial {h}x{w}")
-    return reshape(transpose(tm.tokens, (0, 2, 1)), (n, c, h, w))
-
-
 def _norm_tokens(tokens: Tensor) -> Tensor:
     """Zero-mean, unit-variance over the channel axis, per token."""
     mu = tokens.mean(axis=-1, keepdims=True)
@@ -125,7 +88,12 @@ def _norm_tokens(tokens: Tensor) -> Tensor:
 def cross_attention(q: Tensor, k: Tensor, v: Tensor, head_count: int) -> Tensor:
     """Multi-head scaled dot-product attention over token sequences.
 
-    q: [N, T_q, D]; k, v: [N, T_k, D]; returns [N, T_q, D].
+    q: [N, T_q, D]; k, v: [N, T_k, D]; returns [N, T_q, D].  One recorded
+    op.  Per head, with ``S = Q K^T s``, ``s = 1/sqrt(d_k)`` and
+    ``P = softmax(S)`` over the keys, the output is ``P V``; the adjoint
+    of an output gradient ``G`` is ``dV = P^T G``,
+    ``dS = P * (G V^T - rowsum(P * G V^T)) s``, ``dQ = dS K`` and
+    ``dK = (Q^T dS)^T``.
     """
     if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
         raise DimensionError("cross_attention expects rank-3 token tensors")
@@ -138,21 +106,34 @@ def cross_attention(q: Tensor, k: Tensor, v: Tensor, head_count: int) -> Tensor:
         raise DimensionError("K and V token counts differ")
     if k.shape[1] < 1:
         raise ContractError("need at least one key token")
-    if d % head_count != 0:
+    if head_count < 1 or d % head_count:
         raise ContractError(f"model dim {d} not divisible by {head_count} heads")
     t_k = k.shape[1]
     d_k = d // head_count
 
-    def split_heads(x, t):
-        return transpose(reshape(x, (n, t, head_count, d_k)), (0, 2, 1, 3))
+    def split_heads(x, t):          # [N,T,D] -> [N,h,T,d_k]
+        return x.reshape(n, t, head_count, d_k).transpose(0, 2, 1, 3)
 
-    qh = split_heads(q, t_q)                       # [N,h,T_q,d_k]
-    kh = split_heads(k, t_k)
-    vh = split_heads(v, t_k)
-    logits = matmul(qh, transpose(kh, (0, 1, 3, 2))) * (1.0 / np.sqrt(d_k))
-    attn = softmax(logits, axis=-1)
-    out = matmul(attn, vh)                         # [N,h,T_q,d_k]
-    return reshape(transpose(out, (0, 2, 1, 3)), (n, t_q, d))
+    def merge_heads(x, t):          # [N,h,T,d_k] -> [N,T,D]
+        return x.transpose(0, 2, 1, 3).reshape(n, t, d)
+
+    qh = split_heads(q.data, t_q)
+    kh = split_heads(k.data, t_k)
+    vh = split_heads(v.data, t_k)
+    logits = np.matmul(qh, kh.swapaxes(-1, -2))
+    s = logits.dtype.type(1.0 / np.sqrt(d_k))
+    p = softmax_array(logits * s)                  # [N,h,T_q,T_k]
+
+    def back(g):
+        gh = split_heads(g, t_q)
+        ds = softmax_vjp(p, np.matmul(gh, vh.swapaxes(-1, -2))) * s
+        return (merge_heads(np.matmul(ds, kh), t_q),
+                merge_heads(np.matmul(qh.swapaxes(-1, -2), ds)
+                            .swapaxes(-1, -2), t_k),
+                merge_heads(np.matmul(p.swapaxes(-1, -2), gh), t_k))
+
+    out = Tensor(merge_heads(np.matmul(p, vh), t_q))
+    return _record(out, (q, k, v), back)
 
 
 def cg_fuse(decoder_feat: Tensor, aug_enc_feat: Tensor,
@@ -161,20 +142,24 @@ def cg_fuse(decoder_feat: Tensor, aug_enc_feat: Tensor,
 
     decoder_feat [N,C_dec,H,W] supplies the queries; aug_enc_feat
     [N,C_enc,H,W] supplies keys and values.  Both must share spatial
-    extents (the caller resamples first).  The residual adds the
-    original decoder features, so the output shape equals the decoder
-    input shape.
+    extents (the caller resamples first).  Each map is read as an
+    [N, H*W, C] token sequence in row-major spatial order.  The residual
+    adds the original decoder features, so the output shape equals the
+    decoder input shape.
     """
+    if decoder_feat.ndim != 4 or aug_enc_feat.ndim != 4:
+        raise ContractError("cg_fuse expects rank-4 feature maps")
     if decoder_feat.shape[2:] != aug_enc_feat.shape[2:]:
         raise ContractError(
             f"spatial extents differ: {decoder_feat.shape[2:]} vs "
             f"{aug_enc_feat.shape[2:]}")
     if decoder_feat.shape[0] != aug_enc_feat.shape[0]:
         raise ContractError("batch extents differ")
-    dec_tm = flatten_tokens(decoder_feat)
-    enc_tm = flatten_tokens(aug_enc_feat)
-    dec_n = _norm_tokens(dec_tm.tokens)
-    enc_n = _norm_tokens(enc_tm.tokens)
+    n, c_dec, h, w = decoder_feat.shape
+    c_enc = aug_enc_feat.shape[1]
+    dec = transpose(reshape(decoder_feat, (n, c_dec, h * w)), (0, 2, 1))
+    enc = transpose(reshape(aug_enc_feat, (n, c_enc, h * w)), (0, 2, 1))
+    dec_n, enc_n = _norm_tokens(dec), _norm_tokens(enc)
     q = matmul(dec_n, params.w_q)
     k = matmul(enc_n, params.w_k)
     v = matmul(enc_n, params.w_v)
@@ -182,5 +167,4 @@ def cg_fuse(decoder_feat: Tensor, aug_enc_feat: Tensor,
     proj = matmul(attn, params.w_o)
     hidden = gelu(matmul(proj, params.ff_w1) + params.ff_b1)
     ff = matmul(hidden, params.ff_w2) + params.ff_b2
-    fused = dec_tm.tokens + ff
-    return unflatten(TokenMap(tokens=fused, spatial=dec_tm.spatial))
+    return reshape(transpose(dec + ff, (0, 2, 1)), (n, c_dec, h, w))

@@ -97,22 +97,13 @@ class NetworkConfig:
         self.decoder_channels = tuple(self.decoder_channels)
 
     def to_json(self) -> str:
-        blob = asdict(self)
-        for cfg in blob["wt_aug"]:
-            cfg["keep_prob"] = list(cfg["keep_prob"])
-        return json.dumps(blob, indent=1)
+        return json.dumps(asdict(self), indent=1)
 
     @classmethod
     def from_json(cls, text: str) -> "NetworkConfig":
-        blob = json.loads(text)
-        blob["wt_aug"] = tuple(
-            WtAugConfig(keep_prob=tuple(w["keep_prob"]), seed=w["seed"],
-                        channel_shared=w["channel_shared"])
-            for w in blob["wt_aug"])
-        blob["encoder"] = EncoderSpec(**blob["encoder"])
-        for key in ("channels", "strides"):
-            setattr(blob["encoder"], key, tuple(getattr(blob["encoder"], key)))
-        return cls(**blob)
+        """Inverse of ``to_json``; ``__post_init__`` rebuilds the nested
+        configs from their dicts."""
+        return cls(**json.loads(text))
 
 
 @dataclass
@@ -394,5 +385,8 @@ def load_checkpoint(ckpt_dir):
         if arr.shape != tensor.shape:
             raise InputError(
                 f"checkpoint tensor {name} shape {arr.shape} != {tensor.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise NumericDomainError(
+                f"checkpoint tensor {name} has non-finite values")
         tensor.assign(arr)
     return network, manifest

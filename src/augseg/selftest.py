@@ -90,12 +90,16 @@ def _checks():
         params = FusionParams.create(4, 4, np.random.default_rng(1),
                                      head_count=2, zero_out_proj=False,
                                      dtype=np.float64)
+        dec = Tensor(rng.normal(size=(1, 4, 2, 2)).astype(np.float64))
         enc = Tensor(rng.normal(size=(1, 4, 2, 2)).astype(np.float64))
         w = Tensor(rng.normal(size=(1, 4, 2, 2)).astype(np.float64))
         err = finite_diff_check(
-            lambda d: (cg_fuse(d, enc, params) * w).sum(),
-            Tensor(rng.normal(size=(1, 4, 2, 2))))
-        assert err < 1e-4, f"fusion gradient err {err}"
+            lambda d: (cg_fuse(d, enc, params) * w).sum(), dec)
+        assert err < 1e-4, f"fusion gradient err {err} (decoder input)"
+        # keys and values come from the encoder input, so this reaches dK, dV
+        err = finite_diff_check(
+            lambda e: (cg_fuse(dec, e, params) * w).sum(), enc)
+        assert err < 1e-4, f"fusion gradient err {err} (encoder input)"
 
     def gradient_loss():
         labels = rng.integers(0, 3, size=(1, 4, 4))

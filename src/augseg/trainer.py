@@ -53,7 +53,6 @@ class TrainConfig:
     shots: int = 2
     seed: int = 0
     augmentation: str = "none"
-    use_cg_fuse: bool | None = None     # None: respect the network config
     corruption_strengths: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -132,8 +131,6 @@ def train(train_cfg: TrainConfig, net_cfg: NetworkConfig, data_dir,
     train_entries = [e for e in manifest["samples"] if e["split"] == "train"]
     chosen = few_shot_subset(train_entries, train_cfg.shots, train_cfg.seed)
     data = [load_sample(data_dir, e) for e in chosen]
-    if train_cfg.use_cg_fuse is not None:
-        net_cfg = replace(net_cfg, use_cg_fuse=train_cfg.use_cg_fuse)
     net = Network(net_cfg)
     trainables = net.trainable_parameters()
     if not net_cfg.use_cg_fuse:
@@ -296,9 +293,9 @@ def ablation_run(arms, seeds, train_cfg: TrainConfig, net_cfg: NetworkConfig,
         seed_means, seed_hd95s, sample_dices = [], [], []
         for seed in seeds:
             cfg = replace(train_cfg, seed=int(seed),
-                          augmentation=arm.augmentation,
-                          use_cg_fuse=arm.use_cg_fuse)
-            run_net_cfg = replace(net_cfg, param_seed=int(seed))
+                          augmentation=arm.augmentation)
+            run_net_cfg = replace(net_cfg, param_seed=int(seed),
+                                  use_cg_fuse=arm.use_cg_fuse)
             net, _, _ = train(cfg, run_net_cfg, data_dir)
             records, summary = evaluate(net, data_dir, split="test")
             seed_means.append(summary["mean_dice"])

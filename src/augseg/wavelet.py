@@ -79,6 +79,7 @@ class WtAugConfig:
     channel_shared: bool = True
 
     def __post_init__(self):
+        self.keep_prob = tuple(self.keep_prob)
         if len(self.keep_prob) != 4:
             raise ContractError("keep_prob needs one value per sub-band")
         for p in self.keep_prob:

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Criteria 8 and 9 are seeded desk-scale trend experiments; they train
-many small networks and dominate the suite's runtime.
+Criteria 1-7 and 10 are here; the module runs in about 8 s.
+Criteria 8 and 9, the seeded trend experiments (augmentation arms and
+module toggles), are not implemented yet, so no test here runs them.
 """
 
 import hashlib

@@ -234,6 +234,56 @@ class TestTrainEvalCommands:
                          "--out", str(tmp_path / "r"), "--config", str(bad)])
         assert code == 1
 
+    def test_unknown_config_key_is_exit_1(self, dataset, tmp_path, capsys):
+        for blob, words in (({"train": {"epochz": 1}}, ("epochz", "train")),
+                            ({"network": {"heads": 2}}, ("heads", "network")),
+                            ({"trian": {}}, ("trian",)),
+                            ({"train": [1]}, ("train",))):
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(blob))
+            code = dispatch(["train", "--data", str(dataset),
+                             "--out", str(tmp_path / "r"), "--config",
+                             str(cfg_path)])
+            assert code == 1, blob
+            err = capsys.readouterr().err
+            assert "internal error" not in err
+            assert all(w in err for w in words), err
+
+    def test_head_count_not_dividing_fusion_width_is_exit_1(
+            self, dataset, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"network": {"head_count": 5}}))
+        code = dispatch(["train", "--data", str(dataset),
+                         "--out", str(tmp_path / "r"), "--config",
+                         str(cfg_path), "--epochs", "1", "--shots", "1"])
+        assert code == 1
+        assert "head_count 5" in capsys.readouterr().err
+
+    def test_no_cg_fuse_flag_reaches_network_config(self, dataset, tmp_path):
+        run_dir = tmp_path / "run"
+        assert dispatch(["train", "--data", str(dataset), "--out",
+                         str(run_dir), "--epochs", "1", "--shots", "1",
+                         "--no-cg-fuse"]) == 0
+        manifest = json.loads(
+            (run_dir / "checkpoint" / "checkpoint.json").read_text())
+        assert manifest["config"]["use_cg_fuse"] is False
+
+    def test_eval_non_finite_checkpoint_tensor_is_exit_1(self, dataset,
+                                                         tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert dispatch(["train", "--data", str(dataset), "--out",
+                         str(run_dir), "--epochs", "1", "--shots", "1",
+                         "--seed", "0"]) == 0
+        path = run_dir / "checkpoint" / "fusion.level3.w_q.daug"
+        arr = daug.read_tensor(path)
+        arr.reshape(-1)[0] = np.nan
+        daug.write_tensor(path, arr)
+        code = dispatch(["eval", "--checkpoint", str(run_dir / "checkpoint"),
+                         "--data", str(dataset)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "fusion.level3.w_q" in err and "non-finite" in err
+
     def test_ablate_degenerate_single_seed(self, dataset, tmp_path, capsys):
         code = dispatch(["ablate", "--data", str(dataset), "--out",
                          str(tmp_path / "abl"), "--mode", "table8",

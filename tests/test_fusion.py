@@ -1,43 +1,50 @@
-"""Token adapters and cross-attention fusion."""
+"""Cross-attention (one recorded op) and the fusion block."""
 
 import numpy as np
 import pytest
 
-from augseg.autodiff import Tensor, finite_diff_check
-from augseg.errors import ContractError
-from augseg.fusion import (
-    FusionParams,
-    TokenMap,
-    cg_fuse,
-    cross_attention,
-    flatten_tokens,
-    unflatten,
+from augseg.autodiff import (
+    GradTape,
+    Tensor,
+    finite_diff_check,
+    matmul,
+    reshape,
+    softmax,
+    transpose,
+    use_tape,
 )
+from augseg.errors import ContractError
+from augseg.fusion import FusionParams, cg_fuse, cross_attention
+from augseg.model import Network, NetworkConfig
 
 
 def rand_params(c_dec, c_enc, seed=0, **kw):
     return FusionParams.create(c_dec, c_enc, np.random.default_rng(seed), **kw)
 
 
-class TestTokenMap:
-    def test_row_major_order(self):
-        f = Tensor(np.array([[[[1, 2], [3, 4]]]], dtype=np.float32))
-        tm = flatten_tokens(f)
-        np.testing.assert_array_equal(tm.tokens.numpy(),
-                                      [[[1], [2], [3], [4]]])
-        assert tm.spatial == (2, 2)
+def composed_attention(q, k, v, head_count):
+    """Reference: the attention as a chain of primitive tape ops."""
+    n, t_q, d = q.shape
+    t_k = k.shape[1]
+    d_k = d // head_count
 
-    def test_roundtrip_identity(self):
-        rng = np.random.default_rng(0)
-        for shape in [(1, 3, 4, 5), (2, 1, 2, 2), (2, 8, 3, 7)]:
-            f = Tensor(rng.normal(size=shape).astype(np.float32))
-            np.testing.assert_array_equal(unflatten(flatten_tokens(f)).numpy(),
-                                          f.numpy())
+    def split_heads(x, t):
+        return transpose(reshape(x, (n, t, head_count, d_k)), (0, 2, 1, 3))
 
-    def test_wrong_spatial_rejected(self):
-        tm = TokenMap(tokens=Tensor(np.zeros((1, 6, 2))), spatial=(2, 2))
-        with pytest.raises(ContractError):
-            unflatten(tm)
+    logits = matmul(split_heads(q, t_q),
+                    transpose(split_heads(k, t_k), (0, 1, 3, 2)))
+    attn = softmax(logits * (1.0 / np.sqrt(d_k)), axis=-1)
+    out = matmul(attn, split_heads(v, t_k))
+    return reshape(transpose(out, (0, 2, 1, 3)), (n, t_q, d))
+
+
+def value_and_vjps(attention, q, k, v, g, head_count):
+    """Output and (dQ, dK, dV) of ``sum(attention(q, k, v) * g)``."""
+    leaves = [Tensor(x.copy(), requires_grad=True) for x in (q, k, v)]
+    with use_tape(GradTape()) as tape:
+        out = attention(*leaves, head_count)
+        tape.backward((out * Tensor(g)).sum())
+    return [out.numpy()] + [t.grad for t in leaves]
 
 
 class TestCrossAttention:
@@ -100,6 +107,51 @@ class TestCrossAttention:
 
         assert mean_entropy(2.0) < mean_entropy(1.0)
 
+    @pytest.mark.parametrize("n,t_q,t_k,heads,d_k", [
+        (2, 5, 7, 1, 3),      # T_q != T_k, one head
+        (1, 6, 4, 2, 2),      # two heads
+        (2, 3, 9, 3, 2),      # three heads
+        (2, 4, 1, 2, 3),      # a single key
+        (1, 1, 5, 3, 1),      # a single query, d_k = 1
+    ])
+    def test_matches_composed_chain(self, n, t_q, t_k, heads, d_k):
+        rng = np.random.default_rng(11)
+        d = heads * d_k
+        q = rng.normal(size=(n, t_q, d)) * 2
+        k = rng.normal(size=(n, t_k, d)) * 2
+        v = rng.normal(size=(n, t_k, d))
+        g = rng.normal(size=(n, t_q, d))
+        fused = value_and_vjps(cross_attention, q, k, v, g, heads)
+        ref = value_and_vjps(composed_attention, q, k, v, g, heads)
+        for name, a, b in zip(("out", "dQ", "dK", "dV"), fused, ref):
+            assert a.shape == b.shape, name
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_float32_equals_composed_chain_bit_for_bit(self):
+        # same numpy calls on the same layouts, so seeded training and
+        # eval outputs do not depend on which form runs
+        rng = np.random.default_rng(13)
+        q, k, v, g = (rng.normal(size=(2, 64, 48)).astype(np.float32)
+                      for _ in range(4))
+        fused = value_and_vjps(cross_attention, q, k, v, g, 4)
+        ref = value_and_vjps(composed_attention, q, k, v, g, 4)
+        for a, b in zip(fused, ref):
+            assert a.dtype == np.float32
+            assert a.tobytes() == b.tobytes()
+
+    def test_records_one_tape_node(self):
+        rng = np.random.default_rng(12)
+        q, k, v = (Tensor(rng.normal(size=(1, 3, 4)), requires_grad=True)
+                   for _ in range(3))
+        with use_tape(GradTape()) as tape:
+            cross_attention(q, k, v, head_count=2)
+            assert len(tape) == 1
+
+    def test_head_count_must_divide_width(self):
+        q = Tensor(np.zeros((1, 2, 6)))
+        with pytest.raises(ContractError):
+            cross_attention(q, q, q, head_count=4)
+
     def test_gradients(self):
         rng = np.random.default_rng(5)
         k = Tensor(rng.normal(size=(1, 4, 4)).astype(np.float64))
@@ -138,6 +190,10 @@ class TestCgFuse:
             params = rand_params(cd, ce, seed=n, head_count=2,
                                  zero_out_proj=False)
             assert cg_fuse(dec, enc, params).shape == dec.shape
+
+    def test_head_count_not_dividing_width_rejected_at_build(self):
+        with pytest.raises(ContractError, match="head_count 5"):
+            Network(NetworkConfig(head_count=5))
 
     def test_spatial_mismatch_rejected(self):
         dec = Tensor(np.zeros((1, 4, 4, 4), dtype=np.float32))

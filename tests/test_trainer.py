@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from augseg import trainer
 from augseg.autodiff import Tensor
 from augseg.errors import ContractError
 from augseg.metrics import mean_foreground_dice
@@ -171,9 +172,9 @@ class TestTrain:
                                       net.forward(image).numpy())
 
     def test_cg_fuse_off_skips_fusion_params(self, dataset):
-        cfg = TrainConfig(epochs=2, shots=1, seed=5, augmentation="none",
-                          use_cg_fuse=False)
-        net, log_rows, _ = train(cfg, tiny_net_config(), dataset)
+        cfg = TrainConfig(epochs=2, shots=1, seed=5, augmentation="none")
+        net, log_rows, _ = train(cfg, tiny_net_config(use_cg_fuse=False),
+                                 dataset)
         assert not net.config.use_cg_fuse
         # fusion tensors still exist but stayed at their init values
         w_o = net.fusion[3].w_o.numpy()
@@ -236,6 +237,20 @@ class TestAblationRun:
         rows = (tmp_path / "ablation.csv").read_text().strip().splitlines()
         assert len(rows) == 5
         assert (tmp_path / "wilcoxon.json").exists()
+
+    def test_arm_sets_fusion_switch_on_network_config(self, dataset,
+                                                      monkeypatch):
+        seen = []
+        real_train = trainer.train
+
+        def spy(train_cfg, net_cfg, data_dir, out_dir=None):
+            seen.append(net_cfg.use_cg_fuse)
+            return real_train(train_cfg, net_cfg, data_dir, out_dir)
+
+        monkeypatch.setattr(trainer, "train", spy)
+        ablation_run(table8_arms(), [0], TrainConfig(epochs=1, shots=1),
+                     tiny_net_config(), dataset)
+        assert seen == [True, True, False, False]
 
     def test_table8_arms_toggle_fusion(self):
         arms = table8_arms()
