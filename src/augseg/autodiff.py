@@ -461,14 +461,25 @@ def sqrt(x):
 
 
 def softmax_array(x: np.ndarray, axis=-1) -> np.ndarray:
-    """Max-subtracted stable softmax of a numpy array along ``axis``."""
-    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
-    return e / np.sum(e, axis=axis, keepdims=True)
+    """Max-subtracted stable softmax along ``axis``, in place on ``x``.
+
+    ``x`` is a float buffer the caller owns; it is returned.
+    """
+    x -= np.max(x, axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= np.sum(x, axis=axis, keepdims=True)
+    return x
 
 
 def softmax_vjp(y: np.ndarray, g: np.ndarray, axis=-1) -> np.ndarray:
-    """Adjoint of softmax at output ``y``: ``y * (g - sum(g * y))``."""
-    return y * (g - np.sum(g * y, axis=axis, keepdims=True))
+    """Adjoint of softmax at output ``y``: ``y * (g - sum(g * y))``.
+
+    Computed in place on ``g``, a float buffer the caller owns; it is
+    returned.
+    """
+    g -= np.sum(g * y, axis=axis, keepdims=True)
+    g *= y
+    return g
 
 
 def softmax(x, axis=-1) -> Tensor:
@@ -476,8 +487,11 @@ def softmax(x, axis=-1) -> Tensor:
     x = _as_tensor(x)
     if not -x.ndim <= axis < x.ndim:
         raise DimensionError(f"softmax axis {axis} out of range for rank {x.ndim}")
-    y = softmax_array(x.data, axis)
-    return _record(Tensor(y), (x,), lambda g: (softmax_vjp(y, g, axis),))
+    y = softmax_array(x.data.astype(np.promote_types(x.dtype, np.float32)),
+                      axis)
+    # the kernel works in place, and a closure never writes into its ``g``
+    return _record(Tensor(y), (x,), lambda g: (
+        softmax_vjp(y, g.astype(np.result_type(g, y)), axis),))
 
 
 def log_softmax(x, axis=-1) -> Tensor:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, daug
 from .errors import AugsegError, InputError, InvariantError
-from .model import NetworkConfig
+from .model import EncoderSpec, NetworkConfig
 from .netpbm import read_pgm, write_ppm
 from .pca import feature_pca, pca_to_image
 from .synth import SynthConfig, write_dataset
@@ -139,6 +139,12 @@ def _check_keys(path, where, blob, known):
         raise InputError(f"{path}: unknown key {unknown[0]!r} in {where}")
 
 
+def _check_section(path, section, blob, cls):
+    """Reject a config section whose keys are not fields of ``cls``."""
+    _check_keys(path, f"section {section!r}", blob,
+                [f.name for f in fields(cls)])
+
+
 def _load_configs(args):
     train_kwargs, net_kwargs = {}, {}
     if args.config:
@@ -152,10 +158,18 @@ def _load_configs(args):
         _check_keys(args.config, "the top level", blob, ("train", "network"))
         train_kwargs = blob.get("train", {})
         net_kwargs = blob.get("network", {})
-        for section, kwargs, cls in (("train", train_kwargs, TrainConfig),
-                                     ("network", net_kwargs, NetworkConfig)):
-            _check_keys(args.config, f"section {section!r}", kwargs,
-                        [f.name for f in fields(cls)])
+        _check_section(args.config, "train", train_kwargs, TrainConfig)
+        _check_section(args.config, "network", net_kwargs, NetworkConfig)
+        if "encoder" in net_kwargs:
+            _check_section(args.config, "network.encoder",
+                           net_kwargs["encoder"], EncoderSpec)
+        wt_aug = net_kwargs.get("wt_aug", [])
+        if not isinstance(wt_aug, list):
+            raise InputError(
+                f"{args.config}: section 'network.wt_aug' must be a JSON list")
+        for i, entry in enumerate(wt_aug):
+            _check_section(args.config, f"network.wt_aug[{i}]", entry,
+                           WtAugConfig)
         if "betas" in train_kwargs:
             train_kwargs["betas"] = tuple(train_kwargs["betas"])
     for flag, key in (("epochs", "epochs"), ("shots", "shots"),

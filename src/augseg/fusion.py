@@ -10,6 +10,11 @@ the channel axis, per token) before the Q/K/V projections.
 
 The output projection starts at zero so an untrained block is exactly the
 residual identity.
+
+The attention is one tape op that owns a single score block
+``P [N, h, T_q, T_k]``.  It fills and normalizes ``P`` one sample's
+``[h, T_q, T_k]`` slab at a time, in place, and its backward reuses one
+slab-sized buffer, so either pass peaks at about the size of ``P``.
 """
 
 from __future__ import annotations
@@ -93,7 +98,9 @@ def cross_attention(q: Tensor, k: Tensor, v: Tensor, head_count: int) -> Tensor:
     ``P = softmax(S)`` over the keys, the output is ``P V``; the adjoint
     of an output gradient ``G`` is ``dV = P^T G``,
     ``dS = P * (G V^T - rowsum(P * G V^T)) s``, ``dQ = dS K`` and
-    ``dK = (Q^T dS)^T``.
+    ``dK = (Q^T dS)^T``.  Both passes loop over the batch and compute each
+    sample's slab in place with the shared ``softmax_array`` and
+    ``softmax_vjp`` kernels.
     """
     if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
         raise DimensionError("cross_attention expects rank-3 token tensors")
@@ -120,20 +127,36 @@ def cross_attention(q: Tensor, k: Tensor, v: Tensor, head_count: int) -> Tensor:
     qh = split_heads(q.data, t_q)
     kh = split_heads(k.data, t_k)
     vh = split_heads(v.data, t_k)
-    logits = np.matmul(qh, kh.swapaxes(-1, -2))
-    s = logits.dtype.type(1.0 / np.sqrt(d_k))
-    p = softmax_array(logits * s)                  # [N,h,T_q,T_k]
+    p = np.empty((n, head_count, t_q, t_k), np.result_type(qh, kh))
+    o = np.empty((n, head_count, t_q, d_k), np.result_type(p, vh))
+    s = p.dtype.type(1.0 / np.sqrt(d_k))
+    for b in range(n):              # one sample's [h,T_q,T_k] slab at a time
+        np.matmul(qh[b], kh[b].swapaxes(-1, -2), out=p[b])
+        p[b] *= s
+        softmax_array(p[b])
+        np.matmul(p[b], vh[b], out=o[b])
 
     def back(g):
         gh = split_heads(g, t_q)
-        ds = softmax_vjp(p, np.matmul(gh, vh.swapaxes(-1, -2))) * s
-        return (merge_heads(np.matmul(ds, kh), t_q),
-                merge_heads(np.matmul(qh.swapaxes(-1, -2), ds)
-                            .swapaxes(-1, -2), t_k),
-                merge_heads(np.matmul(p.swapaxes(-1, -2), gh), t_k))
+        ds = np.empty((head_count, t_q, t_k), np.result_type(gh, vh, p))
+        dq = np.empty((n, head_count, t_q, d_k), np.result_type(ds, kh))
+        dkt = np.empty((n, head_count, d_k, t_k), np.result_type(qh, ds))
+        dv = np.empty((n, head_count, t_k, d_k), np.result_type(p, gh))
+        for b in range(n):
+            np.matmul(gh[b], vh[b].swapaxes(-1, -2), out=ds)
+            softmax_vjp(p[b], ds)
+            ds *= s
+            np.matmul(ds, kh[b], out=dq[b])
+            np.matmul(qh[b].swapaxes(-1, -2), ds, out=dkt[b])
+            np.matmul(p[b].swapaxes(-1, -2), gh[b], out=dv[b])
+        # dK is a strided view, as the composed chain returns it: a
+        # contiguous copy sends the w_k weight-gradient matmul down another
+        # BLAS path and changes its low bits
+        return (merge_heads(dq, t_q),
+                merge_heads(dkt.swapaxes(-1, -2), t_k),
+                merge_heads(dv, t_k))
 
-    out = Tensor(merge_heads(np.matmul(p, vh), t_q))
-    return _record(out, (q, k, v), back)
+    return _record(Tensor(merge_heads(o, t_q)), (q, k, v), back)
 
 
 def cg_fuse(decoder_feat: Tensor, aug_enc_feat: Tensor,

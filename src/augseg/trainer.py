@@ -16,6 +16,7 @@ Augmentation arms:
 from __future__ import annotations
 
 import csv
+import json
 import os
 from dataclasses import dataclass, field, replace
 
@@ -58,6 +59,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ContractError("learning rate must be positive")
+        for name in ("batch_size", "epochs", "shots"):
+            if getattr(self, name) < 1:
+                raise ContractError(
+                    f"{name} must be at least 1, got {getattr(self, name)}")
         if self.augmentation not in ARMS:
             raise ContractError(f"unknown augmentation arm {self.augmentation!r}")
 
@@ -327,7 +332,6 @@ def ablation_run(arms, seeds, train_cfg: TrainConfig, net_cfg: NetworkConfig,
                 writer.writerow([name, f"{r['mean_dice']:.6f}",
                                  f"{r['sd_dice']:.6f}", f"{r['mean_hd95']:.6f}",
                                  f"{r['sd_hd95']:.6f}", len(seeds)])
-        import json
         with open(os.path.join(out_dir, "wilcoxon.json"), "w") as fh:
             json.dump({k: {"n": t.n, "W": t.statistic, "p": t.p_value,
                            "method": t.method} for k, t in tests.items()},

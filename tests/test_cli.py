@@ -249,6 +249,60 @@ class TestTrainEvalCommands:
             assert "internal error" not in err
             assert all(w in err for w in words), err
 
+    def test_unknown_nested_config_key_is_exit_1(self, dataset, tmp_path,
+                                                 capsys):
+        for blob, words in (
+                ({"network": {"encoder": {"chanels": [4, 6, 8, 10]}}},
+                 ("chanels", "network.encoder")),
+                ({"network": {"encoder": [4, 6, 8, 10]}},
+                 ("network.encoder", "object")),
+                ({"network": {"wt_aug": [{"sed": 1}] + [{}] * 3}},
+                 ("sed", "network.wt_aug[0]")),
+                ({"network": {"wt_aug": [{}, {}, 5, {}]}},
+                 ("network.wt_aug[2]", "object")),
+                ({"network": {"wt_aug": {"seed": 1}}},
+                 ("network.wt_aug", "list"))):
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(blob))
+            code = dispatch(["train", "--data", str(dataset),
+                             "--out", str(tmp_path / "r"), "--config",
+                             str(cfg_path)])
+            assert code == 1, blob
+            err = capsys.readouterr().err
+            assert "internal error" not in err
+            assert all(w in err for w in words), err
+
+    def test_nested_config_sections_reach_network(self, dataset, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"network": {
+            "head_count": 2,
+            "encoder": {"channels": [4, 6, 8, 10], "seed": 2},
+            "wt_aug": [{"keep_prob": [1, 1, 1, 1], "seed": 3}] * 4}}))
+        run_dir = tmp_path / "run"
+        assert dispatch(["train", "--data", str(dataset), "--out",
+                         str(run_dir), "--config", str(cfg_path),
+                         "--epochs", "1", "--shots", "1"]) == 0
+        config = json.loads(
+            (run_dir / "checkpoint" / "checkpoint.json").read_text())["config"]
+        assert config["encoder"]["channels"] == [4, 6, 8, 10]
+        assert config["wt_aug"][3]["seed"] == 3
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--batch-size", "-1"), ("--batch-size", "0"), ("--epochs", "0"),
+        ("--epochs", "-2"), ("--shots", "0"), ("--shots", "-1")])
+    def test_train_count_below_one_is_exit_1(self, dataset, tmp_path, capsys,
+                                             flag, value):
+        run_dir = tmp_path / "run"
+        args = {"--epochs": "1", "--shots": "1", "--batch-size": "1",
+                flag: value}
+        code = dispatch(["train", "--data", str(dataset), "--out",
+                         str(run_dir)] + [x for kv in args.items() for x in kv])
+        assert code == 1
+        err = capsys.readouterr().err
+        name = flag[2:].replace("-", "_")
+        assert f"{name} must be at least 1, got {value}" in err, err
+        assert not run_dir.exists()
+
     def test_head_count_not_dividing_fusion_width_is_exit_1(
             self, dataset, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -1,5 +1,7 @@
 """Cross-attention (one recorded op) and the fusion block."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -128,16 +130,46 @@ class TestCrossAttention:
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
 
     def test_float32_equals_composed_chain_bit_for_bit(self):
-        # same numpy calls on the same layouts, so seeded training and
-        # eval outputs do not depend on which form runs
+        # the same BLAS calls on the same per-matrix layouts, so seeded
+        # training and eval outputs do not depend on which form runs;
+        # (2, 256, 32) is the default network's level-1 block in training
         rng = np.random.default_rng(13)
-        q, k, v, g = (rng.normal(size=(2, 64, 48)).astype(np.float32)
+        for shape in ((2, 64, 48), (2, 256, 32)):
+            q, k, v, g = (rng.normal(size=shape).astype(np.float32)
+                          for _ in range(4))
+            fused = value_and_vjps(cross_attention, q, k, v, g, 4)
+            ref = value_and_vjps(composed_attention, q, k, v, g, 4)
+            for a, b in zip(fused, ref):
+                assert a.dtype == np.float32
+                assert a.tobytes() == b.tobytes(), shape
+
+    def test_peak_memory_is_about_one_score_block(self):
+        # the op streams one sample's [h,T_q,T_k] slab at a time, in place,
+        # so neither pass holds much more than the score block P itself
+        rng = np.random.default_rng(14)
+        n, t, d, heads = 2, 256, 32, 4
+        q, k, v, g = (rng.normal(size=(n, t, d)).astype(np.float32)
                       for _ in range(4))
-        fused = value_and_vjps(cross_attention, q, k, v, g, 4)
-        ref = value_and_vjps(composed_attention, q, k, v, g, 4)
-        for a, b in zip(fused, ref):
-            assert a.dtype == np.float32
-            assert a.tobytes() == b.tobytes()
+        p_bytes = n * heads * t * t * 4
+
+        def peak_above_current(fn):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fn()
+            return tracemalloc.get_traced_memory()[1] - before
+
+        leaves = [Tensor(x, requires_grad=True) for x in (q, k, v)]
+        tracemalloc.start()
+        try:
+            forward = peak_above_current(
+                lambda: cross_attention(*leaves, heads))
+            with use_tape(GradTape()) as tape:
+                loss = (cross_attention(*leaves, heads) * Tensor(g)).sum()
+                backward = peak_above_current(lambda: tape.backward(loss))
+        finally:
+            tracemalloc.stop()
+        assert forward <= 1.5 * p_bytes, forward / p_bytes
+        assert backward <= 1.5 * p_bytes, backward / p_bytes
 
     def test_records_one_tape_node(self):
         rng = np.random.default_rng(12)

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from augseg import trainer
+from augseg import fusion, trainer
 from augseg.autodiff import Tensor
 from augseg.errors import ContractError
 from augseg.metrics import mean_foreground_dice
@@ -26,6 +26,7 @@ from augseg.trainer import (
     train,
 )
 from augseg.wavelet import WtAugConfig
+from test_fusion import composed_attention
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +171,24 @@ class TestTrain:
                        .astype(np.float32))
         np.testing.assert_array_equal(loaded.forward(image).numpy(),
                                       net.forward(image).numpy())
+
+    def test_fused_attention_trains_like_composed_chain(self, dataset,
+                                                        monkeypatch):
+        # the one-op attention must reproduce the primitive-op chain to the
+        # last bit through Adam, which op-level comparisons cannot show:
+        # a dK of equal values in another memory layout sends the w_k
+        # weight-gradient matmul down another BLAS path
+        cfg = TrainConfig(epochs=3, shots=2, seed=8, learning_rate=3e-3,
+                          augmentation="feature_wavelet")
+        net_cfg = NetworkConfig(param_seed=8)
+        fused_net, fused_log, _ = train(cfg, net_cfg, dataset)
+        monkeypatch.setattr(fusion, "cross_attention", composed_attention)
+        chain_net, chain_log, _ = train(cfg, net_cfg, dataset)
+        assert fused_log == chain_log
+        chain_params = chain_net.parameters()
+        for name, tensor in fused_net.parameters().items():
+            assert tensor.numpy().tobytes() == \
+                chain_params[name].numpy().tobytes(), name
 
     def test_cg_fuse_off_skips_fusion_params(self, dataset):
         cfg = TrainConfig(epochs=2, shots=1, seed=5, augmentation="none")
