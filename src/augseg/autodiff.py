@@ -29,7 +29,7 @@ from contextlib import contextmanager
 import numpy as np
 from scipy.special import erf
 
-from .errors import ContractError, DimensionError, NumericDomainError
+from .errors import ContractError, DimensionError
 
 DEFAULT_DTYPE = np.float32
 
@@ -128,14 +128,6 @@ class Tensor:
     def zeros(cls, shape, dtype=DEFAULT_DTYPE, requires_grad=False):
         return cls(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
 
-    @classmethod
-    def ones(cls, shape, dtype=DEFAULT_DTYPE, requires_grad=False):
-        return cls(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
-
-    @classmethod
-    def full(cls, shape, value, dtype=DEFAULT_DTYPE, requires_grad=False):
-        return cls(np.full(shape, value, dtype=dtype), requires_grad=requires_grad)
-
     # ------------------------------------------------------------------
     # metadata
     # ------------------------------------------------------------------
@@ -168,9 +160,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
 
     def assign(self, new_data):
         """Replace the value buffer in place; only outside ``use_tape``."""
@@ -207,9 +196,6 @@ class Tensor:
     def __rmul__(self, other):
         return ew_binary("mul", _as_tensor(other, self.dtype), self)
 
-    def __truediv__(self, other):
-        return ew_binary("div", self, other)
-
     def __neg__(self):
         return ew_binary("mul", self, _as_tensor(-1.0, self.dtype))
 
@@ -221,9 +207,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -276,7 +259,7 @@ def _check_broadcastable(a_shape, b_shape):
 # elementwise arithmetic
 # ----------------------------------------------------------------------
 def ew_binary(kind: str, a, b) -> Tensor:
-    """Elementwise add/sub/mul/div with singleton-extent broadcasting."""
+    """Elementwise add/sub/mul with singleton-extent broadcasting."""
     a = _as_tensor(a)
     b = _as_tensor(b, a.dtype)
     _check_broadcastable(a.shape, b.shape)
@@ -290,29 +273,9 @@ def ew_binary(kind: str, a, b) -> Tensor:
         out = Tensor(a.data * b.data)
         back = lambda g: (_unbroadcast(g * b.data, a.shape),
                           _unbroadcast(g * a.data, b.shape))
-    elif kind == "div":
-        out = Tensor(a.data / b.data)
-        back = lambda g: (_unbroadcast(g / b.data, a.shape),
-                          _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
     else:
         raise ContractError(f"unknown elementwise kind {kind!r}")
     return _record(out, (a, b), back)
-
-
-def add(a, b):
-    return ew_binary("add", a, b)
-
-
-def sub(a, b):
-    return ew_binary("sub", a, b)
-
-
-def mul(a, b):
-    return ew_binary("mul", a, b)
-
-
-def div(a, b):
-    return ew_binary("div", a, b)
 
 
 # ----------------------------------------------------------------------
@@ -355,13 +318,6 @@ def tsum(x, axis=None, keepdims=False) -> Tensor:
         return (np.broadcast_to(g, x.shape),)
 
     return _record(out, (x,), back)
-
-
-def tmean(x, axis=None, keepdims=False) -> Tensor:
-    x = _as_tensor(x)
-    n = x.size if axis is None else np.prod(
-        [x.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))])
-    return tsum(x, axis=axis, keepdims=keepdims) * (1.0 / float(n))
 
 
 def reshape(x, shape) -> Tensor:
@@ -420,21 +376,6 @@ def unary(kind: str, x) -> Tensor:
         out = Tensor((d * phi).astype(d.dtype))
         back = lambda g: (
             g * (phi + d * np.exp(-0.5 * d * d) * _INV_SQRT2PI),)
-    elif kind == "exp":
-        e = np.exp(d)
-        out = Tensor(e)
-        back = lambda g: (g * e,)
-    elif kind == "log":
-        if np.any(d <= 0):
-            raise NumericDomainError("log requires strictly positive inputs")
-        out = Tensor(np.log(d))
-        back = lambda g: (g / d,)
-    elif kind == "sqrt":
-        if np.any(d < 0):
-            raise NumericDomainError("sqrt requires nonnegative inputs")
-        r = np.sqrt(d)
-        out = Tensor(r)
-        back = lambda g: (g * (0.5 / r),)
     else:
         raise ContractError(f"unknown unary kind {kind!r}")
     return _record(out, (x,), back)
@@ -446,18 +387,6 @@ def relu(x):
 
 def gelu(x):
     return unary("gelu", x)
-
-
-def exp(x):
-    return unary("exp", x)
-
-
-def log(x):
-    return unary("log", x)
-
-
-def sqrt(x):
-    return unary("sqrt", x)
 
 
 def softmax_array(x: np.ndarray, axis=-1) -> np.ndarray:
@@ -492,22 +421,6 @@ def softmax(x, axis=-1) -> Tensor:
     # the kernel works in place, and a closure never writes into its ``g``
     return _record(Tensor(y), (x,), lambda g: (
         softmax_vjp(y, g.astype(np.result_type(g, y)), axis),))
-
-
-def log_softmax(x, axis=-1) -> Tensor:
-    x = _as_tensor(x)
-    if not -x.ndim <= axis < x.ndim:
-        raise DimensionError(f"log_softmax axis {axis} out of range")
-    m = np.max(x.data, axis=axis, keepdims=True)
-    z = x.data - m
-    lse = np.log(np.sum(np.exp(z), axis=axis, keepdims=True))
-    y = z - lse
-    out = Tensor(y)
-
-    def back(g):
-        return (g - np.exp(y) * np.sum(g, axis=axis, keepdims=True),)
-
-    return _record(out, (x,), back)
 
 
 # ----------------------------------------------------------------------
@@ -579,7 +492,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0) -> Tensor:
 
     def back(g):
         g2 = g.reshape(n, o, oh * ow)
-        dw = np.tensordot(g2, cols, axes=([0, 2], [0, 2])).reshape(weight.shape)
+        dw = np.matmul(g2, cols.swapaxes(1, 2)).sum(axis=0).reshape(weight.shape)
         dcols = np.matmul(w2.T, g2)
         dx = _col2im(dcols, (n, c, h, w), kh, kw, stride, padding, oh, ow)
         if bias is not None:
@@ -631,7 +544,7 @@ def conv_transpose2d(x, weight, bias=None, stride=1, padding=0) -> Tensor:
             if padding else g
         gcols = _im2col(gp, kh, kw, stride, h, w)
         dx = np.matmul(w2, gcols).reshape(x.shape)
-        dw = np.tensordot(x2, gcols, axes=([0, 2], [0, 2])).reshape(weight.shape)
+        dw = np.matmul(x2, gcols.swapaxes(1, 2)).sum(axis=0).reshape(weight.shape)
         if bias is not None:
             return dx, dw, g.sum(axis=(0, 2, 3))
         return dx, dw

@@ -11,7 +11,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+import types
+import typing
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -139,10 +141,33 @@ def _check_keys(path, where, blob, known):
         raise InputError(f"{path}: unknown key {unknown[0]!r} in {where}")
 
 
+# JSON value types accepted for each config field annotation; a dataclass
+# field takes an object, and an int is accepted where a float is expected
+_JSON_TYPES = {int: ("integer", int), float: ("number", (int, float)),
+               bool: ("boolean", bool), str: ("string", str),
+               tuple: ("list", list), dict: ("object", dict),
+               type(None): ("null", type(None))}
+
+
+def _json_types(hint):
+    if isinstance(hint, types.UnionType):
+        return [t for arg in typing.get_args(hint) for t in _json_types(arg)]
+    return [_JSON_TYPES[dict if is_dataclass(hint) else hint]]
+
+
 def _check_section(path, section, blob, cls):
-    """Reject a config section whose keys are not fields of ``cls``."""
+    """Reject a config section whose keys are not fields of ``cls`` or
+    whose values do not have their field's JSON type."""
     _check_keys(path, f"section {section!r}", blob,
                 [f.name for f in fields(cls)])
+    hints = typing.get_type_hints(cls)
+    for key, value in blob.items():
+        names, accepted = zip(*_json_types(hints[key]))
+        if not isinstance(value, accepted) or (
+                isinstance(value, bool) and bool not in accepted):
+            raise InputError(
+                f"{path}: {section}.{key} must be a JSON "
+                f"{' or '.join(names)}, got {json.dumps(value)}")
 
 
 def _load_configs(args):
@@ -163,11 +188,7 @@ def _load_configs(args):
         if "encoder" in net_kwargs:
             _check_section(args.config, "network.encoder",
                            net_kwargs["encoder"], EncoderSpec)
-        wt_aug = net_kwargs.get("wt_aug", [])
-        if not isinstance(wt_aug, list):
-            raise InputError(
-                f"{args.config}: section 'network.wt_aug' must be a JSON list")
-        for i, entry in enumerate(wt_aug):
+        for i, entry in enumerate(net_kwargs.get("wt_aug", [])):
             _check_section(args.config, f"network.wt_aug[{i}]", entry,
                            WtAugConfig)
         if "betas" in train_kwargs:

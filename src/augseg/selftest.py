@@ -59,6 +59,20 @@ def _checks():
             Tensor(rng.normal(size=(1, 1, 5, 5))))
         assert err < 1e-4, f"conv gradient err {err}"
 
+    def gradient_conv_weights():
+        # the weight gradients sum over the batch, so the batch is 2
+        x = Tensor(rng.normal(size=(2, 3, 5, 6)))
+        for op, shape in ((conv2d, (4, 3, 3, 3)),
+                          (conv_transpose2d, (3, 4, 3, 3))):
+            for s, p in ((1, 0), (2, 1)):
+                k = Tensor(rng.normal(size=shape))
+                w = Tensor(rng.normal(size=op(x, k, stride=s,
+                                              padding=p).shape))
+                err = finite_diff_check(
+                    lambda kk: (op(x, kk, stride=s, padding=p) * w).sum(), k)
+                assert err < 1e-4, \
+                    f"{op.__name__} weight gradient err {err} (s={s}, p={p})"
+
     def adjoint_conv_transpose():
         # <convT(x, W), y> == <x, conv2d(y, W)>: the two share one kernel
         for k, s, p in [(2, 2, 0), (3, 2, 1), (2, 3, 0), (4, 2, 2)]:
@@ -149,6 +163,7 @@ def _checks():
         ("wavelet energy preservation", wavelet_parseval),
         ("wavelet-mask identity", wt_aug_identity),
         ("conv2d gradient", gradient_conv),
+        ("conv weight gradients", gradient_conv_weights),
         ("conv2d / conv_transpose2d adjoint pair", adjoint_conv_transpose),
         ("bilinear resize adjoint pair", adjoint_bilinear),
         ("fusion gradient", gradient_fusion),

@@ -272,6 +272,37 @@ class TestTrainEvalCommands:
             assert "internal error" not in err
             assert all(w in err for w in words), err
 
+    def test_config_field_of_wrong_type_is_exit_1(self, dataset, tmp_path,
+                                                  capsys):
+        for blob, words in (
+                ({"train": {"epochs": 1.5}}, ("train.epochs", "integer")),
+                ({"train": {"learning_rate": "0.1"}},
+                 ("train.learning_rate", "number")),
+                ({"network": {"head_count": 2.0}},
+                 ("network.head_count", "integer")),
+                ({"train": {"shots": True}}, ("train.shots", "integer")),
+                ({"network": {"encoder": {"seed": "1"}}},
+                 ("network.encoder.seed", "integer")),
+                ({"network": {"wt_aug": [{"channel_shared": 1}] + [{}] * 3}},
+                 ("network.wt_aug[0].channel_shared", "boolean"))):
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(blob))
+            code = dispatch(["train", "--data", str(dataset),
+                             "--out", str(tmp_path / "r"), "--config",
+                             str(cfg_path)])
+            assert code == 1, blob
+            err = capsys.readouterr().err
+            assert "internal error" not in err
+            assert all(w in err for w in words), err
+
+    def test_int_accepted_for_float_config_field(self, dataset, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"train": {"learning_rate": 1,
+                                                  "eps": 1}}))
+        assert dispatch(["train", "--data", str(dataset), "--out",
+                         str(tmp_path / "run"), "--config", str(cfg_path),
+                         "--epochs", "1", "--shots", "1"]) == 0
+
     def test_nested_config_sections_reach_network(self, dataset, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"network": {

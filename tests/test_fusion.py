@@ -11,13 +11,24 @@ from augseg.autodiff import (
     finite_diff_check,
     matmul,
     reshape,
+    gelu,
     softmax,
     transpose,
+    tsum,
     use_tape,
 )
 from augseg.errors import ContractError
-from augseg.fusion import FusionParams, cg_fuse, cross_attention
+from augseg.fusion import (_NORM_EPS, FusionParams, _norm_tokens, cg_fuse,
+                           cross_attention)
 from augseg.model import Network, NetworkConfig
+
+from test_autodiff import div, sqrt
+
+# (decoder map, encoder map) shapes at fusion levels 3, 2 and 1 of a
+# default-network training batch of 2
+LEVEL_SHAPES = [((2, 64, 4, 4), (2, 48, 4, 4)),
+                ((2, 48, 8, 8), (2, 32, 8, 8)),
+                ((2, 32, 16, 16), (2, 24, 16, 16))]
 
 
 def rand_params(c_dec, c_enc, seed=0, **kw):
@@ -38,6 +49,44 @@ def composed_attention(q, k, v, head_count):
     attn = softmax(logits * (1.0 / np.sqrt(d_k)), axis=-1)
     out = matmul(attn, split_heads(v, t_k))
     return reshape(transpose(out, (0, 2, 1, 3)), (n, t_q, d))
+
+
+def composed_norm_tokens(feat):
+    """Reference: the map read as tokens and normalized by a chain of
+    primitive tape ops."""
+    n, c, h, w = feat.shape
+    tokens = transpose(reshape(feat, (n, c, h * w)), (0, 2, 1))
+    centered = tokens - tsum(tokens, axis=-1, keepdims=True) * (1.0 / c)
+    var = tsum(centered * centered, axis=-1, keepdims=True) * (1.0 / c)
+    return div(centered, sqrt(var + _NORM_EPS))
+
+
+def composed_cg_fuse(decoder_feat, aug_enc_feat, params):
+    """Reference: ``cg_fuse`` with the composed norm, and the residual
+    added in token layout before the map is laid back out."""
+    n, c_dec, h, w = decoder_feat.shape
+    dec_n = composed_norm_tokens(decoder_feat)
+    enc_n = composed_norm_tokens(aug_enc_feat)
+    attn = cross_attention(matmul(dec_n, params.w_q),
+                           matmul(enc_n, params.w_k),
+                           matmul(enc_n, params.w_v), params.head_count)
+    hidden = gelu(matmul(matmul(attn, params.w_o), params.ff_w1)
+                  + params.ff_b1)
+    ff = matmul(hidden, params.ff_w2) + params.ff_b2
+    dec = transpose(reshape(decoder_feat, (n, c_dec, h * w)), (0, 2, 1))
+    return reshape(transpose(dec + ff, (0, 2, 1)), (n, c_dec, h, w))
+
+
+def value_and_grads(fn, inputs, g):
+    """Output of ``fn(*inputs)`` and the gradients of ``sum(out * g)``
+    with respect to each input."""
+    with use_tape(GradTape()) as tape:
+        out = fn(*inputs)
+        tape.backward((out * Tensor(g)).sum())
+    grads = [t.grad for t in inputs]
+    for t in inputs:
+        t.zero_grad()
+    return out.numpy(), grads
 
 
 def value_and_vjps(attention, q, k, v, g, head_count):
@@ -204,7 +253,81 @@ class TestCrossAttention:
         assert err < 1e-6
 
 
+class TestTokenNorm:
+    def test_float32_equals_composed_chain_bit_for_bit(self):
+        rng = np.random.default_rng(20)
+        for shape in [s for level in LEVEL_SHAPES for s in level]:
+            x = rng.normal(size=shape).astype(np.float32) * 3 + 1
+            got = _norm_tokens(Tensor(x)).numpy()
+            want = composed_norm_tokens(Tensor(x)).numpy()
+            assert got.dtype == np.float32
+            assert got.shape == (shape[0], shape[2] * shape[3], shape[1])
+            assert got.tobytes() == want.tobytes(), shape
+
+    @pytest.mark.parametrize("shape", [(2, 64, 4, 4), (2, 32, 16, 16),
+                                       (1, 3, 2, 5)])
+    def test_float64_vjp_matches_composed_chain(self, shape):
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.normal(size=shape) * 3 + 1, requires_grad=True)
+        g = rng.normal(size=(shape[0], shape[2] * shape[3], shape[1]))
+        got, (dx,) = value_and_grads(_norm_tokens, [x], g)
+        want, (dx_ref,) = value_and_grads(composed_norm_tokens, [x], g)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert np.max(np.abs(dx - dx_ref)) <= 1e-12 * np.max(np.abs(dx_ref))
+
+    def test_gradient_finite_differences(self):
+        rng = np.random.default_rng(22)
+        w = Tensor(rng.normal(size=(2, 6, 5)))
+        x = Tensor(rng.normal(size=(2, 5, 2, 3)))
+        for norm in (_norm_tokens, composed_norm_tokens):
+            err = finite_diff_check(lambda f: (norm(f) * w).sum(), x)
+            assert err < 1e-4, norm.__name__
+
+    def test_tokens_have_zero_mean_unit_variance(self):
+        rng = np.random.default_rng(23)
+        out = _norm_tokens(Tensor(rng.normal(size=(2, 16, 3, 3)) * 5 + 2))
+        np.testing.assert_allclose(out.numpy().mean(axis=-1), 0, atol=1e-12)
+        np.testing.assert_allclose(out.numpy().var(axis=-1), 1, rtol=1e-5)
+
+    def test_records_one_tape_node(self):
+        x = Tensor(np.ones((1, 2, 2, 2)), requires_grad=True)
+        with use_tape(GradTape()) as tape:
+            _norm_tokens(x)
+            assert len(tape) == 1
+
+
 class TestCgFuse:
+    def test_float32_forward_equals_composed_chain_bit_for_bit(self):
+        rng = np.random.default_rng(24)
+        for level, (dec_shape, enc_shape) in enumerate(LEVEL_SHAPES):
+            params = rand_params(dec_shape[1], enc_shape[1], seed=level,
+                                 zero_out_proj=False)
+            dec = Tensor(rng.normal(size=dec_shape).astype(np.float32))
+            enc = Tensor(rng.normal(size=enc_shape).astype(np.float32))
+            got = cg_fuse(dec, enc, params).numpy()
+            want = composed_cg_fuse(dec, enc, params).numpy()
+            assert got.dtype == np.float32
+            assert got.tobytes() == want.tobytes(), dec_shape
+
+    def test_float64_vjps_match_composed_chain(self):
+        rng = np.random.default_rng(25)
+        dec_shape, enc_shape = LEVEL_SHAPES[1]
+        params = FusionParams.create(dec_shape[1], enc_shape[1],
+                                     np.random.default_rng(26),
+                                     zero_out_proj=False, dtype=np.float64)
+        dec = Tensor(rng.normal(size=dec_shape), requires_grad=True)
+        enc = Tensor(rng.normal(size=enc_shape), requires_grad=True)
+        inputs = [dec, enc] + list(params.named_tensors().values())
+        g = rng.normal(size=dec_shape)
+        fn = lambda d, e, *_: cg_fuse(d, e, params)
+        ref = lambda d, e, *_: composed_cg_fuse(d, e, params)
+        got, grads = value_and_grads(fn, inputs, g)
+        want, grads_ref = value_and_grads(ref, inputs, g)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        names = ["decoder", "encoder"] + list(params.named_tensors())
+        for name, a, b in zip(names, grads, grads_ref):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+
     def test_residual_identity_at_init(self):
         rng = np.random.default_rng(6)
         dec = Tensor(rng.normal(size=(1, 6, 4, 4)).astype(np.float32))

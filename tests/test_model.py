@@ -196,7 +196,7 @@ class TestSegHead:
 
     def test_constant_features_give_constant_logits(self):
         rng = np.random.default_rng(7)
-        feat = Tensor.full((1, 4, 8, 8), 0.7)
+        feat = Tensor(np.full((1, 4, 8, 8), 0.7, np.float32))
         out = seg_head(feat, self.make_params(4, 2, rng), (16, 16)).numpy()
         # interior is translation invariant; borders see zero padding
         interior = out[:, :, 3:-3, 3:-3]

@@ -190,6 +190,24 @@ class TestTrain:
             assert tensor.numpy().tobytes() == \
                 chain_params[name].numpy().tobytes(), name
 
+    def test_default_network_step_records_at_most_60_tape_nodes(
+            self, dataset, monkeypatch):
+        # the token norm, the attention and the loss are one node each; a
+        # feature_wavelet step records 58, and 95 when the norm and the
+        # loss were chains of primitive ops
+        sizes = []
+        backward = trainer.GradTape.backward
+
+        def counting(tape, loss):
+            sizes.append(len(tape))
+            return backward(tape, loss)
+
+        monkeypatch.setattr(trainer.GradTape, "backward", counting)
+        train(TrainConfig(epochs=1, shots=2, batch_size=2,
+                          augmentation="feature_wavelet"),
+              NetworkConfig(), dataset)
+        assert len(sizes) == 1 and sizes[0] <= 60, sizes
+
     def test_cg_fuse_off_skips_fusion_params(self, dataset):
         cfg = TrainConfig(epochs=2, shots=1, seed=5, augmentation="none")
         net, log_rows, _ = train(cfg, tiny_net_config(use_cg_fuse=False),
