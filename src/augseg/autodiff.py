@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import erf
@@ -373,7 +374,7 @@ def unary(kind: str, x) -> Tensor:
         back = lambda g: (g * (d > 0),)
     elif kind == "gelu":
         phi = 0.5 * (1.0 + erf(d * _INV_SQRT2))
-        out = Tensor((d * phi).astype(d.dtype))
+        out = Tensor((d * phi).astype(d.dtype, copy=False))
         back = lambda g: (
             g * (phi + d * np.exp(-0.5 * d * d) * _INV_SQRT2PI),)
     else:
@@ -430,28 +431,63 @@ def _conv_out_extent(n, k, stride, pad):
     return (n + 2 * pad - k) // stride + 1
 
 
-def _im2col(xp, kh, kw, stride, oh, ow):
-    # xp: padded input [N,C,Hp,Wp] -> [N, C*kh*kw, oh*ow]
-    n, c = xp.shape[:2]
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]          # [N,C,oh,ow,kh,kw]
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, oh * ow)
-    return np.ascontiguousarray(cols)
+def _tap_slices(k, stride, pad, n_out, n_in):
+    """(t, output slice, input slice) along one axis for each kernel tap
+    ``t`` that reads inside the input: output index ``r`` reads input
+    index ``t - pad + stride * r``, kept where that lies in [0, n_in)."""
+    taps = []
+    for t in range(k):
+        off = t - pad
+        lo = max(0, -(off // stride))               # ceil(-off / stride)
+        hi = min(n_out, (n_in - 1 - off) // stride + 1)
+        if lo < hi:
+            taps.append((t, slice(lo, hi),
+                         slice(off + stride * lo, off + stride * (hi - 1) + 1,
+                               stride)))
+    return taps
+
+
+def _taps(kh, kw, stride, pad, oh, ow, h, w):
+    """(i, j, output rows, output cols, input rows, input cols) for every
+    tap of a kh x kw kernel that reads at least one input pixel."""
+    col_taps = _tap_slices(kw, stride, pad, ow, w)
+    for i, orow, irow in _tap_slices(kh, stride, pad, oh, h):
+        for j, ocol, icol in col_taps:
+            yield i, j, orow, ocol, irow, icol
+
+
+def _im2col(x, kh, kw, stride, pad, oh, ow):
+    """Columns [N, C*kh*kw, oh*ow] of the zero-padded [N,C,H,W] input.
+
+    The padded copy is never built: each tap is one strided slice copy
+    from ``x`` into a zeroed [N,C,kh,kw,oh,ow] buffer, clipped to the
+    output positions that read inside the input; the border entries
+    stay 0.
+    """
+    n, c, h, w = x.shape
+    cols = np.zeros((n, c, kh, kw, oh, ow), dtype=x.dtype)
+    for i, j, orow, ocol, irow, icol in _taps(kh, kw, stride, pad, oh, ow, h, w):
+        cols[:, :, i, j, orow, ocol] = x[:, :, irow, icol]
+    return cols.reshape(n, c * kh * kw, oh * ow)
 
 
 def _col2im(cols, x_shape, kh, kw, stride, pad, oh, ow):
-    # cols: [N, C*kh*kw, oh*ow] -> accumulate into [N,C,H,W]
+    """Adjoint of ``_im2col``: sum [N, C*kh*kw, oh*ow] columns into the
+    [N,C,H,W] input, tap by tap; entries that fall on padding are
+    dropped."""
     n, c, h, w = x_shape
-    hp, wp = h + 2 * pad, w + 2 * pad
-    xp = np.zeros((n, c, hp, wp), dtype=cols.dtype)
+    x = np.zeros(x_shape, dtype=cols.dtype)
     cols = cols.reshape(n, c, kh, kw, oh, ow)
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += \
-                cols[:, :, i, j]
-    if pad:
-        return xp[:, :, pad:pad + h, pad:pad + w]
-    return xp
+    for i, j, orow, ocol, irow, icol in _taps(kh, kw, stride, pad, oh, ow, h, w):
+        x[:, :, irow, icol] += cols[:, :, i, j, orow, ocol]
+    return x
+
+
+def _check_stride_padding(stride, padding):
+    if stride < 1:
+        raise ContractError("stride must be >= 1")
+    if padding < 0:
+        raise ContractError(f"padding must be >= 0, got {padding}")
 
 
 def conv2d(x, weight, bias=None, stride=1, padding=0) -> Tensor:
@@ -468,17 +504,14 @@ def conv2d(x, weight, bias=None, stride=1, padding=0) -> Tensor:
     o, ck, kh, kw = weight.shape
     if ck != c:
         raise DimensionError(f"kernel channels {ck} != input channels {c}")
+    _check_stride_padding(stride, padding)
     if kh > h + 2 * padding or kw > w + 2 * padding:
         raise DimensionError(
             f"kernel {kh}x{kw} larger than padded input "
             f"{h + 2 * padding}x{w + 2 * padding}")
-    if stride < 1:
-        raise ContractError("stride must be >= 1")
     oh = _conv_out_extent(h, kh, stride, padding)
     ow = _conv_out_extent(w, kw, stride, padding)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2)) \
-        if padding else x.data
-    cols = _im2col(xp, kh, kw, stride, oh, ow)
+    cols = _im2col(x.data, kh, kw, stride, padding, oh, ow)
     w2 = weight.data.reshape(o, c * kh * kw)
     y = np.matmul(w2, cols).reshape(n, o, oh, ow)
     inputs = [x, weight]
@@ -486,7 +519,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0) -> Tensor:
         bias = _as_tensor(bias)
         if bias.shape != (o,):
             raise DimensionError(f"bias shape {bias.shape} != ({o},)")
-        y = y + bias.data[None, :, None, None]
+        y += bias.data[None, :, None, None]
         inputs.append(bias)
     out = Tensor(y)
 
@@ -516,8 +549,7 @@ def conv_transpose2d(x, weight, bias=None, stride=1, padding=0) -> Tensor:
     weight = _as_tensor(weight)
     if x.ndim != 4 or weight.ndim != 4:
         raise DimensionError("conv_transpose2d expects rank-4 input and kernel")
-    if stride < 1:
-        raise ContractError("stride must be >= 1")
+    _check_stride_padding(stride, padding)
     n, c, h, w = x.shape
     cw, o, kh, kw = weight.shape
     if cw != c:
@@ -535,14 +567,12 @@ def conv_transpose2d(x, weight, bias=None, stride=1, padding=0) -> Tensor:
         bias = _as_tensor(bias)
         if bias.shape != (o,):
             raise DimensionError(f"bias shape {bias.shape} != ({o},)")
-        y = y + bias.data[None, :, None, None]
+        y += bias.data[None, :, None, None]
         inputs.append(bias)
-    out = Tensor(np.ascontiguousarray(y))
+    out = Tensor(y)
 
     def back(g):
-        gp = np.pad(g, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2)) \
-            if padding else g
-        gcols = _im2col(gp, kh, kw, stride, h, w)
+        gcols = _im2col(g, kh, kw, stride, padding, h, w)
         dx = np.matmul(w2, gcols).reshape(x.shape)
         dw = np.matmul(x2, gcols.swapaxes(1, 2)).sum(axis=0).reshape(weight.shape)
         if bias is not None:
@@ -555,8 +585,13 @@ def conv_transpose2d(x, weight, bias=None, stride=1, padding=0) -> Tensor:
 # ----------------------------------------------------------------------
 # bilinear resize
 # ----------------------------------------------------------------------
+@lru_cache(maxsize=64)
 def _interp_matrix(n_in, n_out, dtype):
-    """[n_out, n_in] linear-interpolation weights, half-pixel centers."""
+    """[n_out, n_in] linear-interpolation weights, half-pixel centers.
+
+    Memoised per (n_in, n_out, dtype): a network resizes between a few
+    fixed extents on every forward.  The cached arrays are read-only.
+    """
     src = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
     src = np.clip(src, 0.0, n_in - 1.0)
     lo = np.floor(src).astype(np.int64)
@@ -566,7 +601,9 @@ def _interp_matrix(n_in, n_out, dtype):
     m = np.zeros((n_out, n_in))
     m[rows, lo] = 1.0 - t
     m[rows, hi] += t        # (row, hi) pairs are distinct, so += is safe
-    return m.astype(dtype)
+    m = m.astype(dtype)
+    m.flags.writeable = False
+    return m
 
 
 def bilinear_resize(x, out_hw) -> Tensor:

@@ -191,8 +191,6 @@ def _load_configs(args):
         for i, entry in enumerate(net_kwargs.get("wt_aug", [])):
             _check_section(args.config, f"network.wt_aug[{i}]", entry,
                            WtAugConfig)
-        if "betas" in train_kwargs:
-            train_kwargs["betas"] = tuple(train_kwargs["betas"])
     for flag, key in (("epochs", "epochs"), ("shots", "shots"),
                       ("lr", "learning_rate"), ("batch_size", "batch_size"),
                       ("arm", "augmentation")):

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass, field, replace
 
@@ -65,6 +67,18 @@ class TrainConfig:
                     f"{name} must be at least 1, got {getattr(self, name)}")
         if self.augmentation not in ARMS:
             raise ContractError(f"unknown augmentation arm {self.augmentation!r}")
+        if not (_is_number(self.eps) and 0 < self.eps < math.inf):
+            raise ContractError(
+                f"eps must be a positive finite number, got {self.eps!r}")
+        if (not isinstance(self.betas, (tuple, list)) or len(self.betas) != 2
+                or not all(_is_number(b) and 0 <= b < 1 for b in self.betas)):
+            raise ContractError(
+                f"betas must be two numbers in [0, 1), got {self.betas!r}")
+        self.betas = tuple(self.betas)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 @dataclass

@@ -24,6 +24,7 @@ composes it from primitive tape ops.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,12 +80,14 @@ class WtAugConfig:
     channel_shared: bool = True
 
     def __post_init__(self):
-        self.keep_prob = tuple(self.keep_prob)
-        if len(self.keep_prob) != 4:
+        if not isinstance(self.keep_prob, (tuple, list)) or \
+                len(self.keep_prob) != 4:
             raise ContractError("keep_prob needs one value per sub-band")
+        self.keep_prob = tuple(self.keep_prob)
         for p in self.keep_prob:
-            if not 0.0 <= p <= 1.0:
-                raise ContractError(f"keep_prob {p} outside [0, 1]")
+            if not isinstance(p, numbers.Real) or isinstance(p, bool) or \
+                    not 0.0 <= p <= 1.0:
+                raise ContractError(f"keep_prob {p!r} is not a number in [0, 1]")
 
 
 def _reflect_pad_to_even(f: Tensor):

@@ -12,7 +12,9 @@ from augseg.autodiff import (
     conv_transpose2d,
     ew_binary,
     finite_diff_check,
+    _col2im,
     _im2col,
+    _interp_matrix,
     _record,
     _unbroadcast,
     gelu,
@@ -521,8 +523,7 @@ class TestConvWeightGradient:
         o, _, k, _ = w_shape
         g = rng.normal(size=(n, o, h, wd)).astype(dtype)
         _, (_, dw) = tape_vjp(lambda a, b: conv2d(a, b, padding=pad), [x, w], g)
-        cols = _im2col(np.pad(x, ((0, 0), (0, 0), (pad,) * 2, (pad,) * 2)),
-                       k, k, 1, h, wd)
+        cols = _im2col(x, k, k, 1, pad, h, wd)
         want = np.tensordot(g.reshape(n, o, h * wd), cols,
                             axes=([0, 2], [0, 2])).reshape(w_shape)
         assert dw.dtype == dtype
@@ -539,11 +540,109 @@ class TestConvWeightGradient:
         g = rng.normal(size=(n, o, 2 * h, 2 * wd)).astype(dtype)
         _, (_, dw) = tape_vjp(lambda a, b: conv_transpose2d(a, b, stride=2),
                               [x, w], g)
-        gcols = _im2col(g, k, k, 2, h, wd)
+        gcols = _im2col(g, k, k, 2, 0, h, wd)
         want = np.tensordot(x.reshape(n, c, h * wd), gcols,
                             axes=([0, 2], [0, 2])).reshape(w_shape)
         assert dw.dtype == dtype
         assert np.max(np.abs(dw - want)) <= tol * np.max(np.abs(want))
+
+
+# ----------------------------------------------------------------------
+# Reference im2col/col2im: the padded-copy kernels that the pad-free tap
+# copies replaced.  Both must agree with them bit for bit.
+# ----------------------------------------------------------------------
+def ref_im2col(x, kh, kw, stride, pad, oh, ow):
+    xp = np.pad(x, ((0, 0), (0, 0), (pad,) * 2, (pad,) * 2))
+    n, c = xp.shape[:2]
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]          # [N,C,oh,ow,kh,kw]
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, oh * ow)
+    return np.ascontiguousarray(cols)
+
+
+def ref_col2im(cols, x_shape, kh, kw, stride, pad, oh, ow):
+    n, c, h, w = x_shape
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    cols = cols.reshape(n, c, kh, kw, oh, ow)
+    for i in range(kh):
+        for j in range(kw):
+            xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += \
+                cols[:, :, i, j]
+    return xp[:, :, pad:pad + h, pad:pad + w]
+
+
+# odd and even extents, square and not; includes the encoder's 64x64 stem
+# input and a 16x16 stage map
+IM2COL_EXTENTS = [(5, 8), (9, 4), (1, 3), (16, 16), (64, 64)]
+
+
+class TestPadFreeIm2col:
+    """``_im2col`` and ``_col2im`` against the padded-copy references,
+    bit for bit, over kernel 1-7, stride 1-4 and padding 0-3 (pad >= k
+    included), which covers the encoder's 7x7/s4/p3 and 3x3/s2/p1."""
+
+    @pytest.mark.parametrize("pad", [0, 1, 2, 3])
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    def test_matches_padded_reference(self, k, stride, pad):
+        rng = np.random.default_rng(k * 100 + stride * 10 + pad)
+        checked = 0
+        for h, w in IM2COL_EXTENTS:
+            if k > h + 2 * pad or k > w + 2 * pad:
+                continue
+            oh = (h + 2 * pad - k) // stride + 1
+            ow = (w + 2 * pad - k) // stride + 1
+            for dtype in (np.float32, np.float64):
+                x = rng.normal(size=(2, 3, h, w)).astype(dtype)
+                got = _im2col(x, k, k, stride, pad, oh, ow)
+                want = ref_im2col(x, k, k, stride, pad, oh, ow)
+                assert got.dtype == dtype and got.flags.c_contiguous
+                np.testing.assert_array_equal(got, want)
+                cols = rng.normal(size=want.shape).astype(dtype)
+                back = _col2im(cols, x.shape, k, k, stride, pad, oh, ow)
+                assert back.dtype == dtype
+                np.testing.assert_array_equal(
+                    back, ref_col2im(cols, x.shape, k, k, stride, pad, oh, ow))
+                checked += 1
+        assert checked > 0
+
+    def test_rectangular_kernel(self):
+        rng = np.random.default_rng(30)
+        x = rng.normal(size=(1, 2, 6, 7)).astype(np.float32)
+        np.testing.assert_array_equal(_im2col(x, 3, 2, 2, 1, 3, 4),
+                                      ref_im2col(x, 3, 2, 2, 1, 3, 4))
+
+
+class TestNegativePaddingRejected:
+    def test_conv2d(self):
+        x = t64(np.ones((1, 2, 4, 4)))
+        for k in (1, 3):
+            with pytest.raises(ContractError, match="padding"):
+                conv2d(x, t64(np.ones((3, 2, k, k))), padding=-1)
+
+    def test_conv_transpose2d(self):
+        with pytest.raises(ContractError, match="padding"):
+            conv_transpose2d(t64(np.ones((1, 2, 4, 4))),
+                             t64(np.ones((2, 3, 3, 3))), padding=-1)
+
+
+class TestInterpMatrixCache:
+    def test_cached_matrix_is_read_only(self):
+        m = _interp_matrix(4, 9, np.dtype(np.float32))
+        assert m is _interp_matrix(4, 9, np.dtype(np.float32))
+        with pytest.raises(ValueError):
+            m[0, 0] = 2.0
+
+    def test_resize_output_does_not_share_the_cache(self):
+        x = t64(np.arange(20.0).reshape(1, 1, 4, 5))
+        for out_hw in ((4, 5), (8, 3)):
+            y = bilinear_resize(x, out_hw).numpy()
+            for n_in, n_out in ((4, out_hw[0]), (5, out_hw[1])):
+                assert not np.shares_memory(
+                    y, _interp_matrix(n_in, n_out, x.dtype))
+            y += 1.0
+        np.testing.assert_array_equal(bilinear_resize(x, (4, 5)).numpy(),
+                                      x.numpy())
 
 
 class TestFiniteDiffCheck:

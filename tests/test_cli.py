@@ -295,6 +295,28 @@ class TestTrainEvalCommands:
             assert "internal error" not in err
             assert all(w in err for w in words), err
 
+    @pytest.mark.parametrize("blob,words", [
+        ({"train": {"eps": 0}}, ("eps", "positive")),
+        ({"train": {"eps": float("inf")}}, ("eps", "finite")),
+        ({"train": {"betas": [1.5, 0.999]}}, ("betas", "[0, 1)")),
+        ({"train": {"betas": ["a", 0.9]}}, ("betas", "two numbers")),
+        ({"train": {"betas": [0.9]}}, ("betas", "two numbers")),
+        ({"network": {"wt_aug": [{"keep_prob": ["x", 1, 1, 1]}] + [{}] * 3}},
+         ("keep_prob", "'x'"))])
+    def test_bad_adam_or_keep_prob_entries_are_exit_1(self, dataset, tmp_path,
+                                                      capsys, blob, words):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(blob))
+        run_dir = tmp_path / "run"
+        code = dispatch(["train", "--data", str(dataset), "--out",
+                         str(run_dir), "--config", str(cfg_path),
+                         "--epochs", "1", "--shots", "1"])
+        assert code == 1, blob
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert all(w in err for w in words), err
+        assert not run_dir.exists()
+
     def test_int_accepted_for_float_config_field(self, dataset, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"train": {"learning_rate": 1,

@@ -37,6 +37,19 @@ def oracle_boundary(mask):
     return pts
 
 
+def padded_boundary(mask):
+    """The padded-copy boundary extraction that the pad-free one replaced:
+    coordinates in row-major order, as an array."""
+    m = np.asarray(mask, dtype=bool)
+    padded = np.pad(m, 1, constant_values=False)
+    interior = (padded[:-2, 1:-1] & padded[2:, 1:-1] &
+                padded[1:-1, :-2] & padded[1:-1, 2:])
+    border = np.zeros_like(m)
+    border[0, :] = border[-1, :] = True
+    border[:, 0] = border[:, -1] = True
+    return np.argwhere(m & (~interior | border))
+
+
 def oracle_hd95(pred, gt, cls, spacing=1.0):
     bp = oracle_boundary(pred == cls)
     bg = oracle_boundary(gt == cls)
@@ -188,6 +201,26 @@ class TestHd95:
             m = rng.random((10, 10)) < 0.5
             got = {tuple(p) for p in boundary_pixels(m)}
             assert got == set(oracle_boundary(m))
+
+    def test_boundary_matches_padded_reference_exactly(self):
+        rng = np.random.default_rng(5)
+        masks = [rng.random(shape) < rng.uniform(0.1, 0.9)
+                 for shape in [(12, 12), (7, 10), (2, 5), (3, 3)] * 25]
+        for n in (1, 2, 7):
+            masks += [rng.random((1, n)) < 0.5, rng.random((n, 1)) < 0.5,
+                      np.ones((1, n), bool), np.ones((n, 1), bool)]
+        masks += [np.ones((1, 1), bool), np.zeros((1, 1), bool),
+                  np.ones((6, 9), bool), np.zeros((6, 9), bool)]
+        for m in masks:
+            got = boundary_pixels(m)
+            want = padded_boundary(m)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_boundary_leaves_mask_unchanged(self):
+        m = np.ones((5, 5), bool)
+        boundary_pixels(m)
+        assert m.all()
 
 
 # ----------------------------------------------------------------------

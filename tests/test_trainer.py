@@ -85,6 +85,23 @@ class TestAdamStep:
         assert state.step == 3
 
 
+class TestAdamConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"eps": 0}, {"eps": -1e-8}, {"eps": float("nan")},
+        {"eps": float("inf")}, {"eps": "1e-8"}, {"eps": True},
+        {"betas": (1.0, 0.999)}, {"betas": (0.9, -0.1)},
+        {"betas": (0.9, float("nan"))}, {"betas": (0.9,)},
+        {"betas": (0.9, 0.99, 0.999)}, {"betas": ("a", 0.9)},
+        {"betas": (True, 0.9)}, {"betas": 0.9}])
+    def test_rejected(self, kwargs):
+        with pytest.raises(ContractError):
+            TrainConfig(**kwargs)
+
+    def test_betas_list_of_numpy_floats_becomes_a_tuple(self):
+        cfg = TrainConfig(betas=[0, np.float32(0.5)], eps=1)
+        assert cfg.betas == (0, 0.5) and isinstance(cfg.betas, tuple)
+
+
 class TestFewShotSubset:
     def test_deterministic_and_sized(self):
         entries = [{"id": f"s{i}"} for i in range(10)]

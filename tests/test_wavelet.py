@@ -143,6 +143,13 @@ class TestMakeMasks:
         with pytest.raises(ContractError):
             WtAugConfig(keep_prob=(1.2, 0, 0, 0))
 
+    @pytest.mark.parametrize("keep_prob", [
+        ("x", 1, 1, 1), (True, 1, 1, 1), (0.5,) * 3, 0.5,
+        (float("nan"), 1, 1, 1)])
+    def test_keep_prob_entry_type_and_count_checked(self, keep_prob):
+        with pytest.raises(ContractError):
+            WtAugConfig(keep_prob=keep_prob)
+
 
 class TestWtAug:
     def test_identity_when_all_kept(self):
