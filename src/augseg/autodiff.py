@@ -218,6 +218,11 @@ class Tensor:
         return transpose(self, axes)
 
 
+def recording() -> bool:
+    """Whether a ``use_tape`` block is open."""
+    return _tape is not None
+
+
 def _as_tensor(x, dtype=None) -> Tensor:
     if isinstance(x, Tensor):
         return x

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import GradTape, Tensor, use_tape
+from .autodiff import GradTape, Tensor, recording, use_tape
 from .errors import AugsegError, ContractError, InputError
 from .losses import combined_loss
 from .metrics import (
@@ -59,8 +59,11 @@ class TrainConfig:
     corruption_strengths: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ContractError("learning rate must be positive")
+        if not (_is_number(self.learning_rate)
+                and 0 < self.learning_rate < math.inf):
+            raise ContractError(
+                "learning rate must be a positive finite number, got "
+                f"{self.learning_rate!r}")
         for name in ("batch_size", "epochs", "shots"):
             if getattr(self, name) < 1:
                 raise ContractError(
@@ -83,32 +86,79 @@ def _is_number(v) -> bool:
 
 @dataclass
 class AdamState:
+    """Adam's moments over one flat store.
+
+    ``store`` is a [5, N] array of the parameters' dtype whose rows are
+    the parameters, the first and second moments, the gradients and a
+    scratch vector.  ``for_params`` rebinds each trainable's ``data`` to
+    its slice of the parameter row (``params`` keeps those views); ``m``
+    and ``v`` map the same names to their slices of the moment rows.
+    """
     m: dict
     v: dict
+    params: dict
+    store: np.ndarray
     step: int = 0
 
     @classmethod
     def for_params(cls, params: dict) -> "AdamState":
-        return cls(m={k: np.zeros_like(p.numpy()) for k, p in params.items()},
-                   v={k: np.zeros_like(p.numpy()) for k, p in params.items()})
+        dtypes = {p.dtype for p in params.values()}
+        if len(dtypes) > 1:
+            raise ContractError("parameters of one dtype expected, got "
+                                f"{sorted(map(str, dtypes))}")
+        sizes = [p.size for p in params.values()]
+        store = np.zeros((5, sum(sizes)), dtype=next(iter(dtypes), np.float32))
+        ends = np.cumsum(sizes)
+
+        def views(row):
+            return {name: row[end - p.size:end].reshape(p.shape)
+                    for (name, p), end in zip(params.items(), ends)}
+
+        flat = views(store[0])
+        for name, p in params.items():
+            flat[name][...] = p.data
+            p.assign(flat[name])
+        return cls(m=views(store[1]), v=views(store[2]), params=flat,
+                   store=store)
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, cfg: TrainConfig):
-    """One bias-corrected Adam update, in place on the parameter tensors."""
-    missing = [k for k in params if k not in grads or grads[k] is None]
+    """One bias-corrected Adam update of the whole store, in place.
+
+    Each ufunc call is one operation of the per-tensor expressions
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)`` and
+    ``p = p - lr*m_hat/(sqrt(v_hat)+eps)``, taken in their order, so
+    every element gets the bits a per-tensor update gives it.
+    """
+    if recording():
+        raise ContractError(
+            "cannot update parameters while a tape is recording")
+    missing = [k for k in params if grads.get(k) is None]
     if missing:
         raise ContractError(f"missing gradients for {missing}")
+    stale = [k for k, p in params.items() if p.data is not state.params.get(k)]
+    if stale or len(params) != len(state.params):
+        raise ContractError(
+            f"parameters {stale or sorted(state.params.keys() - params.keys())}"
+            " are not the optimizer store's views")
+    misshapen = [k for k, p in params.items() if grads[k].shape != p.shape]
+    if misshapen:
+        raise ContractError(
+            f"gradient shapes differ from parameters {misshapen}")
+    p, m, v, g, a = state.store
+    np.concatenate([grads[k].reshape(-1) for k in state.params], out=g)
     state.step += 1
     t = state.step
     b1, b2 = cfg.betas
-    for name, p in params.items():
-        g = grads[name]
-        state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1 - b2) * (g * g)
-        m_hat = state.m[name] / (1 - b1 ** t)
-        v_hat = state.v[name] / (1 - b2 ** t)
-        p.assign(p.numpy() - cfg.learning_rate * m_hat /
-                 (np.sqrt(v_hat) + cfg.eps))
+    np.multiply(m, b1, out=m)
+    np.add(m, np.multiply(g, 1 - b1, out=a), out=m)
+    # past the first moment g is scratch: (1-b2)*(g*g), then sqrt(v_hat)+eps
+    np.multiply(np.multiply(g, g, out=g), 1 - b2, out=g)
+    np.add(np.multiply(v, b2, out=v), g, out=v)
+    np.divide(m, 1 - b1 ** t, out=a)
+    np.add(np.sqrt(np.divide(v, 1 - b2 ** t, out=g), out=g), cfg.eps, out=g)
+    np.divide(np.multiply(a, cfg.learning_rate, out=a), g, out=a)
+    np.subtract(p, a, out=p)
 
 
 def _rng(seed, epoch, stream):
@@ -135,11 +185,13 @@ def few_shot_subset(entries, shots, seed):
 
 
 def train(train_cfg: TrainConfig, net_cfg: NetworkConfig, data_dir,
-          out_dir=None):
+          out_dir=None, *, monitor=True):
     """Train on a few-shot subset; returns (network, log rows, chosen ids).
 
     Log rows are (epoch, mean train-mode loss, eval-mode Dice on the
-    training subset).  When ``out_dir`` is given, writes
+    training subset).  With ``monitor=False`` only the final epoch runs
+    that eval forward and earlier rows carry NaN Dice; the training
+    itself is the same.  When ``out_dir`` is given, writes
     ``train_log.csv`` and a ``checkpoint/`` directory there.
     """
     manifest = load_manifest(os.path.join(data_dir, "manifest.json"))
@@ -197,8 +249,10 @@ def train(train_cfg: TrainConfig, net_cfg: NetworkConfig, data_dir,
             for p in trainables.values():
                 p.zero_grad()
             epoch_losses.append(loss_val)
-        log_rows.append((epoch, float(np.mean(epoch_losses)),
-                         _subset_dice(net, data, stages, net_cfg.num_classes)))
+        dice = math.nan
+        if monitor or epoch == train_cfg.epochs - 1:
+            dice = _subset_dice(net, data, stages, net_cfg.num_classes)
+        log_rows.append((epoch, float(np.mean(epoch_losses)), dice))
     chosen_ids = [e["id"] for e in chosen]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -315,7 +369,7 @@ def ablation_run(arms, seeds, train_cfg: TrainConfig, net_cfg: NetworkConfig,
                           augmentation=arm.augmentation)
             run_net_cfg = replace(net_cfg, param_seed=int(seed),
                                   use_cg_fuse=arm.use_cg_fuse)
-            net, _, _ = train(cfg, run_net_cfg, data_dir)
+            net, _, _ = train(cfg, run_net_cfg, data_dir, monitor=False)
             records, summary = evaluate(net, data_dir, split="test")
             seed_means.append(summary["mean_dice"])
             seed_hd95s.append(summary["mean_hd95"])

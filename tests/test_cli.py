@@ -317,6 +317,26 @@ class TestTrainEvalCommands:
         assert all(w in err for w in words), err
         assert not run_dir.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_learning_rate_not_positive_finite_is_exit_1(
+            self, dataset, tmp_path, capsys, source, value):
+        run_dir = tmp_path / "run"
+        args = ["train", "--data", str(dataset), "--out", str(run_dir),
+                "--epochs", "1", "--shots", "1"]
+        if source == "flag":
+            args.append(f"--lr={value}")
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(
+                {"train": {"learning_rate": float(value)}}))
+            args += ["--config", str(cfg_path)]
+        assert dispatch(args) == 1
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert "learning rate must be a positive finite number" in err, err
+        assert not run_dir.exists()
+
     def test_int_accepted_for_float_config_field(self, dataset, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"train": {"learning_rate": 1,

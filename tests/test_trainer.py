@@ -1,12 +1,14 @@
 """Adam updates, the training loop, evaluation, and the ablation harness."""
 
+import math
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from augseg import fusion, trainer
-from augseg.autodiff import Tensor
+from augseg.autodiff import GradTape, Tensor, use_tape
 from augseg.errors import ContractError
 from augseg.metrics import mean_foreground_dice
 from augseg.model import EncoderSpec, Network, NetworkConfig, load_checkpoint
@@ -43,46 +45,229 @@ def tiny_net_config(**kw):
     return NetworkConfig(**defaults)
 
 
+@dataclass
+class ReferenceAdamState:
+    """Per-tensor moments, as ``AdamState`` kept them before the flat store."""
+    m: dict
+    v: dict
+    step: int = 0
+
+    @classmethod
+    def for_params(cls, params):
+        return cls(m={k: np.zeros_like(p.numpy()) for k, p in params.items()},
+                   v={k: np.zeros_like(p.numpy()) for k, p in params.items()})
+
+
+def reference_adam_step(params, grads, state, cfg):
+    """The per-tensor Adam update that the flat store replaced."""
+    missing = [k for k in params if k not in grads or grads[k] is None]
+    if missing:
+        raise ContractError(f"missing gradients for {missing}")
+    state.step += 1
+    t = state.step
+    b1, b2 = cfg.betas
+    for name, p in params.items():
+        g = grads[name]
+        state.m[name] = b1 * state.m[name] + (1 - b1) * g
+        state.v[name] = b2 * state.v[name] + (1 - b2) * (g * g)
+        m_hat = state.m[name] / (1 - b1 ** t)
+        v_hat = state.v[name] / (1 - b2 ** t)
+        p.assign(p.numpy() - cfg.learning_rate * m_hat /
+                 (np.sqrt(v_hat) + cfg.eps))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        a.tobytes() == b.tobytes()
+
+
 class TestAdamStep:
     def setup_method(self):
         self.cfg = TrainConfig(learning_rate=1e-4)
 
+    def step(self, params, grads, state, ref):
+        """``adam_step``, checked bit for bit against the per-tensor
+        reference run on copies (``ref`` = reference params and state)."""
+        ref_params, ref_state = ref
+        reference_adam_step(ref_params, grads, ref_state, self.cfg)
+        adam_step(params, grads, state, self.cfg)
+        assert state.step == ref_state.step
+        for name, p in params.items():
+            assert same_bits(p.numpy(), ref_params[name].numpy()), name
+            assert same_bits(state.m[name], ref_state.m[name]), name
+            assert same_bits(state.v[name], ref_state.v[name]), name
+
+    @staticmethod
+    def pair(params):
+        """A reference copy of ``params`` and its state, then the flat
+        store over ``params`` itself."""
+        ref_params = {k: Tensor(p.numpy().copy(), requires_grad=True)
+                      for k, p in params.items()}
+        ref = (ref_params, ReferenceAdamState.for_params(ref_params))
+        return AdamState.for_params(params), ref
+
     def test_zero_gradient_leaves_params_unchanged(self):
         p = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
         params = {"p": p}
-        state = AdamState.for_params(params)
-        adam_step(params, {"p": np.zeros(2, dtype=np.float32)}, state, self.cfg)
+        state, ref = self.pair(params)
+        self.step(params, {"p": np.zeros(2, dtype=np.float32)}, state, ref)
         np.testing.assert_array_equal(p.numpy(), [1.0, 2.0])
 
     def test_first_step_is_learning_rate_sized(self):
         # bias correction: m_hat = v_hat = g on step 1, so delta = -lr
         p = Tensor(np.array([0.0], dtype=np.float64), requires_grad=True)
         params = {"p": p}
-        state = AdamState.for_params(params)
-        adam_step(params, {"p": np.array([1.0])}, state, self.cfg)
+        state, ref = self.pair(params)
+        self.step(params, {"p": np.array([1.0])}, state, ref)
         assert p.numpy()[0] == pytest.approx(-1e-4, rel=1e-4)
 
     def test_first_step_magnitude_independent_of_gradient_scale(self):
         deltas = []
         for g in (10.0, 0.1):
             p = Tensor(np.array([0.0], dtype=np.float64), requires_grad=True)
-            state = AdamState.for_params({"p": p})
-            adam_step({"p": p}, {"p": np.array([g])}, state, self.cfg)
+            state, ref = self.pair({"p": p})
+            self.step({"p": p}, {"p": np.array([g])}, state, ref)
             deltas.append(-p.numpy()[0])
         assert abs(deltas[0] - deltas[1]) / deltas[0] < 0.01
 
     def test_missing_gradient_rejected(self):
         p = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
         state = AdamState.for_params({"p": p})
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="missing gradients"):
             adam_step({"p": p}, {}, state, self.cfg)
 
     def test_step_counter_advances(self):
         p = Tensor(np.zeros(1, dtype=np.float64), requires_grad=True)
-        state = AdamState.for_params({"p": p})
+        state, ref = self.pair({"p": p})
         for _ in range(3):
-            adam_step({"p": p}, {"p": np.ones(1)}, state, self.cfg)
+            self.step({"p": p}, {"p": np.ones(1)}, state, ref)
         assert state.step == 3
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_many_tensors_many_steps_match_per_tensor_update(self, dtype):
+        rng = np.random.default_rng(11)
+        shapes = {"w": (3, 2, 3, 3), "b": (3,), "s": (1,), "q": (5, 7)}
+        # small and zero starting values, as the network's biases and
+        # zero-initialised output projection have, so that the update's
+        # low bits reach the parameters
+        params = {k: Tensor((rng.normal(size=s) * 1e-3 * (k != "b"))
+                            .astype(dtype), requires_grad=True)
+                  for k, s in shapes.items()}
+        state, ref = self.pair(params)
+        self.cfg = TrainConfig(learning_rate=3e-3, betas=(0.8, 0.99), eps=1e-6)
+        for _ in range(6):
+            grads = {k: (rng.normal(size=s) * 10.0 ** rng.integers(-6, 3))
+                     .astype(dtype) for k, s in shapes.items()}
+            self.step(params, grads, state, ref)
+
+    def test_store_holds_params_and_moments_as_views(self):
+        params = {"a": Tensor(np.ones((2, 3), np.float32), requires_grad=True),
+                  "b": Tensor(np.full(4, 2.0, np.float32), requires_grad=True)}
+        state = AdamState.for_params(params)
+        assert state.store.shape == (5, 10)
+        np.testing.assert_array_equal(state.store[0], [1] * 6 + [2] * 4)
+        for k, p in params.items():
+            assert p.numpy() is state.params[k]
+            for row, views in ((0, state.params), (1, state.m), (2, state.v)):
+                assert np.shares_memory(views[k], state.store[row])
+                assert views[k].shape == p.shape
+
+    def test_mixed_dtypes_rejected(self):
+        params = {"a": Tensor(np.zeros(2, np.float32), requires_grad=True),
+                  "b": Tensor(np.zeros(2, np.float64), requires_grad=True)}
+        with pytest.raises(ContractError, match="one dtype"):
+            AdamState.for_params(params)
+
+    def test_recording_tape_rejected_before_any_update(self):
+        p = Tensor(np.ones(2, np.float32), requires_grad=True)
+        state = AdamState.for_params({"p": p})
+        with use_tape(GradTape()):
+            with pytest.raises(ContractError, match="tape is recording"):
+                adam_step({"p": p}, {"p": np.ones(2, np.float32)}, state,
+                          self.cfg)
+        assert state.step == 0 and not state.store[1:3].any()
+        np.testing.assert_array_equal(p.numpy(), [1.0, 1.0])
+
+    def test_rebound_parameter_rejected_not_dropped(self):
+        # after a rebind the store no longer holds the parameter, so an
+        # update there would never reach the tensor
+        p = Tensor(np.ones(2, np.float32), requires_grad=True)
+        q = Tensor(np.ones(3, np.float32), requires_grad=True)
+        state = AdamState.for_params({"p": p, "q": q})
+        q.assign(np.zeros(3, np.float32))
+        grads = {"p": np.ones(2, np.float32), "q": np.ones(3, np.float32)}
+        with pytest.raises(ContractError, match=r"\['q'\]"):
+            adam_step({"p": p, "q": q}, grads, state, self.cfg)
+        assert state.step == 0
+
+    def test_params_other_than_the_store_rejected(self):
+        p = Tensor(np.ones(2, np.float32), requires_grad=True)
+        q = Tensor(np.ones(3, np.float32), requires_grad=True)
+        state = AdamState.for_params({"p": p, "q": q})
+        with pytest.raises(ContractError, match=r"\['q'\]"):
+            adam_step({"p": p}, {"p": np.ones(2, np.float32)}, state,
+                      self.cfg)
+        with pytest.raises(ContractError, match=r"\['r'\]"):
+            adam_step({"p": p, "r": q}, {"p": np.ones(2, np.float32),
+                                         "r": np.ones(3, np.float32)},
+                      state, self.cfg)
+
+    def test_gradient_of_another_shape_rejected(self):
+        p = Tensor(np.ones((2, 2), np.float32), requires_grad=True)
+        state = AdamState.for_params({"p": p})
+        with pytest.raises(ContractError, match="gradient shapes"):
+            adam_step({"p": p}, {"p": np.ones(4, np.float32)}, state,
+                      self.cfg)
+
+
+class TestFlatAdamTraining:
+    @pytest.mark.parametrize("use_cg_fuse", [True, False])
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_seeded_run_matches_per_tensor_adam(self, dataset, arm,
+                                                use_cg_fuse, monkeypatch):
+        cfg = TrainConfig(epochs=3, shots=3, seed=9, learning_rate=3e-3,
+                          augmentation=arm)
+        net_cfg = tiny_net_config(use_cg_fuse=use_cg_fuse)
+
+        def run(state_cls, step):
+            states = []
+
+            def spy(params, grads, state, cfg):
+                states.append(state)
+                return step(params, grads, state, cfg)
+
+            monkeypatch.setattr(trainer, "AdamState", state_cls)
+            monkeypatch.setattr(trainer, "adam_step", spy)
+            net, log, _ = train(cfg, net_cfg, dataset)
+            return net, log, states[-1]
+
+        flat_net, flat_log, flat_state = run(AdamState, adam_step)
+        ref_net, ref_log, ref_state = run(ReferenceAdamState,
+                                          reference_adam_step)
+        assert flat_log == ref_log
+        assert flat_state.step == ref_state.step == 6
+        ref_params = ref_net.parameters()
+        for name, tensor in flat_net.parameters().items():
+            assert same_bits(tensor.numpy(), ref_params[name].numpy()), name
+        assert list(flat_state.m) == list(ref_state.m)
+        for name in ref_state.m:
+            assert same_bits(flat_state.m[name], ref_state.m[name]), name
+            assert same_bits(flat_state.v[name], ref_state.v[name]), name
+
+    def test_adam_step_called_once_per_step_after_backward(self, dataset,
+                                                          monkeypatch):
+        calls = []
+        step = trainer.adam_step
+
+        def spy(params, grads, state, cfg):
+            calls.append(all(p.grad is not None for p in params.values()))
+            return step(params, grads, state, cfg)
+
+        monkeypatch.setattr(trainer, "adam_step", spy)
+        train(TrainConfig(epochs=2, shots=3, batch_size=2), tiny_net_config(),
+              dataset)
+        assert calls == [True] * 4
 
 
 class TestAdamConfig:
@@ -92,7 +277,11 @@ class TestAdamConfig:
         {"betas": (1.0, 0.999)}, {"betas": (0.9, -0.1)},
         {"betas": (0.9, float("nan"))}, {"betas": (0.9,)},
         {"betas": (0.9, 0.99, 0.999)}, {"betas": ("a", 0.9)},
-        {"betas": (True, 0.9)}, {"betas": 0.9}])
+        {"betas": (True, 0.9)}, {"betas": 0.9},
+        {"learning_rate": 0}, {"learning_rate": -1e-4},
+        {"learning_rate": float("nan")}, {"learning_rate": float("inf")},
+        {"learning_rate": float("-inf")}, {"learning_rate": "1e-4"},
+        {"learning_rate": True}])
     def test_rejected(self, kwargs):
         with pytest.raises(ContractError):
             TrainConfig(**kwargs)
@@ -149,6 +338,29 @@ class TestTrain:
             pred = np.argmax(logits.numpy()[0], axis=0).astype(np.uint8)
             scores.append(mean_foreground_dice(pred, mask, 3))
         assert _subset_dice(net, data, stages, 3) == float(np.mean(scores))
+
+    @pytest.mark.parametrize("arm", ["none", "feature_wavelet"])
+    def test_monitor_off_trains_the_same_and_measures_only_the_last_epoch(
+            self, dataset, arm, monkeypatch):
+        cfg = TrainConfig(epochs=3, shots=3, seed=2, augmentation=arm)
+        on_net, on_rows, _ = train(cfg, tiny_net_config(), dataset)
+        modes = []
+        forward = Network.forward
+
+        def spy(self, image, mode="eval", **kw):
+            modes.append(mode)
+            return forward(self, image, mode=mode, **kw)
+
+        monkeypatch.setattr(Network, "forward", spy)
+        off_net, off_rows, _ = train(cfg, tiny_net_config(), dataset,
+                                     monitor=False)
+        assert modes.count("eval") == 1 and modes[-1] == "eval"
+        assert off_rows[-1] == on_rows[-1]
+        assert [r[:2] for r in off_rows] == [r[:2] for r in on_rows]
+        assert all(math.isnan(r[2]) for r in off_rows[:-1])
+        on_params = on_net.parameters()
+        for name, tensor in off_net.parameters().items():
+            assert same_bits(tensor.numpy(), on_params[name].numpy()), name
 
     def test_encoder_frozen_through_training(self, dataset):
         cfg = TrainConfig(epochs=2, shots=2, seed=0, augmentation="none")
@@ -297,14 +509,39 @@ class TestAblationRun:
         seen = []
         real_train = trainer.train
 
-        def spy(train_cfg, net_cfg, data_dir, out_dir=None):
+        def spy(train_cfg, net_cfg, data_dir, out_dir=None, **kw):
             seen.append(net_cfg.use_cg_fuse)
-            return real_train(train_cfg, net_cfg, data_dir, out_dir)
+            return real_train(train_cfg, net_cfg, data_dir, out_dir, **kw)
 
         monkeypatch.setattr(trainer, "train", spy)
         ablation_run(table8_arms(), [0], TrainConfig(epochs=1, shots=1),
                      tiny_net_config(), dataset)
         assert seen == [True, True, False, False]
+
+    @pytest.mark.parametrize("arms", [table6_arms, table8_arms])
+    def test_outputs_match_monitored_per_tensor_adam_run(
+            self, dataset, tmp_path, monkeypatch, arms):
+        # the harness skips the train-Dice monitor and steps the flat
+        # store; neither may change a byte of what it writes
+        cfg = TrainConfig(epochs=2, shots=2, learning_rate=3e-3)
+        ablation_run(arms(), [0, 1], cfg, tiny_net_config(), dataset,
+                     str(tmp_path / "flat"))
+        real_train = trainer.train
+        monitored = []
+
+        def monitored_train(*args, monitor, **kw):
+            monitored.append(monitor)
+            return real_train(*args, monitor=True, **kw)
+
+        monkeypatch.setattr(trainer, "train", monitored_train)
+        monkeypatch.setattr(trainer, "AdamState", ReferenceAdamState)
+        monkeypatch.setattr(trainer, "adam_step", reference_adam_step)
+        ablation_run(arms(), [0, 1], cfg, tiny_net_config(), dataset,
+                     str(tmp_path / "reference"))
+        assert monitored == [False] * 8
+        for name in ("ablation.csv", "wilcoxon.json"):
+            assert (tmp_path / "flat" / name).read_bytes() == \
+                (tmp_path / "reference" / name).read_bytes(), name
 
     def test_table8_arms_toggle_fusion(self):
         arms = table8_arms()
