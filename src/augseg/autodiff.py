@@ -163,7 +163,14 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def assign(self, new_data):
-        """Replace the value buffer in place; only outside ``use_tape``."""
+        """Rebind ``data`` to ``new_data``; only outside ``use_tape``.
+
+        Not in place: the old buffer is left as it was, and ``new_data``
+        is used as is when it already has this tensor's dtype (so
+        ``AdamState.for_params`` can bind each parameter to a view of its
+        store).  Rebinding a parameter that is such a view detaches it
+        from the store, and ``adam_step`` then rejects it.
+        """
         if _tape is not None:
             raise ContractError(
                 "cannot mutate a tensor while a tape is recording")
@@ -288,7 +295,11 @@ def ew_binary(kind: str, a, b) -> Tensor:
 # matmul
 # ----------------------------------------------------------------------
 def matmul(a, b) -> Tensor:
-    """Matrix product; leading batch axes broadcast numpy-style."""
+    """Matrix product; leading batch axes broadcast numpy-style.
+
+    The adjoint computes an operand's gradient only when that operand
+    requires grad.
+    """
     a = _as_tensor(a)
     b = _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -300,8 +311,13 @@ def matmul(a, b) -> Tensor:
     out = Tensor(np.matmul(a.data, b.data))
 
     def back(g):
-        da = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        db = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        da = db = None
+        if a.requires_grad:
+            da = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)),
+                              a.shape)
+        if b.requires_grad:
+            db = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
+                              b.shape)
         return da, db
 
     return _record(out, (a, b), back)
@@ -462,24 +478,31 @@ def _taps(kh, kw, stride, pad, oh, ow, h, w):
 
 
 def _im2col(x, kh, kw, stride, pad, oh, ow):
-    """Columns [N, C*kh*kw, oh*ow] of the zero-padded [N,C,H,W] input.
+    """Columns [N, C*kh*kw, oh*ow] of the zero-padded [N,C,H,W] input
+    ``x``, or of the join along channels of a list of [N,C_i,H,W] blocks.
 
-    The padded copy is never built: each tap is one strided slice copy
-    from ``x`` into a zeroed [N,C,kh,kw,oh,ow] buffer, clipped to the
-    output positions that read inside the input; the border entries
-    stay 0.
+    Neither the join nor the padded copy is built: each tap is one strided
+    slice copy per block into its channels of a zeroed [N,C,kh,kw,oh,ow]
+    buffer, clipped to the output positions that read inside the input;
+    the border entries stay 0.
     """
-    n, c, h, w = x.shape
-    cols = np.zeros((n, c, kh, kw, oh, ow), dtype=x.dtype)
+    blocks = x if isinstance(x, list) else [x]
+    n, _, h, w = blocks[0].shape
+    c = sum(b.shape[1] for b in blocks)
+    cols = np.zeros((n, c, kh, kw, oh, ow), dtype=np.result_type(*blocks))
     for i, j, orow, ocol, irow, icol in _taps(kh, kw, stride, pad, oh, ow, h, w):
-        cols[:, :, i, j, orow, ocol] = x[:, :, irow, icol]
+        c0 = 0
+        for b in blocks:
+            c1 = c0 + b.shape[1]
+            cols[:, c0:c1, i, j, orow, ocol] = b[:, :, irow, icol]
+            c0 = c1
     return cols.reshape(n, c * kh * kw, oh * ow)
 
 
 def _col2im(cols, x_shape, kh, kw, stride, pad, oh, ow):
-    """Adjoint of ``_im2col``: sum [N, C*kh*kw, oh*ow] columns into the
-    [N,C,H,W] input, tap by tap; entries that fall on padding are
-    dropped."""
+    """Adjoint of ``_im2col`` for one block: sum [N, C*kh*kw, oh*ow]
+    columns into the [N,C,H,W] input, tap by tap; entries that fall on
+    padding are dropped."""
     n, c, h, w = x_shape
     x = np.zeros(x_shape, dtype=cols.dtype)
     cols = cols.reshape(n, c, kh, kw, oh, ow)
@@ -498,14 +521,23 @@ def _check_stride_padding(stride, padding):
 def conv2d(x, weight, bias=None, stride=1, padding=0) -> Tensor:
     """2-d cross-correlation (no kernel flip).
 
-    x: [N,C,H,W]; weight: [O,C,kh,kw]; optional bias [O].
+    x: [N,C,H,W], or a list of [N,C_i,H,W] maps read as their join along
+    channels; weight: [O,C,kh,kw]; optional bias [O].
     Output extent per axis: floor((n + 2*pad - k) / stride) + 1.
+    The input gradient is formed only for the maps that require grad,
+    each from its own rows of ``W2^T g``.
     """
-    x = _as_tensor(x)
+    blocks = [_as_tensor(t) for t in (x if isinstance(x, (list, tuple))
+                                      else (x,))]
     weight = _as_tensor(weight)
-    if x.ndim != 4 or weight.ndim != 4:
+    if not blocks or any(t.ndim != 4 for t in blocks) or weight.ndim != 4:
         raise DimensionError("conv2d expects rank-4 input and kernel")
-    n, c, h, w = x.shape
+    n, _, h, w = blocks[0].shape
+    if any(t.shape[0] != n or t.shape[2:] != (h, w) for t in blocks):
+        raise DimensionError(
+            "conv2d input maps differ outside the channel axis: "
+            f"{[t.shape for t in blocks]}")
+    c = sum(t.shape[1] for t in blocks)
     o, ck, kh, kw = weight.shape
     if ck != c:
         raise DimensionError(f"kernel channels {ck} != input channels {c}")
@@ -516,10 +548,10 @@ def conv2d(x, weight, bias=None, stride=1, padding=0) -> Tensor:
             f"{h + 2 * padding}x{w + 2 * padding}")
     oh = _conv_out_extent(h, kh, stride, padding)
     ow = _conv_out_extent(w, kw, stride, padding)
-    cols = _im2col(x.data, kh, kw, stride, padding, oh, ow)
+    cols = _im2col([t.data for t in blocks], kh, kw, stride, padding, oh, ow)
     w2 = weight.data.reshape(o, c * kh * kw)
     y = np.matmul(w2, cols).reshape(n, o, oh, ow)
-    inputs = [x, weight]
+    inputs = blocks + [weight]
     if bias is not None:
         bias = _as_tensor(bias)
         if bias.shape != (o,):
@@ -531,11 +563,16 @@ def conv2d(x, weight, bias=None, stride=1, padding=0) -> Tensor:
     def back(g):
         g2 = g.reshape(n, o, oh * ow)
         dw = np.matmul(g2, cols.swapaxes(1, 2)).sum(axis=0).reshape(weight.shape)
-        dcols = np.matmul(w2.T, g2)
-        dx = _col2im(dcols, (n, c, h, w), kh, kw, stride, padding, oh, ow)
+        dxs, r0 = [], 0
+        for t in blocks:            # block rows of dcols = W2^T g
+            r1 = r0 + t.shape[1] * kh * kw
+            dxs.append(_col2im(np.matmul(w2[:, r0:r1].T, g2), t.shape, kh,
+                               kw, stride, padding, oh, ow)
+                       if t.requires_grad else None)
+            r0 = r1
         if bias is not None:
-            return dx, dw, g.sum(axis=(0, 2, 3))
-        return dx, dw
+            return (*dxs, dw, g.sum(axis=(0, 2, 3)))
+        return (*dxs, dw)
 
     return _record(out, tuple(inputs), back)
 

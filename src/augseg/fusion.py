@@ -12,10 +12,13 @@ one tape op that reads the [N,C,H,W] map and returns [N,H*W,C] tokens.
 The output projection starts at zero so an untrained block is exactly the
 residual identity.
 
-The attention is one tape op that owns a single score block
-``P [N, h, T_q, T_k]``.  It fills and normalizes ``P`` one sample's
-``[h, T_q, T_k]`` slab at a time, in place, and its backward reuses one
-slab-sized buffer, so either pass peaks at about the size of ``P``.
+The attention is one tape op in the FlashAttention-2 algebra (Dao 2023),
+held key-major.  It owns a single block ``E^T [N, h, T_k, T_q]`` of
+unnormalised exponentials and fills it one sample's ``[h, T_k, T_q]``
+slab at a time, in place; the softmax max and row sums reduce over the
+slab's outer axis.  The backward takes the softmax adjoint's row term
+from the small ``[T_q, d_k]`` side and reuses one slab-sized buffer, so
+either pass peaks at about the size of ``E^T``.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, _record, gelu, matmul, reshape, softmax_array,
-                       softmax_vjp, transpose)
+from .autodiff import Tensor, _record, gelu, matmul, reshape, transpose
 from .errors import ContractError, DimensionError
 
 _NORM_EPS = 1e-5
@@ -115,13 +117,16 @@ def cross_attention(q: Tensor, k: Tensor, v: Tensor, head_count: int) -> Tensor:
     """Multi-head scaled dot-product attention over token sequences.
 
     q: [N, T_q, D]; k, v: [N, T_k, D]; returns [N, T_q, D].  One recorded
-    op.  Per head, with ``S = Q K^T s``, ``s = 1/sqrt(d_k)`` and
-    ``P = softmax(S)`` over the keys, the output is ``P V``; the adjoint
-    of an output gradient ``G`` is ``dV = P^T G``,
-    ``dS = P * (G V^T - rowsum(P * G V^T)) s``, ``dQ = dS K`` and
-    ``dK = (Q^T dS)^T``.  Both passes loop over the batch and compute each
-    sample's slab in place with the shared ``softmax_array`` and
-    ``softmax_vjp`` kernels.
+    op in the FlashAttention-2 algebra (Dao 2023), held key-major.  Per
+    head, with the scale ``s = 1/sqrt(d_k)`` folded into the queries, the
+    forward fills ``E^T = exp(K (sQ)^T - max)`` as ``[T_k, T_q]``, where
+    the max and the row sums ``z`` of ``E`` reduce over the outer axis,
+    and returns ``O = (E V) / z``.  The adjoint of an output gradient
+    ``G``, with ``G' = G / z`` and ``D' = rowsum(G' * O)`` taken on the
+    small ``[T_q, d_k]`` side, is ``dS^T = E^T * (V G'^T - D')``,
+    ``dQ = s dS K``, ``dK = dS^T (sQ)`` and ``dV = E^T G'``.  Both passes
+    loop over the batch; the forward keeps ``E^T`` for the backward,
+    which reuses one slab-sized buffer.
     """
     if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
         raise DimensionError("cross_attention expects rank-3 token tensors")
@@ -145,36 +150,38 @@ def cross_attention(q: Tensor, k: Tensor, v: Tensor, head_count: int) -> Tensor:
     def merge_heads(x, t):          # [N,h,T,d_k] -> [N,T,D]
         return x.transpose(0, 2, 1, 3).reshape(n, t, d)
 
-    qh = split_heads(q.data, t_q)
+    dtype = np.result_type(q.data, k.data, v.data)
+    s = dtype.type(1.0 / np.sqrt(d_k))
+    sq = split_heads(q.data, t_q) * s
     kh = split_heads(k.data, t_k)
     vh = split_heads(v.data, t_k)
-    p = np.empty((n, head_count, t_q, t_k), np.result_type(qh, kh))
-    o = np.empty((n, head_count, t_q, d_k), np.result_type(p, vh))
-    s = p.dtype.type(1.0 / np.sqrt(d_k))
-    for b in range(n):              # one sample's [h,T_q,T_k] slab at a time
-        np.matmul(qh[b], kh[b].swapaxes(-1, -2), out=p[b])
-        p[b] *= s
-        softmax_array(p[b])
-        np.matmul(p[b], vh[b], out=o[b])
+    et = np.empty((n, head_count, t_k, t_q), dtype)
+    z = np.empty((n, head_count, t_q, 1), dtype)
+    o = np.empty((n, head_count, t_q, d_k), dtype)
+    for b in range(n):              # one sample's [h,T_k,T_q] slab at a time
+        np.matmul(kh[b], sq[b].swapaxes(-1, -2), out=et[b])
+        et[b] -= et[b].max(axis=1, keepdims=True)
+        np.exp(et[b], out=et[b])
+        et[b].sum(axis=1, out=z[b, :, :, 0])
+        np.matmul(et[b].swapaxes(-1, -2), vh[b], out=o[b])
+    o /= z
 
     def back(g):
-        gh = split_heads(g, t_q)
-        ds = np.empty((head_count, t_q, t_k), np.result_type(gh, vh, p))
-        dq = np.empty((n, head_count, t_q, d_k), np.result_type(ds, kh))
-        dkt = np.empty((n, head_count, d_k, t_k), np.result_type(qh, ds))
-        dv = np.empty((n, head_count, t_k, d_k), np.result_type(p, gh))
+        gz = split_heads(g, t_q) / z                        # G'
+        dz = (gz * o).sum(axis=-1)[:, :, None, :]           # D', [N,h,1,T_q]
+        ds = np.empty((head_count, t_k, t_q), np.result_type(gz, et))
+        dq = np.empty((n, head_count, t_q, d_k), ds.dtype)
+        dk = np.empty((n, head_count, t_k, d_k), ds.dtype)
+        dv = np.empty((n, head_count, t_k, d_k), ds.dtype)
         for b in range(n):
-            np.matmul(gh[b], vh[b].swapaxes(-1, -2), out=ds)
-            softmax_vjp(p[b], ds)
-            ds *= s
-            np.matmul(ds, kh[b], out=dq[b])
-            np.matmul(qh[b].swapaxes(-1, -2), ds, out=dkt[b])
-            np.matmul(p[b].swapaxes(-1, -2), gh[b], out=dv[b])
-        # dK is a strided view, as the composed chain returns it: a
-        # contiguous copy sends the w_k weight-gradient matmul down another
-        # BLAS path and changes its low bits
-        return (merge_heads(dq, t_q),
-                merge_heads(dkt.swapaxes(-1, -2), t_k),
+            np.matmul(vh[b], gz[b].swapaxes(-1, -2), out=ds)
+            ds -= dz[b]
+            ds *= et[b]
+            np.matmul(ds.swapaxes(-1, -2), kh[b], out=dq[b])
+            np.matmul(ds, sq[b], out=dk[b])
+            np.matmul(et[b], gz[b], out=dv[b])
+        dq *= s
+        return (merge_heads(dq, t_q), merge_heads(dk, t_k),
                 merge_heads(dv, t_k))
 
     return _record(Tensor(merge_heads(o, t_q)), (q, k, v), back)

@@ -107,27 +107,30 @@ class WilcoxonResult:
 
 
 def _exact_p(ranks: np.ndarray, w_obs: float) -> float:
-    """P(W+ <= w or W+ >= S - w) over all 2^n sign assignments."""
-    n = ranks.size
-    s = float(ranks.sum())
-    total = 1 << n
-    hits = 0
-    chunk = 1 << 16
-    bits = (1 << np.arange(n, dtype=np.uint64))
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        signs = (idx[:, None] & bits[None, :]) != 0
-        w_plus = signs @ ranks
-        hits += int(np.count_nonzero((w_plus <= w_obs + 1e-9) |
-                                     (w_plus >= s - w_obs - 1e-9)))
-    return hits / total
+    """P(W+ <= w or W+ >= S - w) over all 2^n sign assignments.
+
+    Ranks are whole or half numbers, so doubled they are integers ``r_i``.
+    The number of assignments with each value ``t`` of 2W+ is counted by
+    adding one rank at a time, ``c'[t] = c[t] + c[t - r_i]``; p is the
+    count in the two tails over 2^n.
+    """
+    doubled = np.rint(2 * ranks).astype(np.int64)
+    top = int(doubled.sum())
+    counts = np.zeros(top + 1, dtype=np.int64)
+    counts[0] = 1
+    for r in doubled:
+        counts[r:] = counts[r:] + counts[:-r]
+    t = np.arange(top + 1)
+    w2 = round(2 * w_obs)
+    hits = int(counts[(t <= w2) | (t >= top - w2)].sum())
+    return hits / (1 << ranks.size)
 
 
 def wilcoxon_signed_rank(differences) -> WilcoxonResult:
     """Two-sided signed-rank test on paired differences.
 
     Zero differences are dropped; ties in |d| get average ranks.  The
-    exact null distribution is enumerated for n <= 20, above that a
+    exact null distribution is counted for n <= 20, above that a
     normal approximation with continuity and tie corrections is used.
     All differences zero gives the degenerate result p = 1.
     """

@@ -28,7 +28,6 @@ from . import daug
 from .autodiff import (
     Tensor,
     bilinear_resize,
-    concat,
     conv2d,
     conv_transpose2d,
     gelu,
@@ -131,12 +130,17 @@ class HeadParams:
 
 
 def ccu(fused: Tensor, skip: Tensor, params: CcuParams) -> Tensor:
-    """Concatenate, 3x3 conv + relu, stride-2 transposed conv (doubles H, W)."""
+    """3x3 conv + relu over the channel join of ``fused`` and ``skip``,
+    then a stride-2 transposed conv (doubles H, W).
+
+    The conv reads both maps as channel blocks, so the join is never
+    built and no input gradient is formed for the frozen skip.
+    """
     if fused.shape[2:] != skip.shape[2:]:
         raise ContractError(
             f"ccu spatial mismatch: {fused.shape[2:]} vs {skip.shape[2:]}")
-    x = concat([fused, skip], axis=1)
-    x = relu(conv2d(x, params.conv_w, params.conv_b, stride=1, padding=1))
+    x = relu(conv2d([fused, skip], params.conv_w, params.conv_b, stride=1,
+                    padding=1))
     return conv_transpose2d(x, params.up_w, params.up_b, stride=2)
 
 

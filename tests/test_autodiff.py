@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from augseg import autodiff
 from augseg.autodiff import (
     GradTape,
     Tensor,
@@ -111,6 +112,120 @@ class TestMatmul:
         lhs = matmul(matmul(t64(a), t64(b)), t64(c)).numpy()
         rhs = matmul(t64(a), matmul(t64(b), t64(c))).numpy()
         assert np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs)) < 1e-10
+
+
+class TestFrozenMatmulOperand:
+    """The adjoint skips the gradient of an operand that needs none."""
+
+    @pytest.mark.parametrize("frozen", ["a", "b"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_frozen_operand_gets_none_other_keeps_its_bits(self, frozen,
+                                                           dtype):
+        # [2, 256, 24] tokens against a [24, 32] weight: cg_fuse's frozen
+        # encoder tokens times w_k at level 1
+        rng = np.random.default_rng(40)
+        a = rng.normal(size=(2, 256, 24)).astype(dtype)
+        b = rng.normal(size=(24, 32)).astype(dtype)
+        g = rng.normal(size=(2, 256, 32)).astype(dtype)
+        at = Tensor(a, requires_grad=frozen != "a")
+        bt = Tensor(b, requires_grad=frozen != "b")
+        with use_tape(GradTape()) as tape:
+            matmul(at, bt)
+            (_, _, back), = tape._nodes
+            da, db = back(g)
+        want_da = np.matmul(g, b.swapaxes(-1, -2))
+        want_db = np.matmul(a.swapaxes(-1, -2), g).sum(axis=0)
+        if frozen == "a":
+            assert da is None
+            assert db.tobytes() == want_db.tobytes()
+        else:
+            assert db is None
+            assert da.tobytes() == want_da.tobytes()
+
+
+# (fused, skip, kernel) at the default network's ccu levels 3, 2 and 1 in
+# a training batch of 2
+CCU_SHAPES = [((2, 64, 4, 4), (2, 48, 4, 4), (48, 112, 3, 3)),
+              ((2, 48, 8, 8), (2, 32, 8, 8), (32, 80, 3, 3)),
+              ((2, 32, 16, 16), (2, 24, 16, 16), (24, 56, 3, 3))]
+
+
+class TestConvChannelBlocks:
+    """conv2d over a list of maps equals conv2d over their concat."""
+
+    @staticmethod
+    def run(x, w, b, g):
+        with use_tape(GradTape()) as tape:
+            y = conv2d(x, w, b, stride=1, padding=1)
+            tape.backward((y * Tensor(g)).sum())
+        return y.numpy()
+
+    @pytest.mark.parametrize("skip_grad", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shapes", CCU_SHAPES)
+    def test_equals_concat_bit_for_bit(self, shapes, dtype, skip_grad):
+        fused_shape, skip_shape, w_shape = shapes
+        rng = np.random.default_rng(41)
+        f, s = (rng.normal(size=sh).astype(dtype)
+                for sh in (fused_shape, skip_shape))
+        w0 = rng.normal(size=w_shape).astype(dtype)
+        b0 = rng.normal(size=w_shape[:1]).astype(dtype)
+        g = rng.normal(size=(2, w_shape[0]) + fused_shape[2:]).astype(dtype)
+
+        def leaves():
+            return (Tensor(f, requires_grad=True),
+                    Tensor(s, requires_grad=skip_grad),
+                    Tensor(w0, requires_grad=True),
+                    Tensor(b0, requires_grad=True))
+
+        fb, sb, wb, bb = leaves()
+        got = self.run([fb, sb], wb, bb, g)
+        fc, sc, wc, bc = leaves()
+        with use_tape(GradTape()) as tape:
+            y = conv2d(concat([fc, sc], axis=1), wc, bc, stride=1, padding=1)
+            tape.backward((y * Tensor(g)).sum())
+        want = y.numpy()
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+        for name, a, b in (("dW", wb, wc), ("db", bb, bc), ("dfused", fb, fc),
+                           ("dskip", sb, sc)):
+            if a.grad is None:
+                assert name == "dskip" and not skip_grad and b.grad is None
+                continue
+            assert a.grad.tobytes() == b.grad.tobytes(), name
+
+    def test_frozen_block_is_never_folded_back(self, monkeypatch):
+        fused_shape, skip_shape, w_shape = CCU_SHAPES[2]
+        rng = np.random.default_rng(42)
+        fused = Tensor(rng.normal(size=fused_shape), requires_grad=True)
+        skip = Tensor(rng.normal(size=skip_shape))
+        w = Tensor(rng.normal(size=w_shape), requires_grad=True)
+        folded = []
+        col2im = autodiff._col2im
+
+        def spy(cols, x_shape, *args):
+            folded.append(x_shape)
+            return col2im(cols, x_shape, *args)
+
+        monkeypatch.setattr(autodiff, "_col2im", spy)
+        g = rng.normal(size=(2, w_shape[0]) + fused_shape[2:])
+        self.run([fused, skip], w, None, g)
+        assert folded == [fused_shape]
+        assert skip.grad is None
+        assert fused.grad.shape == fused_shape
+
+    def test_blocks_must_share_batch_and_extent(self):
+        w = t64(np.zeros((1, 3, 1, 1)))
+        with pytest.raises(DimensionError):
+            conv2d([t64(np.zeros((1, 1, 4, 4))), t64(np.zeros((1, 2, 4, 5)))],
+                   w)
+        with pytest.raises(DimensionError):
+            conv2d([t64(np.zeros((1, 1, 4, 4))), t64(np.zeros((2, 2, 4, 4)))],
+                   w)
+        with pytest.raises(DimensionError, match="kernel channels 3 != "
+                           "input channels 4"):
+            conv2d([t64(np.zeros((1, 2, 4, 4))), t64(np.zeros((1, 2, 4, 4)))],
+                   w)
 
 
 class TestConv2d:

@@ -178,19 +178,24 @@ class TestCrossAttention:
             assert a.shape == b.shape, name
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
 
-    def test_float32_equals_composed_chain_bit_for_bit(self):
-        # the same BLAS calls on the same per-matrix layouts, so seeded
-        # training and eval outputs do not depend on which form runs;
-        # (2, 256, 32) is the default network's level-1 block in training
+    @pytest.mark.parametrize("shape", [(2, 64, 48), (2, 256, 32),
+                                       (1, 256, 32)])
+    @pytest.mark.parametrize("scale", [1.0, 4.0])
+    def test_float32_within_1e_5_of_float64_composed_chain(self, shape, scale):
+        # the op's float32 output and VJPs against the primitive chain run
+        # in float64; (2, 256, 32) is the default network's level-1 block
+        # in training and (1, 256, 32) in a batch-1 eval forward
         rng = np.random.default_rng(13)
-        for shape in ((2, 64, 48), (2, 256, 32)):
-            q, k, v, g = (rng.normal(size=shape).astype(np.float32)
-                          for _ in range(4))
-            fused = value_and_vjps(cross_attention, q, k, v, g, 4)
-            ref = value_and_vjps(composed_attention, q, k, v, g, 4)
-            for a, b in zip(fused, ref):
-                assert a.dtype == np.float32
-                assert a.tobytes() == b.tobytes(), shape
+        q, k, v = ((rng.normal(size=shape) * scale).astype(np.float32)
+                   for _ in range(3))
+        g = rng.normal(size=shape).astype(np.float32)
+        fused = value_and_vjps(cross_attention, q, k, v, g, 4)
+        ref = value_and_vjps(composed_attention,
+                             *(x.astype(np.float64) for x in (q, k, v, g)), 4)
+        for name, a, b in zip(("out", "dQ", "dK", "dV"), fused, ref):
+            assert a.dtype == np.float32, name
+            err = np.max(np.abs(a - b))
+            assert err <= 1e-5 * np.max(np.abs(b)), (name, err)
 
     def test_peak_memory_is_about_one_score_block(self):
         # the op streams one sample's [h,T_q,T_k] slab at a time, in place,

@@ -2,13 +2,17 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from augseg.errors import DimensionError
 from augseg.metrics import (
+    EXACT_WILCOXON_LIMIT,
     MetricsRecord,
+    _exact_p,
     WilcoxonResult,
     boundary_pixels,
     dice_score,
@@ -89,6 +93,23 @@ def oracle_wilcoxon_p(diffs):
         if min(w_plus, ranks.sum() - w_plus) <= w_obs + 1e-9:
             hits += 1
     return hits / 2 ** n
+
+
+def enumerated_exact_p(ranks, w_obs):
+    """The 2^n sign enumeration that ``_exact_p`` replaced by counting."""
+    n = ranks.size
+    s = float(ranks.sum())
+    total = 1 << n
+    hits = 0
+    chunk = 1 << 16
+    bits = (1 << np.arange(n, dtype=np.uint64))
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.uint64)
+        signs = (idx[:, None] & bits[None, :]) != 0
+        w_plus = signs @ ranks
+        hits += int(np.count_nonzero((w_plus <= w_obs + 1e-9) |
+                                     (w_plus >= s - w_obs - 1e-9)))
+    return hits / total
 
 
 # ----------------------------------------------------------------------
@@ -258,6 +279,29 @@ class TestWilcoxon:
                     continue
                 assert res.p_value == pytest.approx(oracle_wilcoxon_p(d),
                                                     abs=1e-12), f"n={n} d={d}"
+
+    def test_counting_equals_enumeration_with_ties(self):
+        rng = np.random.default_rng(8)
+        for n in range(1, 17):
+            for _ in range(8):
+                # few distinct magnitudes, so most draws have tied ranks
+                d = rng.integers(1, 5, size=n) * rng.choice((-1.0, 1.0),
+                                                            size=n)
+                ranks = rankdata(np.abs(d))
+                w = min(ranks[d > 0].sum(), ranks[d < 0].sum())
+                assert _exact_p(ranks, w) == enumerated_exact_p(ranks, w), d
+
+    def test_counting_peak_memory_at_the_exact_limit(self):
+        n = EXACT_WILCOXON_LIMIT
+        ranks = rankdata(np.arange(1, n + 1) // 2)
+        tracemalloc.start()
+        try:
+            p = _exact_p(ranks, 40.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < p < 1.0
+        assert peak < 1 << 20, peak
 
     def test_ties_get_average_ranks(self):
         res = wilcoxon_signed_rank([1.0, 1.0, -1.0, 2.0])

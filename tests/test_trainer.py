@@ -403,27 +403,32 @@ class TestTrain:
 
     def test_fused_attention_trains_like_composed_chain(self, dataset,
                                                         monkeypatch):
-        # the one-op attention must reproduce the primitive-op chain to the
-        # last bit through Adam, which op-level comparisons cannot show:
-        # a dK of equal values in another memory layout sends the w_k
-        # weight-gradient matmul down another BLAS path
+        # the one-op attention evaluates in another order than the
+        # primitive-op chain, so float32 results differ in the low bits;
+        # through three epochs of Adam they must stay that close
         cfg = TrainConfig(epochs=3, shots=2, seed=8, learning_rate=3e-3,
                           augmentation="feature_wavelet")
         net_cfg = NetworkConfig(param_seed=8)
         fused_net, fused_log, _ = train(cfg, net_cfg, dataset)
         monkeypatch.setattr(fusion, "cross_attention", composed_attention)
         chain_net, chain_log, _ = train(cfg, net_cfg, dataset)
-        assert fused_log == chain_log
+        assert len(fused_log) == len(chain_log) == 3
+        for row, chain_row in zip(fused_log, chain_log):
+            assert row[0] == chain_row[0]
+            np.testing.assert_allclose(row[1:], chain_row[1:], rtol=0,
+                                       atol=1e-5)
         chain_params = chain_net.parameters()
         for name, tensor in fused_net.parameters().items():
-            assert tensor.numpy().tobytes() == \
-                chain_params[name].numpy().tobytes(), name
+            np.testing.assert_allclose(tensor.numpy(),
+                                       chain_params[name].numpy(), rtol=0,
+                                       atol=1e-4, err_msg=name)
 
-    def test_default_network_step_records_at_most_60_tape_nodes(
+    def test_default_network_step_records_at_most_55_tape_nodes(
             self, dataset, monkeypatch):
-        # the token norm, the attention and the loss are one node each; a
-        # feature_wavelet step records 58, and 95 when the norm and the
-        # loss were chains of primitive ops
+        # the token norm, the attention and the loss are one node each, and
+        # each ccu conv reads its two inputs without a concat node; a
+        # feature_wavelet step records 55, 58 with the concats, and 95
+        # when the norm and the loss were chains of primitive ops
         sizes = []
         backward = trainer.GradTape.backward
 
@@ -435,7 +440,7 @@ class TestTrain:
         train(TrainConfig(epochs=1, shots=2, batch_size=2,
                           augmentation="feature_wavelet"),
               NetworkConfig(), dataset)
-        assert len(sizes) == 1 and sizes[0] <= 60, sizes
+        assert len(sizes) == 1 and sizes[0] <= 55, sizes
 
     def test_cg_fuse_off_skips_fusion_params(self, dataset):
         cfg = TrainConfig(epochs=2, shots=1, seed=5, augmentation="none")
