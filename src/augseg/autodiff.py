@@ -210,9 +210,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __getitem__(self, key):
-        return getitem(self, key)
-
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
@@ -356,34 +353,6 @@ def transpose(x, axes) -> Tensor:
     return _record(out, (x,), lambda g: (g.transpose(inv),))
 
 
-def concat(tensors, axis=0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def back(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _record(out, tuple(tensors), back)
-
-
-def getitem(x, key) -> Tensor:
-    """Basic (slice / integer) indexing; fancy indexing is rejected."""
-    x = _as_tensor(x)
-    for k in key if isinstance(key, tuple) else (key,):
-        if not isinstance(k, (slice, int)) and k is not Ellipsis:
-            raise ContractError("only slice/int/... indexing is supported")
-    out = Tensor(x.data[key])
-
-    def back(g):
-        dx = np.zeros_like(x.data)
-        dx[key] += g
-        return (dx,)
-
-    return _record(out, (x,), back)
-
-
 # ----------------------------------------------------------------------
 # nonlinearities
 # ----------------------------------------------------------------------
@@ -411,17 +380,6 @@ def gelu(x):
     return unary("gelu", x)
 
 
-def softmax_array(x: np.ndarray, axis=-1) -> np.ndarray:
-    """Max-subtracted stable softmax along ``axis``, in place on ``x``.
-
-    ``x`` is a float buffer the caller owns; it is returned.
-    """
-    x -= np.max(x, axis=axis, keepdims=True)
-    np.exp(x, out=x)
-    x /= np.sum(x, axis=axis, keepdims=True)
-    return x
-
-
 def softmax_vjp(y: np.ndarray, g: np.ndarray, axis=-1) -> np.ndarray:
     """Adjoint of softmax at output ``y``: ``y * (g - sum(g * y))``.
 
@@ -431,18 +389,6 @@ def softmax_vjp(y: np.ndarray, g: np.ndarray, axis=-1) -> np.ndarray:
     g -= np.sum(g * y, axis=axis, keepdims=True)
     g *= y
     return g
-
-
-def softmax(x, axis=-1) -> Tensor:
-    """Max-subtracted stable softmax; slices along ``axis`` sum to 1."""
-    x = _as_tensor(x)
-    if not -x.ndim <= axis < x.ndim:
-        raise DimensionError(f"softmax axis {axis} out of range for rank {x.ndim}")
-    y = softmax_array(x.data.astype(np.promote_types(x.dtype, np.float32)),
-                      axis)
-    # the kernel works in place, and a closure never writes into its ``g``
-    return _record(Tensor(y), (x,), lambda g: (
-        softmax_vjp(y, g.astype(np.result_type(g, y)), axis),))
 
 
 # ----------------------------------------------------------------------

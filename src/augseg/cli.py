@@ -18,7 +18,8 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 
 from . import __version__, daug
-from .errors import AugsegError, InputError, InvariantError
+from .errors import (AugsegError, InputError, InvariantError,
+                     NumericDomainError, check_seed)
 from .model import EncoderSpec, NetworkConfig
 from .netpbm import read_pgm, write_ppm
 from .pca import feature_pca, pca_to_image
@@ -39,9 +40,17 @@ def _default_seed() -> int:
     if env is None:
         return 0
     try:
-        return int(env)
+        seed = int(env)
     except ValueError:
         raise InputError(f"AUGSEG_SEED must be an integer, got {env!r}")
+    return check_seed(seed, "AUGSEG_SEED")
+
+
+def _seed(args) -> int:
+    """``--seed``, else ``AUGSEG_SEED``, else 0."""
+    if args.seed is None:
+        return _default_seed()
+    return check_seed(args.seed, "--seed")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 # subcommand implementations
 # ----------------------------------------------------------------------
 def _cmd_synth(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     cfg = SynthConfig(image_size=args.size, num_classes=args.classes)
     train_seeds = range(seed, seed + args.count)
     test_seeds = range(seed + 1_000_000, seed + 1_000_000 + args.test_count)
@@ -198,7 +207,7 @@ def _load_configs(args):
             train_kwargs[key] = getattr(args, flag)
     if args.no_cg_fuse:
         net_kwargs["use_cg_fuse"] = False
-    train_kwargs["seed"] = args.seed if args.seed is not None else _default_seed()
+    train_kwargs["seed"] = _seed(args)
     return TrainConfig(**train_kwargs), NetworkConfig(**net_kwargs)
 
 
@@ -225,6 +234,8 @@ def _cmd_ablate(args) -> int:
         seeds = [int(s) for s in args.seeds.split(",") if s]
     except ValueError:
         raise InputError(f"--seeds must be comma-separated integers: {args.seeds}")
+    for s in seeds:
+        check_seed(s, "--seeds entry")
     arms = table6_arms() if args.mode == "table6" else table8_arms()
     train_cfg = TrainConfig(epochs=args.epochs, shots=args.shots)
     results, tests = ablation_run(arms, seeds, train_cfg, NetworkConfig(),
@@ -243,6 +254,10 @@ def _read_rank4(path):
     arr = daug.read_tensor(path)
     if arr.ndim != 4:
         raise InputError(f"{path}: expected a rank-4 tensor, got rank {arr.ndim}")
+    # NaN fails the comparison too; no float32 cast, so no overflow warning
+    if not np.all(np.abs(arr) <= np.finfo(np.float32).max):
+        raise NumericDomainError(
+            f"{path}: tensor values must be finite and within float32 range")
     return arr
 
 
@@ -269,8 +284,7 @@ def _cmd_wt_aug(args) -> int:
                          f"{args.keep_prob}")
     if len(probs) != 4:
         raise InputError("--keep-prob needs exactly four values")
-    seed = args.seed if args.seed is not None else _default_seed()
-    cfg = WtAugConfig(keep_prob=probs, seed=seed)
+    cfg = WtAugConfig(keep_prob=probs, seed=_seed(args))
     out = wt_aug(Tensor(arr.astype(np.float32, copy=False)), cfg)
     daug.write_tensor(args.out, out.numpy())
     print(f"wrote {args.out}")
@@ -298,13 +312,15 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_featviz(args) -> int:
+    if args.k < 1:
+        raise InputError(f"--k must be at least 1, got {args.k}")
+    seed = _seed(args)
     arr = _read_rank4(args.infile)
     if arr.shape[0] != 1:
         raise InputError("featviz expects a single [1,C,H,W] feature map")
     if arr.shape[1] < args.k:
         raise InputError(
             f"need at least k={args.k} channels, got {arr.shape[1]}")
-    seed = args.seed if args.seed is not None else _default_seed()
     scores, eigvals, comps = feature_pca(arr, k=args.k, seed=seed)
     image = pca_to_image(scores, eigvals)
     if args.k < 3:

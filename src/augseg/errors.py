@@ -7,6 +7,8 @@ invariant (exit code 2) and deliberately does not inherit from
 ``AugsegError``.
 """
 
+import numbers
+
 
 class AugsegError(Exception):
     """Base class for input/usage errors."""
@@ -34,3 +36,13 @@ class InputError(AugsegError):
 
 class InvariantError(Exception):
     """An internal invariant failed; indicates a bug, not bad input."""
+
+
+def check_seed(value, name):
+    """``value`` if numpy's generators accept it as a seed (an integer
+    >= 0); otherwise a ``ContractError`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < 0:
+        raise ContractError(
+            f"{name} must be a non-negative integer, got {value!r}")
+    return value

@@ -33,7 +33,7 @@ from .autodiff import (
     gelu,
     relu,
 )
-from .errors import ContractError, InputError, NumericDomainError
+from .errors import ContractError, InputError, NumericDomainError, check_seed
 from .fusion import FusionParams, cg_fuse
 from .wavelet import WtAugConfig, wt_aug
 
@@ -60,6 +60,7 @@ class EncoderSpec:
             raise ContractError("strides must be nondecreasing")
         if self.kind == "file" and not self.path_template:
             raise ContractError("file encoder needs a path template")
+        check_seed(self.seed, "encoder seed")
 
 
 @dataclass
@@ -86,6 +87,7 @@ class NetworkConfig:
             raise ContractError("one WtAugConfig per encoder stage")
         if self.num_classes < 2:
             raise ContractError("need background plus at least one class")
+        check_seed(self.param_seed, "param_seed")
         if self.image_size % self.encoder.strides[-1] != 0:
             raise ContractError(
                 f"image size {self.image_size} not divisible by deepest "

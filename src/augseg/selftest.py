@@ -20,7 +20,6 @@ from .autodiff import (
     conv2d,
     conv_transpose2d,
     finite_diff_check,
-    softmax,
     use_tape,
 )
 from .fusion import FusionParams, cg_fuse, cross_attention
@@ -122,9 +121,14 @@ def _checks():
         assert err < 1e-4, f"loss gradient err {err}"
 
     def softmax_contract():
-        y = softmax(Tensor(rng.normal(size=(5, 9)) * 7), -1).numpy()
-        assert np.all(y >= 0)
-        assert np.max(np.abs(y.sum(axis=-1) - 1.0)) < 1e-6
+        # with V = I the attention output is its softmax rows
+        eye = Tensor(np.eye(9)[None])
+        for scale in (0.2, 2.0, 20.0, 200.0):
+            q = Tensor(rng.normal(size=(1, 5, 9)) * scale)
+            k = Tensor(rng.normal(size=(1, 9, 9)))
+            y = cross_attention(q, k, eye, head_count=1).numpy()
+            assert np.all(y >= 0)
+            assert np.max(np.abs(y.sum(axis=-1) - 1.0)) < 1e-6, scale
 
     def attention_single_key():
         q = Tensor(rng.normal(size=(1, 4, 4)))

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autodiff import GradTape, Tensor, recording, use_tape
-from .errors import AugsegError, ContractError, InputError
+from .errors import AugsegError, ContractError, InputError, check_seed
 from .losses import combined_loss
 from .metrics import (
     MetricsRecord,
@@ -68,6 +68,7 @@ class TrainConfig:
             if getattr(self, name) < 1:
                 raise ContractError(
                     f"{name} must be at least 1, got {getattr(self, name)}")
+        check_seed(self.seed, "seed")
         if self.augmentation not in ARMS:
             raise ContractError(f"unknown augmentation arm {self.augmentation!r}")
         if not (_is_number(self.eps) and 0 < self.eps < math.inf):

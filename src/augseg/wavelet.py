@@ -11,15 +11,17 @@ block [[a, b], [c, d]] (b right of a, c below a)
 so synthesis is the transpose and reconstruction is exact, and the
 total squared energy of the four sub-bands equals that of the source.
 Odd spatial extents are reflect-padded to even before analysis and the
-synthesis output is cropped back.
+synthesis output is cropped back.  The map is its own inverse, so one
+butterfly, ``_butterfly``, computes both analysis and synthesis.
 
 The augmentation zeroes a random subset of coefficients per sub-band
 (Bernoulli keep masks shared across batch, and across channels by
 default) and reconstructs.  With W the orthonormal analysis and M the
 0/1 mask, the map is W^T M W, which is symmetric, so ``wt_aug`` is one
 recorded op whose adjoint is the same map applied to the gradient.
-``haar_dwt2``/``haar_idwt2`` are the differentiable reference that
-composes it from primitive tape ops.
+``haar_dwt2``/``haar_idwt2`` expose the sub-bands as plain values; they
+record nothing, and reject an input that requires grad while a tape is
+recording.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _record, concat, reshape
-from .errors import ContractError, DimensionError
+from .autodiff import Tensor, _record, recording
+from .errors import ContractError, DimensionError, check_seed
 
 
 @dataclass
@@ -84,63 +86,50 @@ class WtAugConfig:
                 len(self.keep_prob) != 4:
             raise ContractError("keep_prob needs one value per sub-band")
         self.keep_prob = tuple(self.keep_prob)
+        check_seed(self.seed, "wt_aug seed")
         for p in self.keep_prob:
             if not isinstance(p, numbers.Real) or isinstance(p, bool) or \
                     not 0.0 <= p <= 1.0:
                 raise ContractError(f"keep_prob {p!r} is not a number in [0, 1]")
 
 
-def _reflect_pad_to_even(f: Tensor):
-    """Append a mirrored row/column where the extent is odd."""
-    n, c, h, w = f.shape
-    pad_h = h % 2
-    pad_w = w % 2
-    if pad_h:
-        f = concat([f, f[:, :, h - 2:h - 1, :]], axis=2)
-    if pad_w:
-        f = concat([f, f[:, :, :, w - 2:w - 1]], axis=3)
-    return f, (pad_h or pad_w)
+def _untaped(name, tensors):
+    """Reject a tape-tracked input: the sub-band pair records nothing."""
+    if recording() and any(t.requires_grad for t in tensors):
+        raise ContractError(
+            f"{name} does not record gradients; use wt_aug for a "
+            "differentiable sub-band mask")
 
 
 def haar_dwt2(f: Tensor) -> SubbandSet:
     """Orthonormal single-level Haar analysis of a [N,C,H,W] map."""
+    _untaped("haar_dwt2", (f,))
     if f.ndim != 4:
         raise ContractError(f"haar_dwt2 expects rank 4, got rank {f.ndim}")
     n, c, h, w = f.shape
     if h < 2 or w < 2:
         raise ContractError("spatial extents must be >= 2")
-    padded, was_padded = _reflect_pad_to_even(f)
-    a = padded[:, :, 0::2, 0::2]
-    b = padded[:, :, 0::2, 1::2]
-    cc = padded[:, :, 1::2, 0::2]
-    d = padded[:, :, 1::2, 1::2]
-    ll = (a + b + cc + d) * 0.5
-    lh = (a - b + cc - d) * 0.5
-    hl = (a + b - cc - d) * 0.5
-    hh = (a - b - cc + d) * 0.5
-    return SubbandSet(ll, lh, hl, hh, orig_hw=(h, w) if was_padded else None)
+    ph, pw = h % 2, w % 2
+    x = np.pad(f.data, ((0, 0), (0, 0), (0, ph), (0, pw)), mode="reflect")
+    y = _butterfly(x.reshape(n, c, (h + ph) // 2, 2, (w + pw) // 2, 2))
+    bands = (y[:, :, :, i, :, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    return SubbandSet(*(Tensor(np.ascontiguousarray(b)) for b in bands),
+                      orig_hw=(h, w) if ph or pw else None)
 
 
 def haar_idwt2(s: SubbandSet) -> Tensor:
     """Exact inverse of :func:`haar_dwt2`; crops any analysis padding."""
+    _untaped("haar_idwt2", s.bands())
     shapes = {band.shape for band in s.bands()}
     if len(shapes) != 1:
         raise ContractError(f"sub-band shapes differ: {sorted(shapes)}")
-    ll, lh, hl, hh = s.bands()
-    a = (ll + lh + hl + hh) * 0.5
-    b = (ll - lh + hl - hh) * 0.5
-    c = (ll + lh - hl - hh) * 0.5
-    d = (ll - lh - hl + hh) * 0.5
-    n, ch, h2, w2 = ll.shape
-    top = concat([reshape(a, (n, ch, h2, 1, w2, 1)),
-                  reshape(b, (n, ch, h2, 1, w2, 1))], axis=5)
-    bottom = concat([reshape(c, (n, ch, h2, 1, w2, 1)),
-                     reshape(d, (n, ch, h2, 1, w2, 1))], axis=5)
-    out = reshape(concat([top, bottom], axis=3), (n, ch, 2 * h2, 2 * w2))
+    n, c, h2, w2 = s.LL.shape
+    x = _butterfly(_blocks([b.data for b in s.bands()]))
+    x = x.reshape(n, c, 2 * h2, 2 * w2)
     if s.orig_hw is not None:
         h, w = s.orig_hw
-        out = out[:, :, :h, :w]
-    return out
+        x = np.ascontiguousarray(x[:, :, :h, :w])
+    return Tensor(x)
 
 
 def make_masks(spatial_shape, cfg: WtAugConfig, rng=None) -> MaskSet:
@@ -160,15 +149,8 @@ def make_masks(spatial_shape, cfg: WtAugConfig, rng=None) -> MaskSet:
         raise ContractError("spatial_shape must be (h, w) or (c, h, w)")
     drawn = []
     for p in cfg.keep_prob:
-        if p >= 1.0:
-            m = np.ones(shape, dtype=np.float32)
-            rng.random(shape)  # keep the stream position independent of p
-        elif p <= 0.0:
-            m = np.zeros(shape, dtype=np.float32)
-            rng.random(shape)
-        else:
-            m = (rng.random(shape) < p).astype(np.float32)
-        drawn.append(Tensor(m))
+        # random() draws from [0, 1), so p = 1 keeps all and p = 0 none
+        drawn.append(Tensor((rng.random(shape) < p).astype(np.float32)))
     return MaskSet(*drawn)
 
 
@@ -179,6 +161,14 @@ def _check_mask_shape(mask_shape, band_shape):
         raise DimensionError(
             f"mask shape {mask_shape} does not broadcast to sub-band shape "
             f"{band_shape}")
+
+
+def _blocks(bands):
+    """Stack four [..., h, w] arrays (LL, LH, HL, HH) into
+    (..., h, 2, w, 2) blocks laid out [[LL, LH], [HL, HH]]."""
+    ll, lh, hl, hh = bands
+    return np.stack([np.stack([ll, lh], axis=-1),
+                     np.stack([hl, hh], axis=-1)], axis=-3)
 
 
 def _butterfly(x6):
@@ -241,10 +231,7 @@ def wt_aug(f: Tensor, cfg: WtAugConfig, rng=None, masks: MaskSet | None = None) 
         _check_mask_shape(m.shape, (n, c, h2, w2))
     if masks.all_ones():
         return f
-    m_ll, m_lh, m_hl, m_hh = np.broadcast_arrays(
-        *(m.numpy() for m in masks.masks()))
-    m6 = np.stack([np.stack([m_ll, m_lh], axis=-1),
-                   np.stack([m_hl, m_hh], axis=-1)], axis=-3)
+    m6 = _blocks(np.broadcast_arrays(*(m.numpy() for m in masks.masks())))
     pad = ((0, 0), (0, 0), (0, ph), (0, pw))
     if ph or pw:
         y = _masked_haar(np.pad(f.data, pad, mode="reflect"), m6)[:, :, :h, :w]

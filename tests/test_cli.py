@@ -419,3 +419,103 @@ class TestTrainEvalCommands:
         out = capsys.readouterr().out
         assert "wilcoxon" in out
         assert (tmp_path / "abl" / "ablation.csv").exists()
+
+
+def _command(cmd, infile, out):
+    """argv for one of the three tensor-reading commands."""
+    flag = "--out-prefix" if cmd == "dwt" else "--out"
+    return [cmd, "--in", str(infile), flag, str(out)]
+
+
+class TestTensorInputValues:
+    """dwt, wt-aug and featviz reject values they cannot carry, before
+    anything is written."""
+
+    @pytest.mark.parametrize("cmd", ["dwt", "wt-aug", "featviz"])
+    @pytest.mark.parametrize("value,dtype", [(np.nan, np.float32),
+                                             (1e300, np.float64)])
+    def test_rejected_with_the_file_named(self, tmp_path, capsys, cmd, value,
+                                          dtype):
+        arr = np.ones((1, 4, 6, 6), dtype=dtype)
+        arr[0, 1, 2, 3] = value
+        infile = tmp_path / "f.daug"
+        daug.write_tensor(infile, arr)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert dispatch(_command(cmd, infile, out_dir / "o")) == 1
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert str(infile) in err and "finite" in err, err
+        assert not any(out_dir.iterdir())
+
+
+class TestNegativeSeedsAndK:
+    """A seed below 0 or featviz --k below 1 is exit 1 where it enters."""
+
+    @staticmethod
+    def feature_file(tmp_path):
+        infile = tmp_path / "f.daug"
+        daug.write_tensor(infile, np.random.default_rng(0).normal(
+            size=(1, 4, 6, 6)).astype(np.float32))
+        return infile
+
+    def check(self, capsys, argv, words, out):
+        assert dispatch(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert all(w in err for w in words), err
+        assert not out.exists()
+
+    def test_synth(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        self.check(capsys, ["synth", "--count", "1", "--seed", "-1",
+                            "--out", str(out)], ("--seed", "-1"), out)
+
+    def test_synth_env_seed(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("AUGSEG_SEED", "-2")
+        out = tmp_path / "data"
+        self.check(capsys, ["synth", "--count", "1", "--out", str(out)],
+                   ("AUGSEG_SEED", "-2"), out)
+
+    def test_train(self, dataset, tmp_path, capsys):
+        out = tmp_path / "run"
+        self.check(capsys, ["train", "--data", str(dataset), "--out",
+                            str(out), "--epochs", "1", "--seed", "-1"],
+                   ("--seed", "-1"), out)
+
+    @pytest.mark.parametrize("blob,name", [
+        ({"network": {"param_seed": -1}}, "param_seed"),
+        ({"network": {"encoder": {"seed": -1}}}, "encoder seed"),
+        ({"network": {"wt_aug": [{"seed": -1}] + [{}] * 3}}, "wt_aug seed")])
+    def test_config_seed(self, dataset, tmp_path, capsys, blob, name):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(blob))
+        out = tmp_path / "run"
+        self.check(capsys, ["train", "--data", str(dataset), "--out",
+                            str(out), "--epochs", "1", "--config",
+                            str(cfg_path)], (name, "-1"), out)
+
+    def test_ablate(self, dataset, tmp_path, capsys):
+        out = tmp_path / "abl"
+        self.check(capsys, ["ablate", "--data", str(dataset), "--out",
+                            str(out), "--seeds", "0,-1", "--epochs", "1"],
+                   ("--seeds", "-1"), out)
+
+    def test_wt_aug(self, tmp_path, capsys):
+        out = tmp_path / "g.daug"
+        self.check(capsys, ["wt-aug", "--in", str(self.feature_file(tmp_path)),
+                            "--out", str(out), "--seed", "-1"],
+                   ("--seed", "-1"), out)
+
+    def test_featviz_seed(self, tmp_path, capsys):
+        out = tmp_path / "v.ppm"
+        self.check(capsys, ["featviz", "--in",
+                            str(self.feature_file(tmp_path)), "--out",
+                            str(out), "--seed", "-1"], ("--seed", "-1"), out)
+
+    @pytest.mark.parametrize("k", ["-1", "0"])
+    def test_featviz_k(self, tmp_path, capsys, k):
+        out = tmp_path / "v.ppm"
+        self.check(capsys, ["featviz", "--in",
+                            str(self.feature_file(tmp_path)), "--out",
+                            str(out), "--k", k], ("--k", k), out)

@@ -12,7 +12,6 @@ from augseg.autodiff import (
     matmul,
     reshape,
     gelu,
-    softmax,
     transpose,
     tsum,
     use_tape,
@@ -22,7 +21,7 @@ from augseg.fusion import (_NORM_EPS, FusionParams, _norm_tokens, cg_fuse,
                            cross_attention)
 from augseg.model import Network, NetworkConfig
 
-from test_autodiff import div, sqrt
+from test_autodiff import div, softmax, sqrt
 
 # (decoder map, encoder map) shapes at fusion levels 3, 2 and 1 of a
 # default-network training batch of 2

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from augseg.autodiff import GradTape, Tensor, finite_diff_check, use_tape
+from augseg.autodiff import (GradTape, Tensor, finite_diff_check, reshape,
+                             use_tape)
 from augseg.errors import ContractError, DimensionError
 from augseg.wavelet import (
     SubbandSet,
@@ -13,6 +14,8 @@ from augseg.wavelet import (
     make_masks,
     wt_aug,
 )
+
+from test_autodiff import concat, getitem
 
 
 def t4(data, dtype=np.float32):
@@ -134,6 +137,18 @@ class TestMakeMasks:
             frac = float(m.numpy().mean())
             assert 0.40 <= frac <= 0.60
 
+    @pytest.mark.parametrize("shape", [(5, 6), (3, 4, 4)])
+    @pytest.mark.parametrize("keep", [(1, 0, .5, 1), (0, 0, 0, 0),
+                                      (1, 1, 1, 1), (.3, .7, 1, 0)])
+    def test_stream_is_one_draw_per_band(self, shape, keep):
+        # every band draws random(shape) whatever its keep probability
+        ms = make_masks(shape, WtAugConfig(keep_prob=keep, seed=19))
+        u = np.random.default_rng(19).random((4,) + shape)
+        for m, ub, p in zip(ms.masks(), u, keep):
+            assert m.dtype == np.float32
+            assert m.shape == (1,) * (4 - len(shape)) + shape
+            np.testing.assert_array_equal(m.numpy().reshape(shape), ub < p)
+
     def test_per_channel_masks(self):
         cfg = WtAugConfig(keep_prob=(0.5,) * 4, seed=11, channel_shared=False)
         ms = make_masks((3, 8, 8), cfg)
@@ -198,11 +213,108 @@ class TestWtAug:
         assert err < 1e-5
 
 
+# ----------------------------------------------------------------------
+# Reference Haar pair composed from primitive tape ops (slices, sums,
+# concat and interleaving reshapes).  haar_dwt2/haar_idwt2 replaced it
+# with the shared butterfly, which sums (a + b) + (c + d) where this
+# chain sums ((a + b) + c) + d, so the two agree to rounding.
+# ----------------------------------------------------------------------
+def reference_haar_dwt2(f):
+    n, c, h, w = f.shape
+    if h % 2:       # append a mirrored row/column where the extent is odd
+        f = concat([f, getitem(f, np.s_[:, :, h - 2:h - 1, :])], axis=2)
+    if w % 2:
+        f = concat([f, getitem(f, np.s_[:, :, :, w - 2:w - 1])], axis=3)
+    a, b, cc, d = (getitem(f, np.s_[:, :, i::2, j::2])
+                   for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    ll = (a + b + cc + d) * 0.5
+    lh = (a - b + cc - d) * 0.5
+    hl = (a + b - cc - d) * 0.5
+    hh = (a - b - cc + d) * 0.5
+    return SubbandSet(ll, lh, hl, hh,
+                      orig_hw=(h, w) if h % 2 or w % 2 else None)
+
+
+def reference_haar_idwt2(s):
+    ll, lh, hl, hh = s.bands()
+    a = (ll + lh + hl + hh) * 0.5
+    b = (ll - lh + hl - hh) * 0.5
+    c = (ll + lh - hl - hh) * 0.5
+    d = (ll - lh - hl + hh) * 0.5
+    n, ch, h2, w2 = ll.shape
+    top = concat([reshape(a, (n, ch, h2, 1, w2, 1)),
+                  reshape(b, (n, ch, h2, 1, w2, 1))], axis=5)
+    bottom = concat([reshape(c, (n, ch, h2, 1, w2, 1)),
+                     reshape(d, (n, ch, h2, 1, w2, 1))], axis=5)
+    out = reshape(concat([top, bottom], axis=3), (n, ch, 2 * h2, 2 * w2))
+    if s.orig_hw is not None:
+        h, w = s.orig_hw
+        out = getitem(out, np.s_[:, :, :h, :w])
+    return out
+
+
 def reference_wt_aug(f, masks):
-    """haar_idwt2(mask * haar_dwt2(f)), composed from primitive tape ops."""
-    sub = haar_dwt2(f)
+    """idwt(mask * dwt(f)) with the composed reference pair."""
+    sub = reference_haar_dwt2(f)
     bands = [b * m for b, m in zip(sub.bands(), masks.masks())]
-    return haar_idwt2(SubbandSet(*bands, orig_hw=sub.orig_hw))
+    return reference_haar_idwt2(SubbandSet(*bands, orig_hw=sub.orig_hw))
+
+
+def criterion_1_shapes(rng, count):
+    """Acceptance criterion 1's [N,C,H,W] generator, odd extents included."""
+    for _ in range(count):
+        yield (int(rng.integers(1, 3)), int(rng.integers(1, 9)),
+               int(rng.integers(2, 17)), int(rng.integers(2, 17)))
+
+
+class TestButterflyKernel:
+    """haar_dwt2/haar_idwt2 run the butterfly that wt_aug runs."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_analysis_matches_composed_reference(self, dtype):
+        rng = np.random.default_rng(60)
+        for shape in criterion_1_shapes(rng, 200):
+            x = (rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3)
+                 ).astype(dtype)
+            got, want = haar_dwt2(Tensor(x)), reference_haar_dwt2(Tensor(x))
+            assert got.orig_hw == want.orig_hw
+            bound = 2 * np.finfo(dtype).eps * np.max(np.abs(x))
+            for g, r in zip(got.bands(), want.bands()):
+                assert g.dtype == dtype and g.shape == r.shape
+                assert np.max(np.abs(g.numpy() - r.numpy())) <= bound, shape
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_synthesis_matches_composed_reference(self, dtype):
+        rng = np.random.default_rng(61)
+        for n, c, h, w in criterion_1_shapes(rng, 200):
+            band_shape = (n, c, (h + 1) // 2, (w + 1) // 2)
+            scale = 10.0 ** rng.uniform(-3, 3)
+            bands = [Tensor((rng.normal(size=band_shape) * scale).astype(dtype))
+                     for _ in range(4)]
+            orig_hw = (h, w) if h % 2 or w % 2 else None
+            got = haar_idwt2(SubbandSet(*bands, orig_hw=orig_hw)).numpy()
+            want = reference_haar_idwt2(
+                SubbandSet(*bands, orig_hw=orig_hw)).numpy()
+            bound = 2 * np.finfo(dtype).eps * max(
+                np.max(np.abs(b.numpy())) for b in bands)
+            assert got.dtype == dtype and got.shape == (n, c, h, w)
+            assert got.flags.c_contiguous
+            assert np.max(np.abs(got - want)) <= bound, (n, c, h, w)
+
+    def test_tape_tracked_input_rejected(self):
+        f = Tensor(np.ones((1, 1, 4, 4)), requires_grad=True)
+        bands = SubbandSet(*(Tensor(np.full((1, 1, 2, 2), 2.0 - 2 * min(i, 1)),
+                                    requires_grad=i == 2) for i in range(4)))
+        with use_tape(GradTape()):
+            with pytest.raises(ContractError, match="use wt_aug"):
+                haar_dwt2(f)
+            with pytest.raises(ContractError, match="use wt_aug"):
+                haar_idwt2(bands)
+            # an input that needs no gradient is read as a value
+            haar_dwt2(Tensor(np.ones((1, 1, 4, 4))))
+        # outside a tape nothing records, so any input is a value
+        np.testing.assert_array_equal(haar_dwt2(f).LL.numpy(), 2.0)
+        np.testing.assert_array_equal(haar_idwt2(bands).numpy(), 1.0)
 
 
 class TestFusedWtAug:
