@@ -53,8 +53,10 @@ class GradTape:
         """Accumulate d loss / d leaf into ``grad`` of every reachable leaf.
 
         Repeated calls within one block accumulate (each call adds one
-        full gradient).  Adjoints of interior nodes live in a scratch
-        table keyed by tensor identity; only leaves keep a ``grad``.
+        full gradient), in place into a preset ``grad`` such as the store
+        view ``AdamState.for_params`` binds.  Adjoints of interior nodes
+        live in a scratch table keyed by tensor identity; only leaves
+        keep a ``grad``.
 
         An adjoint closure never writes into the ``g`` it receives, and
         interior adjoints are summed out of place, so a closure may
@@ -168,8 +170,9 @@ class Tensor:
         Not in place: the old buffer is left as it was, and ``new_data``
         is used as is when it already has this tensor's dtype (so
         ``AdamState.for_params`` can bind each parameter to a view of its
-        store).  Rebinding a parameter that is such a view detaches it
-        from the store, and ``adam_step`` then rejects it.
+        store).  A preset ``grad`` stays and still accumulates in place.
+        Rebinding a parameter that is such a view detaches it from the
+        store, and ``adam_step`` then rejects it.
         """
         if _tape is not None:
             raise ContractError(
@@ -179,9 +182,6 @@ class Tensor:
             raise DimensionError(
                 f"assign shape {arr.shape} != tensor shape {self.data.shape}")
         self.data = arr
-
-    def zero_grad(self):
-        self.grad = None
 
     # ------------------------------------------------------------------
     # operator sugar

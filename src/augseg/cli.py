@@ -133,6 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 def _cmd_synth(args) -> int:
     seed = _seed(args)
+    for flag, count in (("--count", args.count),
+                        ("--test-count", args.test_count)):
+        if count < 0:
+            raise InputError(f"{flag} must be at least 0, got {count}")
     cfg = SynthConfig(image_size=args.size, num_classes=args.classes)
     train_seeds = range(seed, seed + args.count)
     test_seeds = range(seed + 1_000_000, seed + 1_000_000 + args.test_count)
@@ -248,23 +252,29 @@ def _cmd_ablate(args) -> int:
     return 0
 
 
-def _read_rank4(path):
+_F32_MAX = float(np.finfo(np.float32).max)
+# the Haar butterfly sums up to four values, so |x| <= max/4 keeps every
+# sum of dwt and wt-aug finite in float32
+_HAAR_LIMIT = _F32_MAX / 4
+
+
+def _read_rank4(path, limit=_F32_MAX):
     if not os.path.exists(path):
         raise InputError(f"tensor file not found: {path}")
     arr = daug.read_tensor(path)
     if arr.ndim != 4:
         raise InputError(f"{path}: expected a rank-4 tensor, got rank {arr.ndim}")
     # NaN fails the comparison too; no float32 cast, so no overflow warning
-    if not np.all(np.abs(arr) <= np.finfo(np.float32).max):
-        raise NumericDomainError(
-            f"{path}: tensor values must be finite and within float32 range")
+    if not np.all(np.abs(arr) <= limit):
+        raise NumericDomainError(f"{path}: tensor values must be finite and "
+                                 f"at most {limit:.7g} in magnitude")
     return arr
 
 
 def _cmd_dwt(args) -> int:
     from .autodiff import Tensor
     from .wavelet import haar_dwt2
-    arr = _read_rank4(args.infile)
+    arr = _read_rank4(args.infile, _HAAR_LIMIT)
     bands = haar_dwt2(Tensor(arr.astype(np.float32, copy=False)))
     for name, band in zip(("LL", "LH", "HL", "HH"), bands.bands()):
         out = f"{args.out_prefix}_{name}.daug"
@@ -276,7 +286,7 @@ def _cmd_dwt(args) -> int:
 def _cmd_wt_aug(args) -> int:
     from .autodiff import Tensor
     from .wavelet import wt_aug
-    arr = _read_rank4(args.infile)
+    arr = _read_rank4(args.infile, _HAAR_LIMIT)
     try:
         probs = tuple(float(p) for p in args.keep_prob.split(","))
     except ValueError:
@@ -293,6 +303,10 @@ def _cmd_wt_aug(args) -> int:
 
 def _cmd_metrics(args) -> int:
     from .metrics import MetricsRecord, dice_score, hd95, write_metrics_csv
+    if args.classes < 2:
+        raise InputError(
+            f"--classes must be at least 2 (background and one foreground "
+            f"class), got {args.classes}")
     if not os.path.exists(args.pred):
         raise InputError(f"prediction mask not found: {args.pred}")
     if not os.path.exists(args.gt):

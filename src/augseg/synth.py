@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -34,6 +35,17 @@ class SynthConfig:
     max_shapes: int = 3
     background_range: tuple = (0.15, 0.45)
     background_cells: int = 8             # coarse noise grid extent
+
+    def __post_init__(self):
+        # below 20 pixels the radius cap (0.45 * size) and the 1-pixel
+        # margin can leave no room for a shape's centre
+        if self.image_size < 20:
+            raise ContractError(
+                f"image_size must be at least 20, got {self.image_size}")
+        # class indices are stored in uint8 masks
+        if not 2 <= self.num_classes <= 256:
+            raise ContractError(
+                f"num_classes must be in [2, 256], got {self.num_classes}")
 
 
 @dataclass
@@ -106,8 +118,6 @@ def gen_sample(seed: int, config: SynthConfig | None = None) -> Sample:
     config = config or SynthConfig()
     size = config.image_size
     n_fg = config.num_classes - 1
-    if n_fg < 1:
-        raise ContractError("need at least one foreground class")
     for attempt in range(64):
         rng = np.random.default_rng(np.random.SeedSequence((seed, attempt)))
         bg = _coarse_noise(rng, size, config.background_cells,
@@ -246,6 +256,45 @@ def random_corruption(rng, *, length_range=(3, 9), factor_range=(0.6, 1.5),
         scale=float(rng.uniform(*scale_range)),
         drop_prob=float(rng.uniform(*drop_range)),
     )
+
+
+# random_corruption's range keywords, and what each end must be for every
+# draw to be a valid CorruptionSpec
+_STRENGTH_RANGES = {
+    "length_range": ("integers >= 1",
+                     lambda x: isinstance(x, numbers.Integral) and x >= 1),
+    "factor_range": ("finite numbers >= 0", lambda x: 0 <= x < math.inf),
+    "scale_range": ("finite numbers > 0", lambda x: 0 < x < math.inf),
+    "drop_range": ("numbers in [0, 1]", lambda x: 0 <= x <= 1),
+}
+
+
+def check_strengths(strengths) -> None:
+    """Reject ``TrainConfig.corruption_strengths`` that ``random_corruption``
+    cannot take or cannot draw a valid spec from."""
+    if not isinstance(strengths, dict):
+        raise ContractError(
+            f"corruption_strengths must be a dict, got {strengths!r}")
+    for key, value in strengths.items():
+        if key == "kinds":
+            if (not isinstance(value, (list, tuple)) or not value
+                    or not all(k in CORRUPTION_KINDS for k in value)):
+                raise ContractError(
+                    "corruption_strengths.kinds must be a non-empty list of "
+                    f"{list(CORRUPTION_KINDS)}, got {value!r}")
+        elif key in _STRENGTH_RANGES:
+            what, ok = _STRENGTH_RANGES[key]
+            if (not isinstance(value, (list, tuple)) or len(value) != 2
+                    or not all(isinstance(x, numbers.Real) and
+                               not isinstance(x, bool) and ok(x)
+                               for x in value) or value[0] > value[1]):
+                raise ContractError(
+                    f"corruption_strengths.{key} must be two {what} with "
+                    f"low <= high, got {value!r}")
+        else:
+            raise ContractError(
+                f"unknown corruption_strengths key {key!r}; expected one of "
+                f"{[*_STRENGTH_RANGES, 'kinds']}")
 
 
 # ----------------------------------------------------------------------

@@ -36,7 +36,8 @@ from .metrics import (
     write_metrics_csv,
 )
 from .model import Network, NetworkConfig, load_checkpoint, save_checkpoint
-from .synth import feature_spatial_aug, load_manifest, load_sample, random_corruption
+from .synth import (check_strengths, feature_spatial_aug, load_manifest,
+                    load_sample, random_corruption)
 from .wavelet import wt_aug
 
 ARMS = ("none", "image_level", "feature_spatial", "feature_wavelet")
@@ -79,6 +80,7 @@ class TrainConfig:
             raise ContractError(
                 f"betas must be two numbers in [0, 1), got {self.betas!r}")
         self.betas = tuple(self.betas)
+        check_strengths(self.corruption_strengths)
 
 
 def _is_number(v) -> bool:
@@ -87,17 +89,21 @@ def _is_number(v) -> bool:
 
 @dataclass
 class AdamState:
-    """Adam's moments over one flat store.
+    """Adam's moments and the gradients over one flat store.
 
     ``store`` is a [5, N] array of the parameters' dtype whose rows are
     the parameters, the first and second moments, the gradients and a
     scratch vector.  ``for_params`` rebinds each trainable's ``data`` to
-    its slice of the parameter row (``params`` keeps those views); ``m``
-    and ``v`` map the same names to their slices of the moment rows.
+    its slice of the parameter row and its ``grad`` to its zeroed slice
+    of the gradient row, so ``GradTape.backward`` accumulates straight
+    into the store.  ``tensors`` keeps the trainables; ``params``,
+    ``grads``, ``m`` and ``v`` map the same names to their row views.
     """
     m: dict
     v: dict
     params: dict
+    grads: dict
+    tensors: dict
     store: np.ndarray
     step: int = 0
 
@@ -115,18 +121,21 @@ class AdamState:
             return {name: row[end - p.size:end].reshape(p.shape)
                     for (name, p), end in zip(params.items(), ends)}
 
-        flat = views(store[0])
+        flat, grads = views(store[0]), views(store[3])
         for name, p in params.items():
             flat[name][...] = p.data
             p.assign(flat[name])
+            p.grad = grads[name]
         return cls(m=views(store[1]), v=views(store[2]), params=flat,
-                   store=store)
+                   grads=grads, tensors=dict(params), store=store)
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, cfg: TrainConfig):
+def adam_step(state: AdamState, cfg: TrainConfig):
     """One bias-corrected Adam update of the whole store, in place.
 
-    Each ufunc call is one operation of the per-tensor expressions
+    Reads the gradients that backward accumulated into the store's
+    gradient row and leaves that row zeroed for the next step.  Each
+    ufunc call is one operation of the per-tensor expressions
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)`` and
     ``p = p - lr*m_hat/(sqrt(v_hat)+eps)``, taken in their order, so
     every element gets the bits a per-tensor update gives it.
@@ -134,20 +143,12 @@ def adam_step(params: dict, grads: dict, state: AdamState, cfg: TrainConfig):
     if recording():
         raise ContractError(
             "cannot update parameters while a tape is recording")
-    missing = [k for k in params if grads.get(k) is None]
-    if missing:
-        raise ContractError(f"missing gradients for {missing}")
-    stale = [k for k, p in params.items() if p.data is not state.params.get(k)]
-    if stale or len(params) != len(state.params):
+    stale = [k for k, p in state.tensors.items()
+             if p.data is not state.params[k] or p.grad is not state.grads[k]]
+    if stale:
         raise ContractError(
-            f"parameters {stale or sorted(state.params.keys() - params.keys())}"
-            " are not the optimizer store's views")
-    misshapen = [k for k, p in params.items() if grads[k].shape != p.shape]
-    if misshapen:
-        raise ContractError(
-            f"gradient shapes differ from parameters {misshapen}")
+            f"parameters {stale} are not bound to the optimizer store's views")
     p, m, v, g, a = state.store
-    np.concatenate([grads[k].reshape(-1) for k in state.params], out=g)
     state.step += 1
     t = state.step
     b1, b2 = cfg.betas
@@ -160,6 +161,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, cfg: TrainConfig):
     np.add(np.sqrt(np.divide(v, 1 - b2 ** t, out=g), out=g), cfg.eps, out=g)
     np.divide(np.multiply(a, cfg.learning_rate, out=a), g, out=a)
     np.subtract(p, a, out=p)
+    g.fill(0)
 
 
 def _rng(seed, epoch, stream):
@@ -245,10 +247,7 @@ def train(train_cfg: TrainConfig, net_cfg: NetworkConfig, data_dir,
                         f"non-finite loss {loss_val} at epoch {epoch}, "
                         f"batch {start // train_cfg.batch_size}")
                 tape.backward(loss)
-            grads = {k: p.grad for k, p in trainables.items()}
-            adam_step(trainables, grads, state, train_cfg)
-            for p in trainables.values():
-                p.zero_grad()
+            adam_step(state, train_cfg)
             epoch_losses.append(loss_val)
         dice = math.nan
         if monitor or epoch == train_cfg.epochs - 1:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,26 @@ class TestSynthCommand:
         dispatch(["synth", "--count", "2", "--seed", "5", "--out", str(b)])
         for name in sorted(os.listdir(a)):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("flag,value,words", [
+        ("--count", "-1", ("--count", "-1")),
+        ("--test-count", "-3", ("--test-count", "-3")),
+        ("--size", "0", ("image_size", "20")),
+        ("--size", "19", ("image_size", "20")),
+        ("--classes", "1", ("num_classes", "[2, 256]")),
+        ("--classes", "300", ("num_classes", "[2, 256]"))])
+    def test_what_it_cannot_generate_is_exit_1(self, tmp_path, capsys, flag,
+                                               value, words):
+        out = tmp_path / "data"
+        args = {"--count": "2", "--test-count": "1", "--seed": "0",
+                flag: value}
+        code = dispatch(["synth", "--out", str(out)]
+                        + [x for kv in args.items() for x in kv])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "internal error" not in captured.err
+        assert all(w in captured.err for w in words), captured.err
+        assert not out.exists() and "wrote" not in captured.out
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AUGSEG_SEED", "5")
@@ -123,6 +144,40 @@ class TestWaveletCommands:
         assert code == 1
 
 
+class TestHaarCommandRange:
+    """dwt and wt-aug sum up to four inputs per output in float32, so
+    they take |x| <= max/4 and reject more before writing anything."""
+
+    @pytest.mark.parametrize("cmd", ["dwt", "wt-aug"])
+    @pytest.mark.parametrize("value", [3e38, 8.6e37])
+    def test_beyond_a_quarter_of_max_is_exit_1(self, tmp_path, capsys, cmd,
+                                               value):
+        infile = tmp_path / "f.daug"
+        daug.write_tensor(infile, np.full((1, 2, 4, 4), value, np.float32))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert dispatch(_command(cmd, infile, out_dir / "o")) == 1
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert str(infile) in err and "finite" in err, err
+        assert not any(out_dir.iterdir())
+
+    @pytest.mark.parametrize("cmd", ["dwt", "wt-aug"])
+    def test_a_quarter_of_max_is_finite(self, tmp_path, cmd):
+        quarter = np.finfo(np.float32).max / 4
+        infile = tmp_path / "f.daug"
+        daug.write_tensor(infile, np.full((1, 2, 5, 4), quarter, np.float32))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dispatch(_command(cmd, infile, out_dir / "o")) == 0
+        outs = sorted(out_dir.iterdir())
+        assert len(outs) == (4 if cmd == "dwt" else 1)
+        for out in outs:
+            assert np.isfinite(daug.read_tensor(out)).all(), out
+
+
 class TestMetricsCommand:
     def test_reports_scores(self, tmp_path, capsys):
         pred = np.zeros((8, 8), dtype=np.uint8)
@@ -138,6 +193,20 @@ class TestMetricsCommand:
         assert code == 0
         assert "dice 1.0000" in capsys.readouterr().out
         assert out_csv.exists()
+
+    @pytest.mark.parametrize("classes", ["1", "0", "-1"])
+    def test_fewer_than_two_classes_is_exit_1(self, tmp_path, capsys,
+                                              classes):
+        mask = np.zeros((8, 8), dtype=np.uint8)
+        write_pgm(tmp_path / "m.pgm", mask)
+        out_csv = tmp_path / "m.csv"
+        code = dispatch(["metrics", "--pred", str(tmp_path / "m.pgm"),
+                         "--gt", str(tmp_path / "m.pgm"), "--classes",
+                         classes, "--out", str(out_csv)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "--classes must be at least 2" in captured.err, captured.err
+        assert "dice" not in captured.out and not out_csv.exists()
 
 
 class TestFeatvizCommand:
@@ -359,6 +428,34 @@ class TestTrainEvalCommands:
             (run_dir / "checkpoint" / "checkpoint.json").read_text())["config"]
         assert config["encoder"]["channels"] == [4, 6, 8, 10]
         assert config["wt_aug"][3]["seed"] == 3
+
+    @pytest.mark.parametrize("strengths,words", [
+        ({"foo": 1}, ("unknown corruption_strengths key", "'foo'")),
+        ({"length_range": [9, 3]}, ("length_range", "low <= high")),
+        ({"length_range": [0, 3]}, ("length_range", "integers >= 1")),
+        ({"length_range": [2.5, 3]}, ("length_range", "integers >= 1")),
+        ({"kinds": []}, ("kinds", "non-empty")),
+        ({"kinds": ["blur"]}, ("kinds", "'blur'")),
+        ({"factor_range": [0.5]}, ("factor_range", "two")),
+        ({"factor_range": [-0.5, 1]}, ("factor_range", ">= 0")),
+        ({"scale_range": [0, 10]}, ("scale_range", "> 0")),
+        ({"drop_range": [0.5, 1.5]}, ("drop_range", "[0, 1]"))])
+    @pytest.mark.parametrize("arm", ["feature_spatial", "image_level"])
+    def test_bad_corruption_strengths_are_exit_1(self, dataset, tmp_path,
+                                                 capsys, arm, strengths,
+                                                 words):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"train": {"corruption_strengths": strengths}}))
+        run_dir = tmp_path / "run"
+        code = dispatch(["train", "--data", str(dataset), "--out",
+                         str(run_dir), "--config", str(cfg_path), "--arm",
+                         arm, "--epochs", "1", "--shots", "1"])
+        assert code == 1, strengths
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert all(w in err for w in words), err
+        assert not run_dir.exists()
 
     @pytest.mark.parametrize("flag,value", [
         ("--batch-size", "-1"), ("--batch-size", "0"), ("--epochs", "0"),

@@ -84,7 +84,7 @@ def value_and_grads(fn, inputs, g):
         tape.backward((out * Tensor(g)).sum())
     grads = [t.grad for t in inputs]
     for t in inputs:
-        t.zero_grad()
+        t.grad = None
     return out.numpy(), grads
 
 

@@ -60,6 +60,29 @@ class TestGenSample:
             assert present[cls] >= 0.5 * n
 
 
+class TestSynthConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"image_size": 0}, {"image_size": 19}, {"num_classes": 1},
+        {"num_classes": 0}, {"num_classes": 257}, {"num_classes": 300}])
+    def test_rejected(self, kwargs):
+        with pytest.raises(ContractError, match=next(iter(kwargs))):
+            SynthConfig(**kwargs)
+
+    def test_smallest_size_generates(self):
+        # at 19 pixels some seeds leave no room for a shape's centre
+        cfg = SynthConfig(image_size=20)
+        for seed in range(300):
+            assert gen_sample(seed, cfg).mask.shape == (20, 20)
+
+    def test_largest_class_count_fits_the_mask(self):
+        cfg = SynthConfig(num_classes=256)
+        for seed in range(50):
+            s = gen_sample(seed, cfg)
+            drawn = {shape["class"] for shape in s.shapes}
+            assert max(drawn) <= 255
+            assert set(np.unique(s.mask)) - {0} <= drawn
+
+
 class TestCorrupt:
     def test_brightness_identity(self):
         s = gen_sample(0)

@@ -1,5 +1,6 @@
 """Adam updates, the training loop, evaluation, and the ablation harness."""
 
+import inspect
 import math
 import os
 from dataclasses import dataclass
@@ -12,7 +13,8 @@ from augseg.autodiff import GradTape, Tensor, use_tape
 from augseg.errors import ContractError
 from augseg.metrics import mean_foreground_dice
 from augseg.model import EncoderSpec, Network, NetworkConfig, load_checkpoint
-from augseg.synth import load_manifest, load_sample, write_dataset
+from augseg.synth import (load_manifest, load_sample, random_corruption,
+                          write_dataset)
 from augseg.trainer import (
     ARMS,
     AdamState,
@@ -48,26 +50,29 @@ def tiny_net_config(**kw):
 @dataclass
 class ReferenceAdamState:
     """Per-tensor moments, as ``AdamState`` kept them before the flat store."""
+    params: dict
     m: dict
     v: dict
     step: int = 0
 
     @classmethod
     def for_params(cls, params):
-        return cls(m={k: np.zeros_like(p.numpy()) for k, p in params.items()},
+        return cls(params=dict(params),
+                   m={k: np.zeros_like(p.numpy()) for k, p in params.items()},
                    v={k: np.zeros_like(p.numpy()) for k, p in params.items()})
 
 
-def reference_adam_step(params, grads, state, cfg):
-    """The per-tensor Adam update that the flat store replaced."""
-    missing = [k for k in params if k not in grads or grads[k] is None]
+def reference_adam_step(state, cfg):
+    """The per-tensor Adam update that the flat store replaced; it takes
+    each parameter's ``grad`` and resets it to ``None``."""
+    missing = [k for k, p in state.params.items() if p.grad is None]
     if missing:
         raise ContractError(f"missing gradients for {missing}")
     state.step += 1
     t = state.step
     b1, b2 = cfg.betas
-    for name, p in params.items():
-        g = grads[name]
+    for name, p in state.params.items():
+        g, p.grad = p.grad, None
         state.m[name] = b1 * state.m[name] + (1 - b1) * g
         state.v[name] = b2 * state.v[name] + (1 - b2) * (g * g)
         m_hat = state.m[name] / (1 - b1 ** t)
@@ -87,16 +92,21 @@ class TestAdamStep:
         self.cfg = TrainConfig(learning_rate=1e-4)
 
     def step(self, params, grads, state, ref):
-        """``adam_step``, checked bit for bit against the per-tensor
+        """``adam_step`` on ``grads`` accumulated into the store as
+        backward would, checked bit for bit against the per-tensor
         reference run on copies (``ref`` = reference params and state)."""
         ref_params, ref_state = ref
-        reference_adam_step(ref_params, grads, ref_state, self.cfg)
-        adam_step(params, grads, state, self.cfg)
+        for name, g in grads.items():
+            params[name].grad += g
+            ref_params[name].grad = g
+        reference_adam_step(ref_state, self.cfg)
+        adam_step(state, self.cfg)
         assert state.step == ref_state.step
         for name, p in params.items():
             assert same_bits(p.numpy(), ref_params[name].numpy()), name
             assert same_bits(state.m[name], ref_state.m[name]), name
             assert same_bits(state.v[name], ref_state.v[name]), name
+        assert not state.store[3].any()
 
     @staticmethod
     def pair(params):
@@ -131,12 +141,6 @@ class TestAdamStep:
             deltas.append(-p.numpy()[0])
         assert abs(deltas[0] - deltas[1]) / deltas[0] < 0.01
 
-    def test_missing_gradient_rejected(self):
-        p = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
-        state = AdamState.for_params({"p": p})
-        with pytest.raises(ContractError, match="missing gradients"):
-            adam_step({"p": p}, {}, state, self.cfg)
-
     def test_step_counter_advances(self):
         p = Tensor(np.zeros(1, dtype=np.float64), requires_grad=True)
         state, ref = self.pair({"p": p})
@@ -164,14 +168,31 @@ class TestAdamStep:
     def test_store_holds_params_and_moments_as_views(self):
         params = {"a": Tensor(np.ones((2, 3), np.float32), requires_grad=True),
                   "b": Tensor(np.full(4, 2.0, np.float32), requires_grad=True)}
+        params["b"].grad = np.ones(4, np.float32)
         state = AdamState.for_params(params)
         assert state.store.shape == (5, 10)
         np.testing.assert_array_equal(state.store[0], [1] * 6 + [2] * 4)
+        assert not state.store[3].any()
         for k, p in params.items():
             assert p.numpy() is state.params[k]
-            for row, views in ((0, state.params), (1, state.m), (2, state.v)):
+            assert p.grad is state.grads[k]
+            for row, views in ((0, state.params), (1, state.m), (2, state.v),
+                               (3, state.grads)):
                 assert np.shares_memory(views[k], state.store[row])
                 assert views[k].shape == p.shape
+
+    def test_two_backwards_accumulate_into_one_step(self):
+        x = np.array([1.0, -2.0, 0.5])
+        p = Tensor(x.copy(), requires_grad=True)
+        state = AdamState.for_params({"p": p})
+        with use_tape(GradTape()) as tape:
+            loss = (p * p).sum()
+            tape.backward(loss)
+            tape.backward(loss)
+        np.testing.assert_array_equal(state.store[3], 4 * x)
+        assert p.grad is state.grads["p"]
+        adam_step(state, self.cfg)
+        assert state.step == 1 and not state.store[3].any()
 
     def test_mixed_dtypes_rejected(self):
         params = {"a": Tensor(np.zeros(2, np.float32), requires_grad=True),
@@ -182,12 +203,22 @@ class TestAdamStep:
     def test_recording_tape_rejected_before_any_update(self):
         p = Tensor(np.ones(2, np.float32), requires_grad=True)
         state = AdamState.for_params({"p": p})
+        p.grad += 1
+        before = state.store.copy()
         with use_tape(GradTape()):
             with pytest.raises(ContractError, match="tape is recording"):
-                adam_step({"p": p}, {"p": np.ones(2, np.float32)}, state,
-                          self.cfg)
-        assert state.step == 0 and not state.store[1:3].any()
+                adam_step(state, self.cfg)
+        assert state.step == 0 and same_bits(state.store, before)
         np.testing.assert_array_equal(p.numpy(), [1.0, 1.0])
+
+    @staticmethod
+    def rejected_with_store_untouched(state, rebind):
+        state.store[3] = 1
+        before = state.store.copy()
+        rebind()
+        with pytest.raises(ContractError, match=r"\['q'\]"):
+            adam_step(state, TrainConfig())
+        assert state.step == 0 and same_bits(state.store, before)
 
     def test_rebound_parameter_rejected_not_dropped(self):
         # after a rebind the store no longer holds the parameter, so an
@@ -195,30 +226,18 @@ class TestAdamStep:
         p = Tensor(np.ones(2, np.float32), requires_grad=True)
         q = Tensor(np.ones(3, np.float32), requires_grad=True)
         state = AdamState.for_params({"p": p, "q": q})
-        q.assign(np.zeros(3, np.float32))
-        grads = {"p": np.ones(2, np.float32), "q": np.ones(3, np.float32)}
-        with pytest.raises(ContractError, match=r"\['q'\]"):
-            adam_step({"p": p, "q": q}, grads, state, self.cfg)
-        assert state.step == 0
+        self.rejected_with_store_untouched(
+            state, lambda: q.assign(np.zeros(3, np.float32)))
 
-    def test_params_other_than_the_store_rejected(self):
+    @pytest.mark.parametrize("grad", [None, np.ones(3, np.float32)])
+    def test_rebound_gradient_rejected_not_dropped(self, grad):
+        # backward would accumulate into the new array, which the store's
+        # gradient row never sees
         p = Tensor(np.ones(2, np.float32), requires_grad=True)
         q = Tensor(np.ones(3, np.float32), requires_grad=True)
         state = AdamState.for_params({"p": p, "q": q})
-        with pytest.raises(ContractError, match=r"\['q'\]"):
-            adam_step({"p": p}, {"p": np.ones(2, np.float32)}, state,
-                      self.cfg)
-        with pytest.raises(ContractError, match=r"\['r'\]"):
-            adam_step({"p": p, "r": q}, {"p": np.ones(2, np.float32),
-                                         "r": np.ones(3, np.float32)},
-                      state, self.cfg)
-
-    def test_gradient_of_another_shape_rejected(self):
-        p = Tensor(np.ones((2, 2), np.float32), requires_grad=True)
-        state = AdamState.for_params({"p": p})
-        with pytest.raises(ContractError, match="gradient shapes"):
-            adam_step({"p": p}, {"p": np.ones(4, np.float32)}, state,
-                      self.cfg)
+        self.rejected_with_store_untouched(
+            state, lambda: setattr(q, "grad", grad))
 
 
 class TestFlatAdamTraining:
@@ -233,9 +252,9 @@ class TestFlatAdamTraining:
         def run(state_cls, step):
             states = []
 
-            def spy(params, grads, state, cfg):
+            def spy(state, cfg):
                 states.append(state)
-                return step(params, grads, state, cfg)
+                return step(state, cfg)
 
             monkeypatch.setattr(trainer, "AdamState", state_cls)
             monkeypatch.setattr(trainer, "adam_step", spy)
@@ -260,14 +279,41 @@ class TestFlatAdamTraining:
         calls = []
         step = trainer.adam_step
 
-        def spy(params, grads, state, cfg):
-            calls.append(all(p.grad is not None for p in params.values()))
-            return step(params, grads, state, cfg)
+        def spy(state, cfg):
+            calls.append(bool(state.store[3].any()))
+            return step(state, cfg)
 
         monkeypatch.setattr(trainer, "adam_step", spy)
         train(TrainConfig(epochs=2, shots=3, batch_size=2), tiny_net_config(),
               dataset)
         assert calls == [True] * 4
+
+    def test_gradient_row_holds_the_step_gradients_then_zeros(
+            self, dataset, monkeypatch):
+        # one step: the flat store's gradient row against the per-tensor
+        # gradients backward allocates for the reference optimizer
+        cfg = TrainConfig(epochs=1, shots=2, seed=4, learning_rate=3e-3,
+                          augmentation="feature_wavelet")
+        rows, per_tensor = [], []
+
+        def flat_spy(state, cfg):
+            rows.append(state.store[3].copy())
+            adam_step(state, cfg)
+            rows.append(state.store[3].copy())
+
+        def reference_spy(state, cfg):
+            per_tensor.append(np.concatenate(
+                [p.grad.reshape(-1) for p in state.params.values()]))
+            reference_adam_step(state, cfg)
+
+        monkeypatch.setattr(trainer, "adam_step", flat_spy)
+        train(cfg, tiny_net_config(), dataset)
+        monkeypatch.setattr(trainer, "AdamState", ReferenceAdamState)
+        monkeypatch.setattr(trainer, "adam_step", reference_spy)
+        train(cfg, tiny_net_config(), dataset)
+        assert len(rows) == 2 and len(per_tensor) == 1
+        assert same_bits(rows[0], per_tensor[0]) and rows[0].any()
+        assert not rows[1].any()
 
 
 class TestAdamConfig:
@@ -285,6 +331,37 @@ class TestAdamConfig:
     def test_rejected(self, kwargs):
         with pytest.raises(ContractError):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("strengths", [
+        {"foo": 1}, {"length_range": [9, 3]}, {"length_range": [0, 2]},
+        {"length_range": [1.0, 2]}, {"length_range": [True, 2]},
+        {"kinds": []}, {"kinds": "brightness"}, {"kinds": ["blur"]},
+        {"factor_range": [0.5]}, {"factor_range": [0.5, 1.0, 2.0]},
+        {"factor_range": [-0.1, 1]}, {"factor_range": [0, math.inf]},
+        {"factor_range": [math.nan, 1]}, {"scale_range": [0, 10]},
+        {"scale_range": ["1", 10]}, {"drop_range": [0.2, 1.1]},
+        {"drop_range": [-0.1, 0.2]}, {"drop_range": [0.3, 0.2]}, None])
+    def test_corruption_strengths_rejected(self, strengths):
+        with pytest.raises(ContractError, match="corruption_strengths"):
+            TrainConfig(corruption_strengths=strengths)
+
+    def test_corruption_strengths_accepted_at_the_domain_edges(self):
+        strengths = {"length_range": [1, 1], "factor_range": (0, 0),
+                     "scale_range": [1e-3, 5], "drop_range": [0, 1],
+                     "kinds": ["poisson", "brightness"]}
+        TrainConfig(corruption_strengths=strengths)
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            random_corruption(rng, **strengths)
+
+    def test_corruption_strength_keys_are_random_corruptions(self):
+        keywords = [name for name, p in
+                    inspect.signature(random_corruption).parameters.items()
+                    if p.kind is p.KEYWORD_ONLY]
+        for key in keywords:
+            TrainConfig(corruption_strengths={
+                key: inspect.signature(random_corruption)
+                .parameters[key].default})
 
     def test_betas_list_of_numpy_floats_becomes_a_tuple(self):
         cfg = TrainConfig(betas=[0, np.float32(0.5)], eps=1)
