@@ -11,18 +11,16 @@ import argparse
 import json
 import os
 import sys
-import types
-import typing
-from dataclasses import fields, is_dataclass
 
 import numpy as np
 
 from . import __version__, daug
 from .errors import (AugsegError, InputError, InvariantError,
                      NumericDomainError, check_seed)
-from .model import EncoderSpec, NetworkConfig
+from .model import NetworkConfig
 from .netpbm import read_pgm, write_ppm
 from .pca import feature_pca, pca_to_image
+from .schema import check_keys, check_section
 from .synth import SynthConfig, write_dataset
 from .trainer import (
     TrainConfig,
@@ -122,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--seed", type=int, default=None)
 
     sub.add_parser("selftest", help="run the built-in invariant suite")
     return parser
@@ -145,44 +142,6 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _check_keys(path, where, blob, known):
-    """Reject a config level that is not an object or has unknown keys."""
-    if not isinstance(blob, dict):
-        raise InputError(f"{path}: {where} must be a JSON object")
-    unknown = sorted(set(blob) - set(known))
-    if unknown:
-        raise InputError(f"{path}: unknown key {unknown[0]!r} in {where}")
-
-
-# JSON value types accepted for each config field annotation; a dataclass
-# field takes an object, and an int is accepted where a float is expected
-_JSON_TYPES = {int: ("integer", int), float: ("number", (int, float)),
-               bool: ("boolean", bool), str: ("string", str),
-               tuple: ("list", list), dict: ("object", dict),
-               type(None): ("null", type(None))}
-
-
-def _json_types(hint):
-    if isinstance(hint, types.UnionType):
-        return [t for arg in typing.get_args(hint) for t in _json_types(arg)]
-    return [_JSON_TYPES[dict if is_dataclass(hint) else hint]]
-
-
-def _check_section(path, section, blob, cls):
-    """Reject a config section whose keys are not fields of ``cls`` or
-    whose values do not have their field's JSON type."""
-    _check_keys(path, f"section {section!r}", blob,
-                [f.name for f in fields(cls)])
-    hints = typing.get_type_hints(cls)
-    for key, value in blob.items():
-        names, accepted = zip(*_json_types(hints[key]))
-        if not isinstance(value, accepted) or (
-                isinstance(value, bool) and bool not in accepted):
-            raise InputError(
-                f"{path}: {section}.{key} must be a JSON "
-                f"{' or '.join(names)}, got {json.dumps(value)}")
-
-
 def _load_configs(args):
     train_kwargs, net_kwargs = {}, {}
     if args.config:
@@ -191,19 +150,13 @@ def _load_configs(args):
                 blob = json.load(fh)
         except FileNotFoundError:
             raise InputError(f"config file not found: {args.config}")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:    # JSONDecodeError, UnicodeDecodeError
             raise InputError(f"{args.config}: invalid JSON ({exc})")
-        _check_keys(args.config, "the top level", blob, ("train", "network"))
+        check_keys(args.config, "the top level", blob, ("train", "network"))
         train_kwargs = blob.get("train", {})
         net_kwargs = blob.get("network", {})
-        _check_section(args.config, "train", train_kwargs, TrainConfig)
-        _check_section(args.config, "network", net_kwargs, NetworkConfig)
-        if "encoder" in net_kwargs:
-            _check_section(args.config, "network.encoder",
-                           net_kwargs["encoder"], EncoderSpec)
-        for i, entry in enumerate(net_kwargs.get("wt_aug", [])):
-            _check_section(args.config, f"network.wt_aug[{i}]", entry,
-                           WtAugConfig)
+        check_section(args.config, "train", train_kwargs, TrainConfig)
+        check_section(args.config, "network", net_kwargs, NetworkConfig)
     for flag, key in (("epochs", "epochs"), ("shots", "shots"),
                       ("lr", "learning_rate"), ("batch_size", "batch_size"),
                       ("arm", "augmentation")):
@@ -294,8 +247,9 @@ def _cmd_wt_aug(args) -> int:
                          f"{args.keep_prob}")
     if len(probs) != 4:
         raise InputError("--keep-prob needs exactly four values")
-    cfg = WtAugConfig(keep_prob=probs, seed=_seed(args))
-    out = wt_aug(Tensor(arr.astype(np.float32, copy=False)), cfg)
+    out = wt_aug(Tensor(arr.astype(np.float32, copy=False)),
+                 WtAugConfig(keep_prob=probs),
+                 np.random.default_rng(_seed(args)))
     daug.write_tensor(args.out, out.numpy())
     print(f"wrote {args.out}")
     return 0
@@ -328,14 +282,13 @@ def _cmd_metrics(args) -> int:
 def _cmd_featviz(args) -> int:
     if args.k < 1:
         raise InputError(f"--k must be at least 1, got {args.k}")
-    seed = _seed(args)
     arr = _read_rank4(args.infile)
     if arr.shape[0] != 1:
         raise InputError("featviz expects a single [1,C,H,W] feature map")
     if arr.shape[1] < args.k:
         raise InputError(
             f"need at least k={args.k} channels, got {arr.shape[1]}")
-    scores, eigvals, comps = feature_pca(arr, k=args.k, seed=seed)
+    scores, eigvals, comps = feature_pca(arr, k=args.k)
     image = pca_to_image(scores, eigvals)
     if args.k < 3:
         pad = np.full(image.shape[:2] + (3 - args.k,), 128, dtype=np.uint8)

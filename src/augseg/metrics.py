@@ -15,7 +15,6 @@ are pinned here):
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -100,10 +99,6 @@ class WilcoxonResult:
     statistic: float      # W = min(W+, W-)
     p_value: float
     method: str           # "exact" | "normal-approximation" | "degenerate"
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "W": self.statistic,
-                           "p": self.p_value, "method": self.method})
 
 
 def _exact_p(ranks: np.ndarray, w_obs: float) -> float:

@@ -35,6 +35,7 @@ from .autodiff import (
 )
 from .errors import ContractError, InputError, NumericDomainError, check_seed
 from .fusion import FusionParams, cg_fuse
+from .schema import check_keys, check_section
 from .wavelet import WtAugConfig, wt_aug
 
 CHECKPOINT_MANIFEST = "checkpoint.json"
@@ -71,7 +72,7 @@ class NetworkConfig:
     decoder_channels: tuple | None = None   # (D3, D2, D1); default stage widths
     head_count: int = 4
     ff_mult: int = 4
-    wt_aug: tuple = (WtAugConfig(), WtAugConfig(), WtAugConfig(), WtAugConfig())
+    wt_aug: tuple[WtAugConfig, ...] = (WtAugConfig(),) * 4
     use_cg_fuse: bool = True
     ccu_skip_augmented: bool = False
     param_seed: int = 0
@@ -285,9 +286,10 @@ class Network:
                 feature_aug=None, stages=None) -> Tensor:
         """Logits [N, num_classes, H, W].
 
-        ``mode='train'`` augments the stage features (wavelet masking by
-        default, or ``feature_aug(stage_tensor, stage_index)`` when
-        given); eval mode is deterministic and applies no augmentation.
+        ``mode='train'`` augments the stage features with
+        ``feature_aug(stage_tensor, stage_index)`` when given, else with
+        wavelet masks drawn from ``rng``; one of the two is required.
+        Eval mode is deterministic and applies no augmentation.
         ``stages``, when given, must be ``self.encode(image)``; callers
         that see the same images repeatedly pass it to skip the encoder.
         """
@@ -303,11 +305,10 @@ class Network:
         if mode == "train":
             if feature_aug is None:
                 if rng is None:
-                    rng = np.random.default_rng(cfg.wt_aug[0].seed)
-                aug = [wt_aug(f, cfg.wt_aug[i], rng=rng)
-                       for i, f in enumerate(stages)]
-            else:
-                aug = [feature_aug(f, i) for i, f in enumerate(stages)]
+                    raise ContractError(
+                        "train mode needs an rng or a feature_aug")
+                feature_aug = lambda f, i: wt_aug(f, cfg.wt_aug[i], rng)
+            aug = [feature_aug(f, i) for i, f in enumerate(stages)]
         else:
             aug = stages
         f1, f2, f3, _ = stages
@@ -380,7 +381,17 @@ def load_checkpoint(ckpt_dir):
     if not os.path.exists(path):
         raise InputError(f"checkpoint manifest missing: {path}")
     with open(path) as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise InputError(f"{path}: invalid JSON ({exc})")
+    check_keys(path, "the manifest", manifest, (
+        "format", "epoch", "seed", "config", "parameters", "extra",
+        "optimizer"))
+    for key in ("config", "parameters"):
+        if key not in manifest:
+            raise InputError(f"{path}: missing key {key!r}")
+    check_section(path, "config", manifest["config"], NetworkConfig)
     config = NetworkConfig.from_json(json.dumps(manifest["config"]))
     network = Network(config)
     params = network.parameters()

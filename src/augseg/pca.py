@@ -1,9 +1,9 @@
-"""Principal components of feature maps by deflated power iteration.
+"""Principal components of feature maps.
 
 Each spatial location of a [1,C,H,W] map is treated as a C-vector; the
-top-k eigenvectors of the mean-centered covariance are found one at a
-time by power iteration with deflation, so only k matrix-vector products
-per step are needed rather than a full eigendecomposition.
+top-k eigenvectors of the mean-centered C x C covariance come from one
+symmetric eigendecomposition, so the components depend on the map
+alone.
 """
 
 from __future__ import annotations
@@ -12,34 +12,8 @@ import numpy as np
 
 from .errors import ContractError
 
-POWER_TOL = 1e-8
-POWER_MAX_ITER = 1000
 
-
-def _power_iteration(cov: np.ndarray, rng) -> tuple:
-    """Dominant (eigenvalue, eigenvector) of a symmetric PSD matrix."""
-    v = rng.normal(size=cov.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(POWER_MAX_ITER):
-        w = cov @ v
-        norm = np.linalg.norm(w)
-        if norm < 1e-30:
-            return 0.0, v
-        w /= norm
-        if np.linalg.norm(w - v) < POWER_TOL:
-            v = w
-            break
-        v = w
-    lam = float(v @ cov @ v)
-    # deterministic sign: largest-magnitude entry is positive
-    pivot = int(np.argmax(np.abs(v)))
-    if v[pivot] < 0:
-        v = -v
-    return lam, v
-
-
-def feature_pca(feature_map: np.ndarray, k: int = 3, seed: int = 0):
+def feature_pca(feature_map: np.ndarray, k: int = 3):
     """Project per-location feature vectors onto their top-k components.
 
     feature_map: [1,C,H,W] or [C,H,W] with C >= k.  Returns
@@ -59,15 +33,12 @@ def feature_pca(feature_map: np.ndarray, k: int = 3, seed: int = 0):
     x = fm.reshape(c, h * w).T                  # [P, C] location vectors
     x = x - x.mean(axis=0, keepdims=True)
     cov = (x.T @ x) / max(x.shape[0] - 1, 1)
-    rng = np.random.default_rng(seed)
-    eigvals = np.zeros(k)
-    comps = np.zeros((k, c))
-    deflated = cov.copy()
-    for i in range(k):
-        lam, v = _power_iteration(deflated, rng)
-        eigvals[i] = lam
-        comps[i] = v
-        deflated = deflated - lam * np.outer(v, v)
+    vals, vecs = np.linalg.eigh(cov)             # ascending eigenvalues
+    eigvals = vals[::-1][:k]
+    comps = vecs[:, ::-1][:, :k].T
+    # deterministic sign: each component's largest-magnitude entry is positive
+    pivots = comps[np.arange(k), np.argmax(np.abs(comps), axis=1)]
+    comps = np.where(pivots[:, None] < 0, -comps, comps)
     scores = x @ comps.T                         # [P, k]
     return scores.reshape(h, w, k), eigvals, comps
 

@@ -48,7 +48,7 @@ def _checks():
 
     def wt_aug_identity():
         f = Tensor(rng.normal(size=(1, 2, 6, 6)).astype(np.float32))
-        out = wt_aug(f, WtAugConfig(keep_prob=(1, 1, 1, 1)))
+        out = wt_aug(f, WtAugConfig(keep_prob=(1, 1, 1, 1)), rng)
         assert np.array_equal(out.numpy(), f.numpy())
 
     def gradient_conv():

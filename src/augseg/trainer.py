@@ -187,6 +187,16 @@ def few_shot_subset(entries, shots, seed):
     return [entries[i] for i in order[:shots]]
 
 
+def _load_dataset(data_dir, num_classes):
+    """The dataset manifest, checked to have the network's class count."""
+    manifest = load_manifest(os.path.join(data_dir, "manifest.json"))
+    if manifest["num_classes"] != num_classes:
+        raise InputError(
+            f"dataset has {manifest['num_classes']} classes, network expects "
+            f"{num_classes}")
+    return manifest
+
+
 def train(train_cfg: TrainConfig, net_cfg: NetworkConfig, data_dir,
           out_dir=None, *, monitor=True):
     """Train on a few-shot subset; returns (network, log rows, chosen ids).
@@ -197,11 +207,7 @@ def train(train_cfg: TrainConfig, net_cfg: NetworkConfig, data_dir,
     itself is the same.  When ``out_dir`` is given, writes
     ``train_log.csv`` and a ``checkpoint/`` directory there.
     """
-    manifest = load_manifest(os.path.join(data_dir, "manifest.json"))
-    if manifest["num_classes"] != net_cfg.num_classes:
-        raise InputError(
-            f"dataset has {manifest['num_classes']} classes, network expects "
-            f"{net_cfg.num_classes}")
+    manifest = _load_dataset(data_dir, net_cfg.num_classes)
     train_entries = [e for e in manifest["samples"] if e["split"] == "train"]
     chosen = few_shot_subset(train_entries, train_cfg.shots, train_cfg.seed)
     data = [load_sample(data_dir, e) for e in chosen]
@@ -298,8 +304,8 @@ def evaluate(net_or_ckpt, data_dir, split="test", csv_path=None):
         net = net_or_ckpt
     else:
         net, _ = load_checkpoint(net_or_ckpt)
-    manifest = load_manifest(os.path.join(data_dir, "manifest.json"))
-    num_classes = manifest["num_classes"]
+    num_classes = net.config.num_classes
+    manifest = _load_dataset(data_dir, num_classes)
     entries = [e for e in manifest["samples"] if e["split"] == split]
     if not entries:
         raise InputError(f"no samples in split {split!r}")

@@ -15,8 +15,8 @@ synthesis output is cropped back.  The map is its own inverse, so one
 butterfly, ``_butterfly``, computes both analysis and synthesis.
 
 The augmentation zeroes a random subset of coefficients per sub-band
-(Bernoulli keep masks shared across batch, and across channels by
-default) and reconstructs.  With W the orthonormal analysis and M the
+(Bernoulli keep masks drawn from the caller's generator, shared across
+batch, and across channels by default) and reconstructs.  With W the orthonormal analysis and M the
 0/1 mask, the map is W^T M W, which is symmetric, so ``wt_aug`` is one
 recorded op whose adjoint is the same map applied to the gradient.
 ``haar_dwt2``/``haar_idwt2`` expose the sub-bands as plain values; they
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, _record, recording
-from .errors import ContractError, DimensionError, check_seed
+from .errors import ContractError
 
 
 @dataclass
@@ -54,31 +54,14 @@ class SubbandSet:
 
 
 @dataclass
-class MaskSet:
-    """Binary keep-masks, one per sub-band, broadcastable to the bands."""
-
-    M_LL: Tensor
-    M_LH: Tensor
-    M_HL: Tensor
-    M_HH: Tensor
-
-    def masks(self):
-        return (self.M_LL, self.M_LH, self.M_HL, self.M_HH)
-
-    def all_ones(self) -> bool:
-        return all(np.all(m.numpy() == 1) for m in self.masks())
-
-
-@dataclass
 class WtAugConfig:
-    """Masking configuration: per-sub-band keep probabilities and seed.
+    """Masking configuration: per-sub-band keep probabilities.
 
-    ``channel_shared=True`` draws one [1,1,h,w] mask per sub-band that
+    ``channel_shared=True`` draws one [h,w] mask per sub-band that
     applies to every channel; False draws per-channel masks.
     """
 
     keep_prob: tuple = (0.8, 0.8, 0.8, 0.8)
-    seed: int = 0
     channel_shared: bool = True
 
     def __post_init__(self):
@@ -86,7 +69,6 @@ class WtAugConfig:
                 len(self.keep_prob) != 4:
             raise ContractError("keep_prob needs one value per sub-band")
         self.keep_prob = tuple(self.keep_prob)
-        check_seed(self.seed, "wt_aug seed")
         for p in self.keep_prob:
             if not isinstance(p, numbers.Real) or isinstance(p, bool) or \
                     not 0.0 <= p <= 1.0:
@@ -124,7 +106,7 @@ def haar_idwt2(s: SubbandSet) -> Tensor:
     if len(shapes) != 1:
         raise ContractError(f"sub-band shapes differ: {sorted(shapes)}")
     n, c, h2, w2 = s.LL.shape
-    x = _butterfly(_blocks([b.data for b in s.bands()]))
+    x = _butterfly(_as_blocks(np.stack([b.data for b in s.bands()])))
     x = x.reshape(n, c, 2 * h2, 2 * w2)
     if s.orig_hw is not None:
         h, w = s.orig_hw
@@ -132,43 +114,26 @@ def haar_idwt2(s: SubbandSet) -> Tensor:
     return Tensor(x)
 
 
-def make_masks(spatial_shape, cfg: WtAugConfig, rng=None) -> MaskSet:
-    """Draw one Bernoulli(keep_prob) mask per sub-band.
+def make_masks(band_shape, cfg: WtAugConfig, rng) -> np.ndarray:
+    """Draw one Bernoulli(keep_prob) mask per sub-band from ``rng``.
 
-    ``spatial_shape`` is (h, w) of the sub-bands, or (c, h, w) when
-    per-channel masks are wanted.  Deterministic given (cfg.seed, shape)
-    when no rng is supplied.
+    ``band_shape`` is (c, h, w) of the sub-bands.  Returns a float32
+    [4, 1, c|1, h, w] array in LL, LH, HL, HH order, with one mask per
+    channel or, when ``cfg.channel_shared``, one for all channels.  The
+    masks are one ``rng.random`` draw, the four bands in turn.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    if len(spatial_shape) == 2:
-        shape = (1, 1) + tuple(spatial_shape)
-    elif len(spatial_shape) == 3:
-        shape = (1,) + tuple(spatial_shape)
-    else:
-        raise ContractError("spatial_shape must be (h, w) or (c, h, w)")
-    drawn = []
-    for p in cfg.keep_prob:
-        # random() draws from [0, 1), so p = 1 keeps all and p = 0 none
-        drawn.append(Tensor((rng.random(shape) < p).astype(np.float32)))
-    return MaskSet(*drawn)
+    c, h, w = band_shape
+    shape = (4, 1, 1 if cfg.channel_shared else c, h, w)
+    keep = np.reshape(cfg.keep_prob, (4, 1, 1, 1, 1))
+    # random() draws from [0, 1), so p = 1 keeps all and p = 0 none
+    return (rng.random(shape) < keep).astype(np.float32)
 
 
-def _check_mask_shape(mask_shape, band_shape):
-    """Reject a mask that does not broadcast to the sub-band shape."""
-    if len(mask_shape) > len(band_shape) or any(
-            m not in (1, b) for m, b in zip(mask_shape[::-1], band_shape[::-1])):
-        raise DimensionError(
-            f"mask shape {mask_shape} does not broadcast to sub-band shape "
-            f"{band_shape}")
-
-
-def _blocks(bands):
-    """Stack four [..., h, w] arrays (LL, LH, HL, HH) into
-    (..., h, 2, w, 2) blocks laid out [[LL, LH], [HL, HH]]."""
-    ll, lh, hl, hh = bands
-    return np.stack([np.stack([ll, lh], axis=-1),
-                     np.stack([hl, hh], axis=-1)], axis=-3)
+def _as_blocks(stack):
+    """Lay a [4, ..., h, w] stack (LL, LH, HL, HH) out as contiguous
+    (..., h, 2, w, 2) blocks [[LL, LH], [HL, HH]]."""
+    return np.ascontiguousarray(
+        stack.reshape((2, 2) + stack.shape[1:]).transpose(2, 3, 4, 0, 5, 1))
 
 
 def _butterfly(x6):
@@ -206,8 +171,9 @@ def _pad_adjoint(gp, h, w):
     return g
 
 
-def wt_aug(f: Tensor, cfg: WtAugConfig, rng=None, masks: MaskSet | None = None) -> Tensor:
-    """Decompose, mask each sub-band, reconstruct.
+def wt_aug(f: Tensor, cfg: WtAugConfig, rng) -> Tensor:
+    """Decompose, mask each sub-band with masks drawn from ``rng``,
+    reconstruct.
 
     Output shape equals input shape and gradients flow through to ``f``.
     When every mask is all-ones the input is returned unchanged, which
@@ -221,17 +187,10 @@ def wt_aug(f: Tensor, cfg: WtAugConfig, rng=None, masks: MaskSet | None = None) 
     if h < 2 or w < 2:
         raise ContractError("spatial extents must be >= 2")
     ph, pw = h % 2, w % 2
-    h2, w2 = (h + ph) // 2, (w + pw) // 2
-    if masks is None:
-        if cfg.channel_shared:
-            masks = make_masks((h2, w2), cfg, rng)
-        else:
-            masks = make_masks((c, h2, w2), cfg, rng)
-    for m in masks.masks():
-        _check_mask_shape(m.shape, (n, c, h2, w2))
-    if masks.all_ones():
+    m = make_masks((c, (h + ph) // 2, (w + pw) // 2), cfg, rng)
+    if m.all():
         return f
-    m6 = _blocks(np.broadcast_arrays(*(m.numpy() for m in masks.masks())))
+    m6 = _as_blocks(m)
     pad = ((0, 0), (0, 0), (0, ph), (0, pw))
     if ph or pw:
         y = _masked_haar(np.pad(f.data, pad, mode="reflect"), m6)[:, :, :h, :w]

@@ -216,8 +216,7 @@ class TestFeatvizCommand:
         infile = tmp_path / "f.daug"
         daug.write_tensor(infile, arr)
         out = tmp_path / "viz.ppm"
-        assert dispatch(["featviz", "--in", str(infile), "--out", str(out),
-                         "--seed", "0"]) == 0
+        assert dispatch(["featviz", "--in", str(infile), "--out", str(out)]) == 0
         img = read_ppm(out)
         assert img.shape == (12, 12, 3)
 
@@ -296,12 +295,14 @@ class TestTrainEvalCommands:
                          str(cfg_path), "--seed", "1"])
         assert code == 0
 
-    def test_bad_config_is_exit_1(self, dataset, tmp_path, capsys):
+    @pytest.mark.parametrize("content", [b"{", b'{"train": "\xff"}'])
+    def test_bad_config_is_exit_1(self, dataset, tmp_path, capsys, content):
         bad = tmp_path / "bad.json"
-        bad.write_text("{")
+        bad.write_bytes(content)
         code = dispatch(["train", "--data", str(dataset),
                          "--out", str(tmp_path / "r"), "--config", str(bad)])
         assert code == 1
+        assert "invalid JSON" in capsys.readouterr().err
 
     def test_unknown_config_key_is_exit_1(self, dataset, tmp_path, capsys):
         for blob, words in (({"train": {"epochz": 1}}, ("epochz", "train")),
@@ -327,6 +328,9 @@ class TestTrainEvalCommands:
                  ("network.encoder", "object")),
                 ({"network": {"wt_aug": [{"sed": 1}] + [{}] * 3}},
                  ("sed", "network.wt_aug[0]")),
+                # masks are drawn from the training run's generator
+                ({"network": {"wt_aug": [{"seed": -1}] + [{}] * 3}},
+                 ("'seed'", "network.wt_aug[0]")),
                 ({"network": {"wt_aug": [{}, {}, 5, {}]}},
                  ("network.wt_aug[2]", "object")),
                 ({"network": {"wt_aug": {"seed": 1}}},
@@ -419,7 +423,7 @@ class TestTrainEvalCommands:
         cfg_path.write_text(json.dumps({"network": {
             "head_count": 2,
             "encoder": {"channels": [4, 6, 8, 10], "seed": 2},
-            "wt_aug": [{"keep_prob": [1, 1, 1, 1], "seed": 3}] * 4}}))
+            "wt_aug": [{"keep_prob": [1, 1, 1, 1]}] * 4}}))
         run_dir = tmp_path / "run"
         assert dispatch(["train", "--data", str(dataset), "--out",
                          str(run_dir), "--config", str(cfg_path),
@@ -427,7 +431,8 @@ class TestTrainEvalCommands:
         config = json.loads(
             (run_dir / "checkpoint" / "checkpoint.json").read_text())["config"]
         assert config["encoder"]["channels"] == [4, 6, 8, 10]
-        assert config["wt_aug"][3]["seed"] == 3
+        assert config["wt_aug"][3] == {"keep_prob": [1, 1, 1, 1],
+                                       "channel_shared": True}
 
     @pytest.mark.parametrize("strengths,words", [
         ({"foo": 1}, ("unknown corruption_strengths key", "'foo'")),
@@ -508,6 +513,37 @@ class TestTrainEvalCommands:
         err = capsys.readouterr().err
         assert "fusion.level3.w_q" in err and "non-finite" in err
 
+    @pytest.mark.parametrize("edit,words", [
+        (lambda m: "{", ("checkpoint.json", "invalid JSON")),
+        (lambda m: [m], ("checkpoint.json", "the manifest", "object")),
+        (lambda m: {k: v for k, v in m.items() if k != "config"},
+         ("missing key 'config'",)),
+        (lambda m: {k: v for k, v in m.items() if k != "parameters"},
+         ("missing key 'parameters'",)),
+        (lambda m: m | {"config": m["config"] | {"heads": 2}},
+         ("unknown key 'heads'", "section 'config'")),
+        # a manifest written before the wt_aug seed was dropped
+        (lambda m: m | {"config": m["config"] | {"wt_aug": [
+            w | {"seed": 0} for w in m["config"]["wt_aug"]]}},
+         ("unknown key 'seed'", "config.wt_aug[0]")),
+        (lambda m: m | {"config": m["config"] | {"num_classes": "3"}},
+         ("config.num_classes", "integer", '"3"'))])
+    def test_eval_bad_checkpoint_manifest_is_exit_1(self, dataset, tmp_path,
+                                                    capsys, edit, words):
+        from augseg.model import Network, NetworkConfig, save_checkpoint
+        ckpt = tmp_path / "ckpt"
+        save_checkpoint(ckpt, Network(NetworkConfig()), epoch=0, seed=0)
+        path = ckpt / "checkpoint.json"
+        edited = edit(json.loads(path.read_text()))
+        path.write_text(edited if isinstance(edited, str)
+                        else json.dumps(edited))
+        code = dispatch(["eval", "--checkpoint", str(ckpt),
+                         "--data", str(dataset)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert all(w in err for w in words), err
+
     def test_ablate_degenerate_single_seed(self, dataset, tmp_path, capsys):
         code = dispatch(["ablate", "--data", str(dataset), "--out",
                          str(tmp_path / "abl"), "--mode", "table8",
@@ -582,8 +618,7 @@ class TestNegativeSeedsAndK:
 
     @pytest.mark.parametrize("blob,name", [
         ({"network": {"param_seed": -1}}, "param_seed"),
-        ({"network": {"encoder": {"seed": -1}}}, "encoder seed"),
-        ({"network": {"wt_aug": [{"seed": -1}] + [{}] * 3}}, "wt_aug seed")])
+        ({"network": {"encoder": {"seed": -1}}}, "encoder seed")])
     def test_config_seed(self, dataset, tmp_path, capsys, blob, name):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(blob))
@@ -605,10 +640,12 @@ class TestNegativeSeedsAndK:
                    ("--seed", "-1"), out)
 
     def test_featviz_seed(self, tmp_path, capsys):
+        # featviz's PCA draws nothing, so it takes no seed
         out = tmp_path / "v.ppm"
         self.check(capsys, ["featviz", "--in",
                             str(self.feature_file(tmp_path)), "--out",
-                            str(out), "--seed", "-1"], ("--seed", "-1"), out)
+                            str(out), "--seed", "0"],
+                   ("unrecognized arguments", "--seed"), out)
 
     @pytest.mark.parametrize("k", ["-1", "0"])
     def test_featviz_k(self, tmp_path, capsys, k):

@@ -13,7 +13,6 @@ from augseg.metrics import (
     EXACT_WILCOXON_LIMIT,
     MetricsRecord,
     _exact_p,
-    WilcoxonResult,
     boundary_pixels,
     dice_score,
     hd95,
@@ -339,8 +338,3 @@ class TestEmission:
         assert lines[1].startswith("s0,1,0.5")
         assert len(lines) == 3
 
-    def test_wilcoxon_json(self):
-        res = WilcoxonResult(n=5, statistic=0.0, p_value=0.0625, method="exact")
-        import json
-        data = json.loads(res.to_json())
-        assert data == {"n": 5, "W": 0.0, "p": 0.0625, "method": "exact"}

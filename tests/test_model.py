@@ -231,6 +231,17 @@ class TestForward:
                         rng=np.random.default_rng(123)).numpy()
         np.testing.assert_array_equal(a, b)
 
+    def test_train_mode_needs_an_rng_or_a_feature_aug(self):
+        net = Network(small_config())
+        image = Tensor(np.zeros((1, 1, 64, 64), dtype=np.float32))
+        with pytest.raises(ContractError, match="rng or a feature_aug"):
+            net.forward(image, mode="train")
+        # a feature_aug alone is enough: the identity one reproduces eval
+        np.testing.assert_array_equal(
+            net.forward(image, mode="train",
+                        feature_aug=lambda f, i: f).numpy(),
+            net.forward(image, mode="eval").numpy())
+
     def test_keep_prob_one_matches_eval(self):
         cfg = small_config(wt_aug=WtAugConfig(keep_prob=(1, 1, 1, 1)))
         net = Network(cfg)

@@ -1,6 +1,7 @@
 """Adam updates, the training loop, evaluation, and the ablation harness."""
 
 import inspect
+import json
 import math
 import os
 from dataclasses import dataclass
@@ -10,11 +11,11 @@ import pytest
 
 from augseg import fusion, trainer
 from augseg.autodiff import GradTape, Tensor, use_tape
-from augseg.errors import ContractError
+from augseg.errors import ContractError, InputError
 from augseg.metrics import mean_foreground_dice
 from augseg.model import EncoderSpec, Network, NetworkConfig, load_checkpoint
-from augseg.synth import (load_manifest, load_sample, random_corruption,
-                          write_dataset)
+from augseg.synth import (SynthConfig, load_manifest, load_sample,
+                          random_corruption, write_dataset)
 from augseg.trainer import (
     ARMS,
     AdamState,
@@ -546,6 +547,17 @@ class TestEvaluate:
         want = float(np.mean([r.mean_dice for r in recs_a]))
         assert summary_a["mean_dice"] == pytest.approx(want)
 
+    def test_class_count_must_match_the_network(self, dataset, tmp_path):
+        # a class the network cannot predict, absent from the few test
+        # masks, would score Dice 1
+        four = tmp_path / "four"
+        write_dataset(four, train_seeds=range(2), test_seeds=range(500, 502),
+                      config=SynthConfig(num_classes=4))
+        net = Network(tiny_net_config())
+        with pytest.raises(InputError,
+                           match="dataset has 4 classes, network expects 3"):
+            evaluate(net, str(four), split="test")
+
     def test_csv_emission(self, dataset, tmp_path):
         cfg = TrainConfig(epochs=1, shots=1, seed=7, augmentation="none")
         net, _, _ = train(cfg, tiny_net_config(), dataset)
@@ -584,7 +596,9 @@ class TestAblationRun:
         assert len(tests) == 6
         rows = (tmp_path / "ablation.csv").read_text().strip().splitlines()
         assert len(rows) == 5
-        assert (tmp_path / "wilcoxon.json").exists()
+        written = json.loads((tmp_path / "wilcoxon.json").read_text())
+        assert written == {k: {"n": t.n, "W": t.statistic, "p": t.p_value,
+                               "method": t.method} for k, t in tests.items()}
 
     def test_arm_sets_fusion_switch_on_network_config(self, dataset,
                                                       monkeypatch):

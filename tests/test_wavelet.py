@@ -5,7 +5,7 @@ import pytest
 
 from augseg.autodiff import (GradTape, Tensor, finite_diff_check, reshape,
                              use_tape)
-from augseg.errors import ContractError, DimensionError
+from augseg.errors import ContractError
 from augseg.wavelet import (
     SubbandSet,
     WtAugConfig,
@@ -111,48 +111,51 @@ class TestHaarIdwt2:
         assert np.max(np.abs(out.numpy() - f.numpy())) < 1e-10
 
 
+def gen(seed):
+    return np.random.default_rng(seed)
+
+
 class TestMakeMasks:
     def test_keep_prob_one(self):
-        ms = make_masks((8, 8), WtAugConfig(keep_prob=(1, 1, 1, 1), seed=5))
-        for m in ms.masks():
-            np.testing.assert_array_equal(m.numpy(), np.ones((1, 1, 8, 8)))
+        m = make_masks((1, 8, 8), WtAugConfig(keep_prob=(1, 1, 1, 1)), gen(5))
+        np.testing.assert_array_equal(m, np.ones((4, 1, 1, 8, 8)))
 
     def test_keep_prob_zero(self):
-        ms = make_masks((4, 4), WtAugConfig(keep_prob=(0, 0, 0, 0), seed=5))
-        for m in ms.masks():
-            np.testing.assert_array_equal(m.numpy(), np.zeros((1, 1, 4, 4)))
+        m = make_masks((1, 4, 4), WtAugConfig(keep_prob=(0, 0, 0, 0)), gen(5))
+        np.testing.assert_array_equal(m, np.zeros((4, 1, 1, 4, 4)))
 
     def test_binary_entries_and_determinism(self):
-        cfg = WtAugConfig(keep_prob=(0.3, 0.5, 0.7, 0.9), seed=42)
-        a = make_masks((16, 16), cfg)
-        b = make_masks((16, 16), cfg)
-        for ma, mb in zip(a.masks(), b.masks()):
-            assert set(np.unique(ma.numpy())) <= {0.0, 1.0}
-            np.testing.assert_array_equal(ma.numpy(), mb.numpy())
+        cfg = WtAugConfig(keep_prob=(0.3, 0.5, 0.7, 0.9))
+        a = make_masks((1, 16, 16), cfg, gen(42))
+        b = make_masks((1, 16, 16), cfg, gen(42))
+        assert set(np.unique(a)) <= {0.0, 1.0}
+        np.testing.assert_array_equal(a, b)
 
     def test_ones_fraction_near_half(self):
         # Binomial(1024, 0.5): P(outside [0.40, 0.60]) < 1e-3
-        ms = make_masks((32, 32), WtAugConfig(keep_prob=(0.5,) * 4, seed=7))
-        for m in ms.masks():
-            frac = float(m.numpy().mean())
+        m = make_masks((1, 32, 32), WtAugConfig(keep_prob=(0.5,) * 4), gen(7))
+        for band in m:
+            frac = float(band.mean())
             assert 0.40 <= frac <= 0.60
 
-    @pytest.mark.parametrize("shape", [(5, 6), (3, 4, 4)])
+    @pytest.mark.parametrize("shape,shared", [((3, 5, 6), True),
+                                              ((3, 4, 4), False)])
     @pytest.mark.parametrize("keep", [(1, 0, .5, 1), (0, 0, 0, 0),
                                       (1, 1, 1, 1), (.3, .7, 1, 0)])
-    def test_stream_is_one_draw_per_band(self, shape, keep):
+    def test_stream_is_one_draw_per_band(self, shape, shared, keep):
         # every band draws random(shape) whatever its keep probability
-        ms = make_masks(shape, WtAugConfig(keep_prob=keep, seed=19))
-        u = np.random.default_rng(19).random((4,) + shape)
-        for m, ub, p in zip(ms.masks(), u, keep):
-            assert m.dtype == np.float32
-            assert m.shape == (1,) * (4 - len(shape)) + shape
-            np.testing.assert_array_equal(m.numpy().reshape(shape), ub < p)
+        cfg = WtAugConfig(keep_prob=keep, channel_shared=shared)
+        m = make_masks(shape, cfg, gen(19))
+        drawn = ((1,) if shared else shape[:1]) + shape[1:]
+        u = gen(19).random((4,) + drawn)
+        assert m.dtype == np.float32
+        assert m.shape == (4, 1) + drawn
+        for band, ub, p in zip(m, u, keep):
+            np.testing.assert_array_equal(band.reshape(drawn), ub < p)
 
     def test_per_channel_masks(self):
-        cfg = WtAugConfig(keep_prob=(0.5,) * 4, seed=11, channel_shared=False)
-        ms = make_masks((3, 8, 8), cfg)
-        assert ms.M_LL.shape == (1, 3, 8, 8)
+        cfg = WtAugConfig(keep_prob=(0.5,) * 4, channel_shared=False)
+        assert make_masks((3, 8, 8), cfg, gen(11)).shape == (4, 1, 3, 8, 8)
 
     def test_invalid_keep_prob(self):
         with pytest.raises(ContractError):
@@ -170,45 +173,56 @@ class TestWtAug:
     def test_identity_when_all_kept(self):
         rng = np.random.default_rng(8)
         f = Tensor(rng.normal(size=(2, 3, 8, 8)).astype(np.float32))
-        out = wt_aug(f, WtAugConfig(keep_prob=(1, 1, 1, 1), seed=0))
+        out = wt_aug(f, WtAugConfig(keep_prob=(1, 1, 1, 1)), gen(0))
         np.testing.assert_array_equal(out.numpy(), f.numpy())
 
     def test_ll_only_gives_block_means(self):
         out = wt_aug(t4([[1.0, 2.0], [3.0, 4.0]]),
-                     WtAugConfig(keep_prob=(1, 0, 0, 0), seed=0))
+                     WtAugConfig(keep_prob=(1, 0, 0, 0)), gen(0))
         np.testing.assert_allclose(out.numpy(), [[[[2.5, 2.5], [2.5, 2.5]]]],
                                    atol=1e-6)
 
     def test_all_dropped_gives_zero(self):
         rng = np.random.default_rng(9)
         f = Tensor(rng.normal(size=(1, 2, 4, 4)).astype(np.float32))
-        out = wt_aug(f, WtAugConfig(keep_prob=(0, 0, 0, 0), seed=0))
+        out = wt_aug(f, WtAugConfig(keep_prob=(0, 0, 0, 0)), gen(0))
         np.testing.assert_allclose(out.numpy(), 0.0, atol=1e-6)
 
     def test_output_shape_matches_input(self):
         rng = np.random.default_rng(10)
         for shape in [(1, 1, 4, 4), (2, 3, 6, 10), (1, 2, 5, 7)]:
             f = Tensor(rng.normal(size=shape).astype(np.float32))
-            out = wt_aug(f, WtAugConfig(keep_prob=(0.5,) * 4, seed=3))
+            out = wt_aug(f, WtAugConfig(keep_prob=(0.5,) * 4), gen(3))
             assert out.shape == f.shape
+
+    def test_draws_advance_the_callers_generator(self):
+        # one random() of the band shape per call, so successive calls
+        # on one generator draw fresh masks
+        cfg = WtAugConfig(keep_prob=(0.5,) * 4, channel_shared=False)
+        f = Tensor(np.ones((2, 3, 8, 7), dtype=np.float32))
+        rng = gen(21)
+        a, b = (wt_aug(f, cfg, rng).numpy() for _ in range(2))
+        assert not np.array_equal(a, b)
+        after = gen(21)
+        after.random((2, 4, 1, 3, 4, 4))
+        assert rng.random() == after.random()
 
     def test_gradient_with_fixed_masks(self):
         rng = np.random.default_rng(11)
-        cfg = WtAugConfig(keep_prob=(0.6, 0.6, 0.6, 0.6), seed=13)
-        masks = make_masks((3, 3), cfg)
+        cfg = WtAugConfig(keep_prob=(0.6, 0.6, 0.6, 0.6))
         w = Tensor(rng.normal(size=(1, 2, 6, 6)).astype(np.float64))
+        # a fresh generator per call draws the same masks each time
         err = finite_diff_check(
-            lambda f: (wt_aug(f, cfg, masks=masks) * w).sum(),
+            lambda f: (wt_aug(f, cfg, gen(13)) * w).sum(),
             Tensor(rng.normal(size=(1, 2, 6, 6))))
         assert err < 1e-5
 
     def test_gradient_through_odd_extent_padding(self):
         rng = np.random.default_rng(12)
-        cfg = WtAugConfig(keep_prob=(1, 0, 1, 0), seed=17)
-        masks = make_masks((3, 3), cfg)
+        cfg = WtAugConfig(keep_prob=(1, 0, 1, 0))
         w = Tensor(rng.normal(size=(1, 1, 5, 5)).astype(np.float64))
         err = finite_diff_check(
-            lambda f: (wt_aug(f, cfg, masks=masks) * w).sum(),
+            lambda f: (wt_aug(f, cfg, gen(17)) * w).sum(),
             Tensor(rng.normal(size=(1, 1, 5, 5))))
         assert err < 1e-5
 
@@ -254,9 +268,10 @@ def reference_haar_idwt2(s):
 
 
 def reference_wt_aug(f, masks):
-    """idwt(mask * dwt(f)) with the composed reference pair."""
+    """idwt(mask * dwt(f)) with the composed reference pair; ``masks`` is
+    make_masks' [4, 1, c|1, h, w] array."""
     sub = reference_haar_dwt2(f)
-    bands = [b * m for b, m in zip(sub.bands(), masks.masks())]
+    bands = [b * Tensor(m) for b, m in zip(sub.bands(), masks)]
     return reference_haar_idwt2(SubbandSet(*bands, orig_hw=sub.orig_hw))
 
 
@@ -324,25 +339,24 @@ class TestFusedWtAug:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_subband_composition(self, shape, shared, dtype):
         rng = np.random.default_rng(sum(shape))
-        cfg = WtAugConfig(keep_prob=(0.7, 0.5, 0.5, 0.3), seed=4,
+        cfg = WtAugConfig(keep_prob=(0.7, 0.5, 0.5, 0.3),
                           channel_shared=shared)
         f = Tensor(rng.normal(size=shape).astype(dtype))
-        h2, w2 = (shape[2] + 1) // 2, (shape[3] + 1) // 2
-        masks = make_masks((h2, w2) if shared else (shape[1], h2, w2), cfg)
-        got = wt_aug(f, cfg, masks=masks).numpy()
-        want = reference_wt_aug(f, masks).numpy()
+        band_shape = (shape[1], (shape[2] + 1) // 2, (shape[3] + 1) // 2)
+        got = wt_aug(f, cfg, gen(4)).numpy()
+        want = reference_wt_aug(f, make_masks(band_shape, cfg, gen(4))).numpy()
         assert got.dtype == dtype and got.shape == shape
         assert np.max(np.abs(got - want)) < 1e-6
 
     @pytest.mark.parametrize("shape", [(2, 3, 8, 6), (1, 2, 7, 5)])
     def test_gradient_matches_subband_composition(self, shape):
         rng = np.random.default_rng(5)
-        cfg = WtAugConfig(keep_prob=(0.6,) * 4, seed=8, channel_shared=False)
+        cfg = WtAugConfig(keep_prob=(0.6,) * 4, channel_shared=False)
         masks = make_masks((shape[1], (shape[2] + 1) // 2,
-                            (shape[3] + 1) // 2), cfg)
+                            (shape[3] + 1) // 2), cfg, gen(8))
         g = Tensor(rng.normal(size=shape))
         grads = []
-        for fn in (lambda x: wt_aug(x, cfg, masks=masks),
+        for fn in (lambda x: wt_aug(x, cfg, gen(8)),
                    lambda x: reference_wt_aug(x, masks)):
             x = Tensor(rng.normal(size=shape), requires_grad=True)
             with use_tape(GradTape()) as tape:
@@ -352,29 +366,20 @@ class TestFusedWtAug:
 
     def test_self_adjoint(self):
         rng = np.random.default_rng(6)
-        cfg = WtAugConfig(keep_prob=(0.8, 0.4, 0.4, 0.4), seed=9,
+        cfg = WtAugConfig(keep_prob=(0.8, 0.4, 0.4, 0.4),
                           channel_shared=False)
-        masks = make_masks((3, 4, 5), cfg)
         x = Tensor(rng.normal(size=(2, 3, 8, 10)))
         g = Tensor(rng.normal(size=(2, 3, 8, 10)))
-        lhs = float(np.sum(wt_aug(x, cfg, masks=masks).numpy() * g.numpy()))
-        rhs = float(np.sum(x.numpy() * wt_aug(g, cfg, masks=masks).numpy()))
+        lhs = float(np.sum(wt_aug(x, cfg, gen(9)).numpy() * g.numpy()))
+        rhs = float(np.sum(x.numpy() * wt_aug(g, cfg, gen(9)).numpy()))
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
     def test_all_ones_returns_input_object(self):
         f = Tensor(np.ones((1, 2, 5, 6), dtype=np.float32), requires_grad=True)
-        assert wt_aug(f, WtAugConfig(keep_prob=(1, 1, 1, 1))) is f
+        assert wt_aug(f, WtAugConfig(keep_prob=(1, 1, 1, 1)), gen(0)) is f
 
     def test_one_tape_node(self):
         f = Tensor(np.ones((1, 2, 5, 6)), requires_grad=True)
         with use_tape(GradTape()) as tape:
-            wt_aug(f, WtAugConfig(keep_prob=(0.5,) * 4, seed=1))
+            wt_aug(f, WtAugConfig(keep_prob=(0.5,) * 4), gen(1))
             assert len(tape) == 1
-
-    def test_mask_shape_mismatch_rejected(self):
-        cfg = WtAugConfig(keep_prob=(0.5,) * 4, seed=2)
-        f = Tensor(np.ones((1, 2, 8, 8), dtype=np.float32))
-        with pytest.raises(DimensionError, match="mask shape"):
-            wt_aug(f, cfg, masks=make_masks((3, 3), cfg))
-        with pytest.raises(DimensionError, match="mask shape"):
-            wt_aug(f, cfg, masks=make_masks((3, 4, 4), cfg))
