@@ -23,6 +23,7 @@ from .pca import feature_pca, pca_to_image
 from .schema import check_keys, check_section
 from .synth import SynthConfig, write_dataset
 from .trainer import (
+    ARMS,
     TrainConfig,
     ablation_run,
     evaluate,
@@ -81,8 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--lr", type=float)
     p.add_argument("--batch-size", type=int)
-    p.add_argument("--arm", choices=("none", "image_level", "feature_spatial",
-                                     "feature_wavelet"))
+    p.add_argument("--arm", choices=ARMS)
     p.add_argument("--no-cg-fuse", action="store_true")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a split")

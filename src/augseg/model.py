@@ -1,15 +1,15 @@
 """Network assembly: frozen multi-scale encoder, wavelet-augmented skip
 connections, cross-attention fusion, and a convolutional decoder.
 
-The encoder is pluggable: a "toy" variant (four frozen strided conv
-stages at strides 4/8/16/32, seeded once, never trained) stands in for a
-large pretrained backbone, and a "file" variant loads per-stage feature
-tensors verbatim.  Decoding walks levels 3, 2, 1: the deepest stage is
-bilinearly upsampled once to become the initial decoder state, then each
-level fuses the decoder state with that stage's (augmented) features and
-runs a concat + conv + transposed-conv block that doubles resolution.
-Augmented features feed the fusion block; the raw encoder features feed
-the concat skip (switchable via ``ccu_skip_augmented``).
+The encoder is four frozen strided conv stages over a 1-channel image
+(strides 4/8/16/32 by default, seeded once, never trained); it stands in
+for a large pretrained backbone and is a pure function of the image.
+Decoding walks levels 3, 2, 1: the deepest stage is bilinearly upsampled
+once to become the initial decoder state, then each level fuses the
+decoder state with that stage's (augmented) features and runs a concat +
+conv + transposed-conv block that doubles resolution.  Augmented features
+feed the fusion block; the raw encoder features feed the concat skip
+(switchable via ``ccu_skip_augmented``).
 
 Checkpoints are a directory of DAUG tensors plus a JSON manifest; a
 reload reproduces eval-mode forward passes bit-exactly.
@@ -18,6 +18,7 @@ reload reproduces eval-mode forward passes bit-exactly.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import shutil
 from dataclasses import asdict, dataclass, field
@@ -41,26 +42,34 @@ from .wavelet import WtAugConfig, wt_aug
 CHECKPOINT_MANIFEST = "checkpoint.json"
 
 
+def _positive_ints(values, count, name) -> tuple:
+    """``values`` as a tuple of ``count`` ints, each at least 1; otherwise
+    a ``ContractError`` naming ``name``."""
+    values = tuple(values)
+    if len(values) != count or not all(
+            isinstance(v, numbers.Integral) and not isinstance(v, bool)
+            and v >= 1 for v in values):
+        raise ContractError(
+            f"{name} must be {count} integers >= 1, got {list(values)!r}")
+    return tuple(int(v) for v in values)
+
+
 @dataclass
 class EncoderSpec:
-    kind: str = "toy"                      # "toy" | "file"
     channels: tuple = (24, 32, 48, 64)
     strides: tuple = (4, 8, 16, 32)
-    in_channels: int = 1
     seed: int = 0
-    path_template: str | None = None       # file encoder: "...stage{stage}.daug"
 
     def __post_init__(self):
-        self.channels = tuple(self.channels)
-        self.strides = tuple(self.strides)
-        if self.kind not in ("toy", "file"):
-            raise ContractError(f"unknown encoder kind {self.kind!r}")
-        if len(self.channels) != 4 or len(self.strides) != 4:
-            raise ContractError("encoder has exactly 4 stages")
-        if list(self.strides) != sorted(self.strides):
-            raise ContractError("strides must be nondecreasing")
-        if self.kind == "file" and not self.path_template:
-            raise ContractError("file encoder needs a path template")
+        self.channels = _positive_ints(self.channels, 4, "encoder.channels")
+        self.strides = _positive_ints(self.strides, 4, "encoder.strides")
+        # each decoder level doubles resolution, from stage 3's grid up to
+        # twice stage 1's, which the seg head must not exceed
+        s1, s2, s3, s4 = self.strides
+        if s1 < 2 or s2 != 2 * s1 or s3 != 2 * s2 or s4 % s3:
+            raise ContractError(
+                "encoder.strides must be s, 2s, 4s and a multiple of 4s "
+                f"with s >= 2, got {list(self.strides)!r}")
         check_seed(self.seed, "encoder seed")
 
 
@@ -96,7 +105,8 @@ class NetworkConfig:
         if self.decoder_channels is None:
             c = self.encoder.channels
             self.decoder_channels = (c[2], c[1], c[0])
-        self.decoder_channels = tuple(self.decoder_channels)
+        self.decoder_channels = _positive_ints(
+            self.decoder_channels, 3, "decoder_channels")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=1)
@@ -164,16 +174,15 @@ class Network:
         rng = np.random.default_rng(config.param_seed)
         enc = config.encoder
         self._encoder_params = []
-        if enc.kind == "toy":
-            enc_rng = np.random.default_rng(enc.seed)
-            c_prev = enc.in_channels
-            for i, c_out in enumerate(enc.channels):
-                k = 7 if i == 0 else 3
-                w = Tensor((enc_rng.normal(size=(c_out, c_prev, k, k))
-                            * np.sqrt(2.0 / (c_prev * k * k))).astype(np.float32))
-                b = Tensor(enc_rng.normal(size=(c_out,)).astype(np.float32) * 0.1)
-                self._encoder_params.append((w, b))
-                c_prev = c_out
+        enc_rng = np.random.default_rng(enc.seed)
+        c_prev = 1
+        for i, c_out in enumerate(enc.channels):
+            k = 7 if i == 0 else 3
+            w = Tensor((enc_rng.normal(size=(c_out, c_prev, k, k))
+                        * np.sqrt(2.0 / (c_prev * k * k))).astype(np.float32))
+            b = Tensor(enc_rng.normal(size=(c_out,)).astype(np.float32) * 0.1)
+            self._encoder_params.append((w, b))
+            c_prev = c_out
 
         c1, c2, c3, c4 = enc.channels
         d3, d2, d1 = config.decoder_channels
@@ -244,11 +253,9 @@ class Network:
                 f"{enc.strides[-1]}")
         if not np.all(np.isfinite(image.numpy())):
             raise NumericDomainError("input image has non-finite pixels")
-        if enc.kind == "file":
-            return self._encode_from_files(image)
-        if c != enc.in_channels:
+        if c != 1:
             raise ContractError(
-                f"input channels {c} != encoder in_channels {enc.in_channels}")
+                f"input channels {c} != 1: the encoder reads grayscale images")
         stages = []
         x = image
         for i, (wgt, b) in enumerate(self._encoder_params):
@@ -257,26 +264,6 @@ class Network:
             pad = 3 if i == 0 else 1
             x = gelu(conv2d(x, wgt, b, stride=stride, padding=pad))
             stages.append(x)
-        return stages
-
-    def _encode_from_files(self, image: Tensor) -> list:
-        enc = self.config.encoder
-        n, _, h, w = image.shape
-        stages = []
-        for i in range(1, 5):
-            path = enc.path_template.format(stage=i)
-            if not os.path.exists(path):
-                raise InputError(f"stage {i} feature file missing: {path}")
-            arr = daug.read_tensor(path)
-            want = (n, enc.channels[i - 1],
-                    h // enc.strides[i - 1], w // enc.strides[i - 1])
-            if arr.shape != want:
-                raise InputError(
-                    f"stage {i} feature shape {arr.shape} != expected {want}")
-            if not np.all(np.isfinite(arr)):
-                raise NumericDomainError(
-                    f"stage {i} features have non-finite values: {path}")
-            stages.append(Tensor(arr.astype(np.float32)))
         return stages
 
     # ------------------------------------------------------------------

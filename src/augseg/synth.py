@@ -89,10 +89,13 @@ def _coarse_noise(rng, size, cells, lo, hi):
     return rows
 
 
-def _shape_coverage(kind, size, cy, cx, ry, rx, angle, supersample=3):
-    """Anti-aliased coverage in [0,1] plus the exact center-inside mask."""
-    ss = supersample
-    offs = (np.arange(ss) + 0.5) / ss - 0.5
+def _shape_coverage(kind, size, cy, cx, ry, rx, angle):
+    """Anti-aliased coverage in [0,1] plus the exact center-inside mask.
+
+    Each pixel is sampled on a 3x3 grid; the middle offset is exactly 0,
+    so the middle sample is the pixel center.
+    """
+    offs = (np.arange(3) + 0.5) / 3 - 0.5
     yy = np.arange(size)[:, None, None, None] + offs[None, None, :, None]
     xx = np.arange(size)[None, :, None, None] + offs[None, None, None, :]
     ca, sa = math.cos(angle), math.sin(angle)
@@ -102,14 +105,7 @@ def _shape_coverage(kind, size, cy, cx, ry, rx, angle, supersample=3):
         inside = (u / ry) ** 2 + (v / rx) ** 2 <= 1.0
     else:
         inside = (np.abs(u) <= ry) & (np.abs(v) <= rx)
-    coverage = inside.mean(axis=(2, 3))
-    uc = (np.arange(size)[:, None] - cy) * ca + (np.arange(size)[None, :] - cx) * sa
-    vc = -(np.arange(size)[:, None] - cy) * sa + (np.arange(size)[None, :] - cx) * ca
-    if kind == "ellipse":
-        center_in = (uc / ry) ** 2 + (vc / rx) ** 2 <= 1.0
-    else:
-        center_in = (np.abs(uc) <= ry) & (np.abs(vc) <= rx)
-    return coverage, center_in
+    return inside.mean(axis=(2, 3)), inside[:, :, 1, 1]
 
 
 def gen_sample(seed: int, config: SynthConfig | None = None) -> Sample:

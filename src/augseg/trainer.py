@@ -217,10 +217,10 @@ def train(train_cfg: TrainConfig, net_cfg: NetworkConfig, data_dir,
         trainables = {k: v for k, v in trainables.items()
                       if not k.startswith("fusion.")}
     state = AdamState.for_params(trainables)
-    # The encoder is frozen and a pure function of the image, so each
-    # clean sample is encoded once per run; only image_level, whose
+    # The encoder is frozen and a pure function of the image, so the clean
+    # subset is encoded once per run, in one call; only image_level, whose
     # images change every epoch, re-encodes its training batches.
-    stages = [net.encode(Tensor(image[None])) for image, _ in data]
+    stages = net.encode(Tensor(np.stack([image for image, _ in data])))
     log_rows = []
     tape = GradTape()
     for epoch in range(train_cfg.epochs):
@@ -236,7 +236,7 @@ def train(train_cfg: TrainConfig, net_cfg: NetworkConfig, data_dir,
                     for img in images]
                 batch_stages = None
             else:
-                batch_stages = _stack_stages([stages[i] for i in idx])
+                batch_stages = [Tensor(s.data[idx]) for s in stages]
             batch = Tensor(np.stack(images))
             labels = np.stack([data[i][1] for i in idx])
             feature_aug = _make_feature_aug(
@@ -280,19 +280,13 @@ def _corrupt_image(image, rng, strengths):
     return corrupt(image, random_corruption(rng, **strengths))
 
 
-def _stack_stages(per_sample):
-    """Concatenate per-sample encoder stages into batch stages."""
-    return [Tensor(np.concatenate([t.numpy() for t in stage]))
-            for stage in zip(*per_sample)]
-
-
 def _subset_dice(net, data, stages, num_classes) -> float:
     """Eval-mode mean foreground Dice of the samples, in one batched forward.
 
-    ``stages`` are the per-sample encodings of ``data``'s images.
+    ``stages`` is the encoding of ``data``'s images stacked in order.
     """
     logits = net.forward(Tensor(np.stack([image for image, _ in data])),
-                         mode="eval", stages=_stack_stages(stages))
+                         mode="eval", stages=stages)
     preds = np.argmax(logits.numpy(), axis=1).astype(np.uint8)
     return float(np.mean([mean_foreground_dice(pred, mask, num_classes)
                           for pred, (_, mask) in zip(preds, data)]))

@@ -237,6 +237,22 @@ class TestFeatvizCommand:
         assert code == 1
 
 
+def _check_config_exit_1(dataset, tmp_path, capsys, blob, words):
+    """``train --config`` with ``blob`` exits 1 before training, and its
+    message holds every one of ``words``."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(blob))
+    run_dir = tmp_path / "run"
+    code = dispatch(["train", "--data", str(dataset), "--out", str(run_dir),
+                     "--config", str(cfg_path), "--epochs", "1",
+                     "--shots", "1"])
+    assert code == 1, blob
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert all(w in err for w in words), err
+    assert not run_dir.exists()
+
+
 class TestTrainEvalCommands:
     def test_train_then_eval(self, dataset, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -264,25 +280,6 @@ class TestTrainEvalCommands:
                          "--data", str(dataset)])
         assert code == 1
         assert "head.out.bias.daug" in capsys.readouterr().err
-
-    def test_eval_non_finite_stage_feature_is_exit_1(self, dataset, tmp_path,
-                                                     capsys):
-        from augseg.model import EncoderSpec, Network, NetworkConfig, \
-            save_checkpoint
-        template = str(tmp_path / "feat_stage{stage}.daug")
-        spec = EncoderSpec(kind="file", path_template=template)
-        for i, (c, s) in enumerate(zip(spec.channels, spec.strides), start=1):
-            arr = np.zeros((1, c, 64 // s, 64 // s), dtype=np.float32)
-            if i == 2:
-                arr[0, 0, 1, 1] = np.nan
-            daug.write_tensor(template.format(stage=i), arr)
-        ckpt = tmp_path / "ckpt"
-        save_checkpoint(ckpt, Network(NetworkConfig(encoder=spec)), epoch=0,
-                        seed=0)
-        code = dispatch(["eval", "--checkpoint", str(ckpt),
-                         "--data", str(dataset)])
-        assert code == 1
-        assert "non-finite" in capsys.readouterr().err
 
     def test_config_file_round(self, dataset, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -378,17 +375,26 @@ class TestTrainEvalCommands:
          ("keep_prob", "'x'"))])
     def test_bad_adam_or_keep_prob_entries_are_exit_1(self, dataset, tmp_path,
                                                       capsys, blob, words):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(blob))
-        run_dir = tmp_path / "run"
-        code = dispatch(["train", "--data", str(dataset), "--out",
-                         str(run_dir), "--config", str(cfg_path),
-                         "--epochs", "1", "--shots", "1"])
-        assert code == 1, blob
-        err = capsys.readouterr().err
-        assert "internal error" not in err
-        assert all(w in err for w in words), err
-        assert not run_dir.exists()
+        _check_config_exit_1(dataset, tmp_path, capsys, blob, words)
+
+    @pytest.mark.parametrize("blob,words", [
+        ({"decoder_channels": value}, ("decoder_channels", "3 integers"))
+        for value in ([8], [8, 8, 8, 8], [0, 8, 8], ["a", 8, 8],
+                      [48.0, 32, 24])] + [
+        ({"encoder": {"channels": value}}, ("encoder.channels", "4 integers"))
+        for value in (["a", 1, 2, 3], [0, 6, 8, 10], [24, 32, 48, 64.5])] + [
+        ({"encoder": {"strides": value}}, ("encoder.strides",))
+        # the last two divide evenly, but the decoder cannot upsample them
+        for value in ([0, 0, 0, 0], [4, 6, 16, 32], [3, 8, 16, 32],
+                      [4, 4, 16, 32], [1, 2, 4, 8])] + [
+        # options of the image-blind feature-file encoder, now gone
+        ({"encoder": {key: value}}, (repr(key), "network.encoder"))
+        for key, value in (("in_channels", 3), ("kind", "toy"),
+                           ("path_template", "f{stage}.daug"))])
+    def test_bad_encoder_or_decoder_field_is_exit_1(self, dataset, tmp_path,
+                                                    capsys, blob, words):
+        _check_config_exit_1(dataset, tmp_path, capsys, {"network": blob},
+                             words)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -527,7 +533,13 @@ class TestTrainEvalCommands:
             w | {"seed": 0} for w in m["config"]["wt_aug"]]}},
          ("unknown key 'seed'", "config.wt_aug[0]")),
         (lambda m: m | {"config": m["config"] | {"num_classes": "3"}},
-         ("config.num_classes", "integer", '"3"'))])
+         ("config.num_classes", "integer", '"3"')),
+        # a manifest written while the feature-file encoder existed
+        (lambda m: m | {"config": m["config"] | {"encoder": m["config"][
+            "encoder"] | {"kind": "toy"}}},
+         ("unknown key 'kind'", "config.encoder")),
+        (lambda m: m | {"config": m["config"] | {"decoder_channels": [8]}},
+         ("decoder_channels", "3 integers"))])
     def test_eval_bad_checkpoint_manifest_is_exit_1(self, dataset, tmp_path,
                                                     capsys, edit, words):
         from augseg.model import Network, NetworkConfig, save_checkpoint

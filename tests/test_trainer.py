@@ -409,7 +409,7 @@ class TestTrain:
                           tiny_net_config(), dataset)
         manifest = load_manifest(os.path.join(dataset, "manifest.json"))
         data = [load_sample(dataset, e) for e in manifest["samples"][:3]]
-        stages = [net.encode(Tensor(image[None])) for image, _ in data]
+        stages = net.encode(Tensor(np.stack([image for image, _ in data])))
         scores = []
         for image, mask in data:
             logits = net.forward(Tensor(image[None]), mode="eval")
