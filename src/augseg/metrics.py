@@ -10,6 +10,10 @@ are pinned here):
     diagonal ``spacing * hypot(H, W)`` as a finite sentinel.
   * Boundary pixels are foreground pixels with at least one of their 4
     neighbors background, or lying on the image border.
+
+Only numpy is used: HD95 works on integer squared distances and the
+Wilcoxon ranks come from ``np.unique``, so both equal the scipy
+``cdist``/``rankdata`` results bit for bit without loading those modules.
 """
 
 from __future__ import annotations
@@ -19,12 +23,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.stats import rankdata
 
 from .errors import ContractError, DimensionError
 
 EXACT_WILCOXON_LIMIT = 20
+# squared distances HD95 holds at once: 16 MB of int32 per block
+HD95_BLOCK = 1 << 22
 
 
 @dataclass
@@ -62,7 +66,9 @@ def boundary_pixels(mask: np.ndarray) -> np.ndarray:
 
     Every foreground pixel on the image border is on the surface.  The
     rest, the pixels of ``[1:-1, 1:-1]``, are eroded in place with four
-    shifted slices of the mask, so no padded copy is built.
+    shifted slices of the mask, so no padded copy is built.  The
+    coordinates are split from flat indices, which is faster than
+    ``np.argwhere`` on small masks.
     """
     m = np.asarray(mask, dtype=bool)
     if m.ndim != 2:
@@ -70,11 +76,44 @@ def boundary_pixels(mask: np.ndarray) -> np.ndarray:
     on_surface = m.copy()
     on_surface[1:-1, 1:-1] &= ~(m[:-2, 1:-1] & m[2:, 1:-1] &
                                 m[1:-1, :-2] & m[1:-1, 2:])
-    return np.argwhere(on_surface)
+    return np.stack(np.divmod(np.flatnonzero(on_surface), m.shape[1]),
+                    axis=1)
+
+
+def _min_squared_distances(a, b):
+    """Row and column minima of the squared distances between the integer
+    points ``a`` [k, 2] and ``b`` [m, 2].
+
+    ``dy*dy + dx*dx`` is formed from two broadcasts over blocks of rows of
+    ``a``, each of at most ``max(HD95_BLOCK, m)`` entries; the column
+    minimum is kept across blocks.
+    """
+    ay, ax = a[:, 0], a[:, 1]
+    by, bx = b[:, 0], b[:, 1]
+    rows = max(1, HD95_BLOCK // len(b))
+    row_min = np.empty(len(a), dtype=a.dtype)
+    col_min = None
+    for i in range(0, len(a), rows):
+        sq = np.subtract.outer(ay[i:i + rows], by)
+        sq *= sq
+        dx = np.subtract.outer(ax[i:i + rows], bx)
+        dx *= dx
+        sq += dx
+        sq.min(axis=1, out=row_min[i:i + rows])
+        block_min = sq.min(axis=0)
+        col_min = (block_min if col_min is None
+                   else np.minimum(col_min, block_min, out=col_min))
+        del sq, dx          # free this block before the next is formed
+    return row_min, col_min
 
 
 def hd95(pred: np.ndarray, gt: np.ndarray, cls: int, spacing: float = 1.0) -> float:
-    """Pooled symmetric 95th-percentile boundary distance for one class."""
+    """Pooled symmetric 95th-percentile boundary distance for one class.
+
+    The minima are taken over exact integer squared distances and only the
+    selected one is square-rooted; ``sqrt`` is correctly rounded, so the
+    result equals the float64 Euclidean distance bit for bit.
+    """
     pred = np.asarray(pred)
     gt = np.asarray(gt)
     if pred.shape != gt.shape:
@@ -83,14 +122,16 @@ def hd95(pred: np.ndarray, gt: np.ndarray, cls: int, spacing: float = 1.0) -> fl
     bg = boundary_pixels(gt == cls)
     if len(bp) == 0 and len(bg) == 0:
         return 0.0
+    h, w = pred.shape
     if len(bp) == 0 or len(bg) == 0:
-        h, w = pred.shape
         return spacing * math.hypot(h, w)
-    d = cdist(bp.astype(np.float64), bg.astype(np.float64))
-    pooled = np.concatenate([d.min(axis=1), d.min(axis=0)])
+    # int32 holds dy*dy + dx*dx while both offsets are below 2^15
+    itype = np.int32 if max(h, w) <= 1 << 15 else np.int64
+    pooled = np.concatenate(_min_squared_distances(bp.astype(itype),
+                                                   bg.astype(itype)))
     pooled.sort()
     rank = math.ceil(0.95 * pooled.size)      # nearest-rank, 1-indexed
-    return spacing * float(pooled[rank - 1])
+    return spacing * math.sqrt(pooled[rank - 1])
 
 
 @dataclass
@@ -99,6 +140,15 @@ class WilcoxonResult:
     statistic: float      # W = min(W+, W-)
     p_value: float
     method: str           # "exact" | "normal-approximation" | "degenerate"
+
+
+def _average_ranks(a) -> np.ndarray:
+    """Ranks 1..n of ``a`` in float64, ties sharing their average rank
+    (scipy's ``rankdata``).  A run of ``c`` equal values ending at
+    position ``e`` gets ``e - (c - 1)/2``, a whole or half number."""
+    _, inverse, counts = np.unique(a, return_inverse=True,
+                                   return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def _exact_p(ranks: np.ndarray, w_obs: float) -> float:
@@ -137,7 +187,7 @@ def wilcoxon_signed_rank(differences) -> WilcoxonResult:
     if n == 0:
         return WilcoxonResult(n=0, statistic=0.0, p_value=1.0,
                               method="degenerate")
-    ranks = rankdata(np.abs(d))
+    ranks = _average_ranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     w_minus = float(ranks[d < 0].sum())
     w = min(w_plus, w_minus)

@@ -42,13 +42,16 @@ from .wavelet import WtAugConfig, wt_aug
 CHECKPOINT_MANIFEST = "checkpoint.json"
 
 
+def _is_positive_int(v) -> bool:
+    return (isinstance(v, numbers.Integral) and not isinstance(v, bool)
+            and v >= 1)
+
+
 def _positive_ints(values, count, name) -> tuple:
     """``values`` as a tuple of ``count`` ints, each at least 1; otherwise
     a ``ContractError`` naming ``name``."""
     values = tuple(values)
-    if len(values) != count or not all(
-            isinstance(v, numbers.Integral) and not isinstance(v, bool)
-            and v >= 1 for v in values):
+    if len(values) != count or not all(map(_is_positive_int, values)):
         raise ContractError(
             f"{name} must be {count} integers >= 1, got {list(values)!r}")
     return tuple(int(v) for v in values)
@@ -107,6 +110,9 @@ class NetworkConfig:
             self.decoder_channels = (c[2], c[1], c[0])
         self.decoder_channels = _positive_ints(
             self.decoder_channels, 3, "decoder_channels")
+        if not _is_positive_int(self.ff_mult):
+            raise ContractError(
+                f"ff_mult must be an integer >= 1, got {self.ff_mult!r}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=1)

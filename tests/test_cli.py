@@ -387,6 +387,9 @@ class TestTrainEvalCommands:
         # the last two divide evenly, but the decoder cannot upsample them
         for value in ([0, 0, 0, 0], [4, 6, 16, 32], [3, 8, 16, 32],
                       [4, 4, 16, 32], [1, 2, 4, 8])] + [
+        # 0 would drop the attention path, -1 fail in the allocator
+        ({"ff_mult": value}, ("ff_mult", "integer >= 1"))
+        for value in (0, -1)] + [
         # options of the image-blind feature-file encoder, now gone
         ({"encoder": {key: value}}, (repr(key), "network.encoder"))
         for key, value in (("in_channels", 3), ("kind", "toy"),
@@ -539,7 +542,9 @@ class TestTrainEvalCommands:
             "encoder"] | {"kind": "toy"}}},
          ("unknown key 'kind'", "config.encoder")),
         (lambda m: m | {"config": m["config"] | {"decoder_channels": [8]}},
-         ("decoder_channels", "3 integers"))])
+         ("decoder_channels", "3 integers")),
+        (lambda m: m | {"config": m["config"] | {"ff_mult": 0}},
+         ("ff_mult", "integer >= 1"))])
     def test_eval_bad_checkpoint_manifest_is_exit_1(self, dataset, tmp_path,
                                                     capsys, edit, words):
         from augseg.model import Network, NetworkConfig, save_checkpoint

@@ -1,4 +1,5 @@
-"""Dice / HD95 against brute-force oracles; exact Wilcoxon vs enumeration."""
+"""Dice / HD95 against brute-force oracles and scipy references; exact
+Wilcoxon vs enumeration."""
 
 import itertools
 import math
@@ -6,12 +7,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 from scipy.stats import rankdata
 
+from augseg import metrics
 from augseg.errors import DimensionError
 from augseg.metrics import (
     EXACT_WILCOXON_LIMIT,
+    HD95_BLOCK,
     MetricsRecord,
+    _average_ranks,
     _exact_p,
     boundary_pixels,
     dice_score,
@@ -68,6 +73,28 @@ def oracle_hd95(pred, gt, cls, spacing=1.0):
         dists.append(min(math.dist(p, g) for p in bp))
     dists.sort()
     return spacing * dists[math.ceil(0.95 * len(dists)) - 1]
+
+
+def cdist_hd95(pred, gt, cls, spacing=1.0, rows=512):
+    """HD95 from scipy's float64 Euclidean distances, the reference for
+    ``hd95``'s integer squared distances.  ``cdist`` runs on ``rows``
+    boundary points at a time so that noise masks fit in memory; the
+    minima it pools are the same."""
+    bp = boundary_pixels(pred == cls).astype(np.float64)
+    bg = boundary_pixels(gt == cls).astype(np.float64)
+    if len(bp) == 0 and len(bg) == 0:
+        return 0.0
+    if len(bp) == 0 or len(bg) == 0:
+        h, w = pred.shape
+        return spacing * math.hypot(h, w)
+    row_min, col_min = [], np.inf
+    for i in range(0, len(bp), rows):
+        d = cdist(bp[i:i + rows], bg)
+        row_min.append(d.min(axis=1))
+        col_min = np.minimum(col_min, d.min(axis=0))
+    pooled = np.concatenate(row_min + [col_min])
+    pooled.sort()
+    return spacing * float(pooled[math.ceil(0.95 * pooled.size) - 1])
 
 
 def oracle_wilcoxon_p(diffs):
@@ -215,6 +242,87 @@ class TestHd95:
             b = (rng.random((12, 12)) < rng.uniform(0.05, 0.5)).astype(np.uint8)
             assert hd95(a, b, 1) == oracle_hd95(a, b, 1)
 
+    @staticmethod
+    def reference_cases():
+        """Mask pairs: one-pixel objects, objects on the border and in the
+        corners, 1-row and 1-column masks, one or both masks empty, and
+        random masks."""
+        rng = np.random.default_rng(11)
+        cases = []
+        for _ in range(20):                       # one-pixel objects
+            a = np.zeros((16, 20), np.uint8)
+            b = np.zeros((16, 20), np.uint8)
+            a[tuple(rng.integers(0, (16, 20)))] = 1
+            b[tuple(rng.integers(0, (16, 20)))] = 1
+            cases.append((a, b))
+            blob = b.copy()
+            blob[3:9, 5:14] = 1
+            cases.append((a, blob))
+        for sl in (np.s_[0:4, :], np.s_[:, -3:], np.s_[-1:, 2:9],
+                   np.s_[0:5, 0:5], np.s_[-6:, -6:], np.s_[:, :]):
+            a = np.zeros((12, 15), np.uint8)
+            a[sl] = 1                             # touches the border
+            b = (rng.random((12, 15)) < 0.3).astype(np.uint8)
+            cases += [(a, b), (b, a)]
+        for n in (1, 2, 9, 64):                  # 1-row and 1-column masks
+            for _ in range(5):
+                a = (rng.random((1, n)) < 0.4).astype(np.uint8)
+                b = (rng.random((1, n)) < 0.4).astype(np.uint8)
+                cases += [(a, b), (a.T, b.T)]
+        z = np.zeros((9, 11), np.uint8)
+        one = z.copy()
+        one[4, 0] = 1
+        cases += [(z, z), (z, one), (one, z)]
+        for _ in range(40):
+            p = rng.uniform(0.02, 0.7)
+            cases.append(((rng.random((32, 24)) < p).astype(np.uint8),
+                          (rng.random((32, 24)) < p).astype(np.uint8)))
+        return cases
+
+    def test_matches_cdist_reference_bit_for_bit(self):
+        for a, b in self.reference_cases():
+            for spacing in (1.0, 0.7):
+                got = hd95(a, b, 1, spacing=spacing)
+                want = cdist_hd95(a, b, 1, spacing=spacing)
+                assert type(got) is float
+                assert got.hex() == want.hex(), (a, b, spacing)
+
+    def test_wide_mask_distances_beyond_int32_squares(self):
+        # 46,341^2 overflows int32, so masks this wide take int64 points
+        a = np.zeros((2, 50_000), np.uint8)
+        b = np.zeros((2, 50_000), np.uint8)
+        a[0, [0, 1, 7]] = 1
+        b[1, [46_341, 49_999]] = 1
+        assert hd95(a, b, 1) == cdist_hd95(a, b, 1)
+        assert hd95(a, b, 1) > 46_341
+
+    def test_noise_pair_spanning_blocks_matches_cdist_with_bounded_memory(self):
+        rng = np.random.default_rng(12)
+        a = (rng.random((128, 128)) < 0.5).astype(np.uint8)
+        b = (rng.random((128, 128)) < 0.5).astype(np.uint8)
+        k, m = len(boundary_pixels(a)), len(boundary_pixels(b))
+        assert k * m > 8 * HD95_BLOCK               # several blocks
+        tracemalloc.start()
+        try:
+            got = hd95(a, b, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.hex() == cdist_hd95(a, b, 1).hex()
+        # two int32 blocks and the minima, not the k x m matrix
+        assert peak < 2 * 4 * HD95_BLOCK + (1 << 20), peak
+        assert peak < k * m, peak
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 1000])
+    def test_block_size_does_not_change_the_result(self, monkeypatch, block):
+        rng = np.random.default_rng(13)
+        pairs = [((rng.random((20, 17)) < 0.4).astype(np.uint8),
+                  (rng.random((20, 17)) < 0.2).astype(np.uint8))
+                 for _ in range(10)]
+        want = [hd95(a, b, 1) for a, b in pairs]
+        monkeypatch.setattr(metrics, "HD95_BLOCK", block)
+        assert [hd95(a, b, 1) for a, b in pairs] == want
+
     def test_boundary_matches_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
@@ -246,6 +354,34 @@ class TestHd95:
 # ----------------------------------------------------------------------
 # Wilcoxon signed-rank
 # ----------------------------------------------------------------------
+class TestAverageRanks:
+    @staticmethod
+    def assert_equals_rankdata(a):
+        got = _average_ranks(a)
+        want = rankdata(a)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes(), a
+
+    def test_tie_heavy_inputs(self):
+        rng = np.random.default_rng(14)
+        for n in range(1, 63):
+            for distinct in (1, 2, 3, 5):
+                self.assert_equals_rankdata(
+                    rng.integers(0, distinct, size=n).astype(np.float64))
+                self.assert_equals_rankdata(
+                    np.abs(np.round(rng.normal(size=n), 1)))
+
+    def test_all_equal_and_single(self):
+        for n in (1, 2, 3, 20, 62):
+            self.assert_equals_rankdata(np.full(n, 0.25))
+        self.assert_equals_rankdata(np.array([7.0]))
+
+    def test_distinct_values(self):
+        rng = np.random.default_rng(15)
+        for n in (1, 5, 21, 62):
+            self.assert_equals_rankdata(rng.normal(size=n))
+
+
 class TestWilcoxon:
     def test_all_positive_n5(self):
         res = wilcoxon_signed_rank([1.0, 2.0, 3.0, 4.0, 5.0])

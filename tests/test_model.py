@@ -52,6 +52,16 @@ class TestEncoderSpec:
         with pytest.raises(ContractError, match="encoder"):
             EncoderSpec(**kw)
 
+    @pytest.mark.parametrize("ff_mult", [0, -1, True, 2.0])
+    def test_ff_mult_must_be_a_positive_integer(self, ff_mult):
+        with pytest.raises(ContractError, match="ff_mult"):
+            small_config(ff_mult=ff_mult)
+
+    def test_ff_mult_one_builds(self):
+        net = Network(small_config(ff_mult=1))
+        logits = net.forward(Tensor(np.zeros((1, 1, 64, 64), np.float32)))
+        assert logits.shape == (1, 3, 64, 64)
+
     @pytest.mark.parametrize("strides", [(2, 4, 8, 16), (4, 8, 16, 64)])
     def test_every_accepted_stride_layout_decodes(self, strides):
         net = Network(small_config(
