@@ -319,8 +319,11 @@ class Network:
 # checkpointing
 # ----------------------------------------------------------------------
 def save_checkpoint(out_dir, network: Network, epoch: int, seed: int,
-                    optimizer_state=None, extra=None):
+                    extra=None):
     """Write every parameter as a DAUG tensor plus a JSON manifest.
+
+    Only what ``load_checkpoint`` reads is written: no optimizer state,
+    since nothing resumes training.
 
     The files are written to a sibling directory that then takes the
     place of ``out_dir``, so an interrupted save never leaves a manifest
@@ -334,8 +337,7 @@ def save_checkpoint(out_dir, network: Network, epoch: int, seed: int,
     shutil.rmtree(partial, ignore_errors=True)
     os.mkdir(partial)
     try:
-        _write_checkpoint(partial, network, epoch, seed, optimizer_state,
-                          extra)
+        _write_checkpoint(partial, network, epoch, seed, extra)
     except BaseException:
         shutil.rmtree(partial, ignore_errors=True)
         raise
@@ -346,7 +348,7 @@ def save_checkpoint(out_dir, network: Network, epoch: int, seed: int,
     shutil.rmtree(old, ignore_errors=True)
 
 
-def _write_checkpoint(out_dir, network, epoch, seed, optimizer_state, extra):
+def _write_checkpoint(out_dir, network, epoch, seed, extra):
     params = network.parameters()
     for name, tensor in params.items():
         daug.write_tensor(os.path.join(out_dir, name + ".daug"), tensor.numpy())
@@ -358,12 +360,6 @@ def _write_checkpoint(out_dir, network, epoch, seed, optimizer_state, extra):
         "parameters": sorted(params),
         "extra": extra or {},
     }
-    if optimizer_state is not None:
-        manifest["optimizer"] = {"step": optimizer_state.step}
-        for name, m in optimizer_state.m.items():
-            daug.write_tensor(os.path.join(out_dir, f"opt.m.{name}.daug"), m)
-        for name, v in optimizer_state.v.items():
-            daug.write_tensor(os.path.join(out_dir, f"opt.v.{name}.daug"), v)
     with open(os.path.join(out_dir, CHECKPOINT_MANIFEST), "w") as fh:
         json.dump(manifest, fh, indent=1)
 
@@ -379,8 +375,7 @@ def load_checkpoint(ckpt_dir):
         except ValueError as exc:
             raise InputError(f"{path}: invalid JSON ({exc})")
     check_keys(path, "the manifest", manifest, (
-        "format", "epoch", "seed", "config", "parameters", "extra",
-        "optimizer"))
+        "format", "epoch", "seed", "config", "parameters", "extra"))
     for key in ("config", "parameters"):
         if key not in manifest:
             raise InputError(f"{path}: missing key {key!r}")

@@ -16,6 +16,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.ndimage import convolve
@@ -74,30 +75,61 @@ class CorruptionSpec:
             raise ContractError("corruption strength outside documented range")
 
 
-def _coarse_noise(rng, size, cells, lo, hi):
-    """Low-frequency texture: bilinear upsample of a coarse uniform grid."""
-    grid = rng.uniform(lo, hi, size=(cells, cells))
+@lru_cache(maxsize=16)
+def _noise_taps(size, cells):
+    """Bilinear source indices and weights for ``_coarse_noise``.
+
+    Memoised per (size, cells) like ``autodiff._interp_matrix``: every
+    sample of a dataset upsamples the same grid extent.  The cached
+    arrays are read-only.
+    """
     src = (np.arange(size) + 0.5) * (cells / size) - 0.5
     src = np.clip(src, 0, cells - 1)
     i0 = np.floor(src).astype(int)
     i1 = np.minimum(i0 + 1, cells - 1)
     t = src - i0
-    rows = grid[i0][:, i0] * ((1 - t)[:, None] * (1 - t)[None, :]) \
-        + grid[i0][:, i1] * ((1 - t)[:, None] * t[None, :]) \
-        + grid[i1][:, i0] * (t[:, None] * (1 - t)[None, :]) \
-        + grid[i1][:, i1] * (t[:, None] * t[None, :])
-    return rows
+    taps = (i0, i1,
+            (1 - t)[:, None] * (1 - t)[None, :], (1 - t)[:, None] * t[None, :],
+            t[:, None] * (1 - t)[None, :], t[:, None] * t[None, :])
+    for a in taps:
+        a.flags.writeable = False
+    return taps
+
+
+def _coarse_noise(rng, size, cells, lo, hi):
+    """Low-frequency texture: bilinear upsample of a coarse uniform grid."""
+    grid = rng.uniform(lo, hi, size=(cells, cells))
+    i0, i1, w00, w01, w10, w11 = _noise_taps(size, cells)
+    return grid[i0][:, i0] * w00 + grid[i0][:, i1] * w01 \
+        + grid[i1][:, i0] * w10 + grid[i1][:, i1] * w11
+
+
+def _reach(center, radius, size):
+    """Pixels whose center lies within ``radius`` of ``center``, widened by
+    one pixel for the sub-samples a third of a pixel off-center."""
+    return slice(max(math.ceil(center - radius) - 1, 0),
+                 min(math.floor(center + radius) + 2, size))
 
 
 def _shape_coverage(kind, size, cy, cx, ry, rx, angle):
-    """Anti-aliased coverage in [0,1] plus the exact center-inside mask.
+    """Anti-aliased coverage in [0,1] plus the exact center-inside mask,
+    over the box of pixels the shape can reach.
 
-    Each pixel is sampled on a 3x3 grid; the middle offset is exactly 0,
-    so the middle sample is the pixel center.
+    The center must lie inside the image.  Returns ``(box, coverage,
+    center_in)``; the shape covers nothing outside ``box``, a pair of
+    slices into the ``[size, size]`` image.  An ellipse reaches
+    ``max(ry, rx)`` from its center and a rectangle ``hypot(ry, rx)``.  Each pixel is sampled on a 3x3 grid, laid out
+    ``[3, 3, rows, cols]`` so the inner loops run along image columns;
+    the middle offset is exactly 0, so the middle sample is the pixel
+    center.
     """
+    reach = max(ry, rx) if kind == "ellipse" else math.hypot(ry, rx)
+    rows, cols = _reach(cy, reach, size), _reach(cx, reach, size)
     offs = (np.arange(3) + 0.5) / 3 - 0.5
-    yy = np.arange(size)[:, None, None, None] + offs[None, None, :, None]
-    xx = np.arange(size)[None, :, None, None] + offs[None, None, None, :]
+    yy = np.arange(rows.start, rows.stop)[None, None, :, None] \
+        + offs[:, None, None, None]
+    xx = np.arange(cols.start, cols.stop)[None, None, None, :] \
+        + offs[None, :, None, None]
     ca, sa = math.cos(angle), math.sin(angle)
     u = (yy - cy) * ca + (xx - cx) * sa
     v = -(yy - cy) * sa + (xx - cx) * ca
@@ -105,7 +137,7 @@ def _shape_coverage(kind, size, cy, cx, ry, rx, angle):
         inside = (u / ry) ** 2 + (v / rx) ** 2 <= 1.0
     else:
         inside = (np.abs(u) <= ry) & (np.abs(v) <= rx)
-    return inside.mean(axis=(2, 3)), inside[:, :, 1, 1]
+    return (rows, cols), inside.mean(axis=(0, 1)), inside[1, 1]
 
 
 def gen_sample(seed: int, config: SynthConfig | None = None) -> Sample:
@@ -139,11 +171,13 @@ def gen_sample(seed: int, config: SynthConfig | None = None) -> Sample:
             cy = rng.uniform(ry + 1, size - ry - 1)
             cx = rng.uniform(rx + 1, size - rx - 1)
             angle = rng.uniform(0, math.pi)
-            coverage, center_in = _shape_coverage(kind, size, cy, cx, ry, rx,
-                                                  angle)
+            box, coverage, center_in = _shape_coverage(kind, size, cy, cx,
+                                                       ry, rx, angle)
             intensity = 0.55 + 0.17 * int(cls) + rng.normal(0, 0.02)
-            image = image * (1 - coverage) + intensity * coverage
-            mask[center_in] = cls
+            # outside the box coverage is 0 and the blend leaves the
+            # image exactly as it is
+            image[box] = image[box] * (1 - coverage) + intensity * coverage
+            mask[box][center_in] = cls
             shapes.append({"kind": kind, "class": int(cls), "cy": cy, "cx": cx,
                            "ry": ry, "rx": rx, "angle": angle,
                            "intensity": float(intensity)})
@@ -226,10 +260,8 @@ def feature_spatial_aug(f: Tensor, spec: CorruptionSpec) -> Tensor:
     if spec.kind == "motion_blur":
         kernel = motion_blur_kernel(spec.length, rng.uniform(0, math.pi))
         data = f.numpy()
-        blurred = np.stack([
-            np.stack([convolve(data[n, c], kernel, mode="nearest")
-                      for c in range(data.shape[1])])
-            for n in range(data.shape[0])])
+        # a [1, 1, k, k] kernel blurs every (sample, channel) plane at once
+        blurred = convolve(data, kernel[None, None], mode="nearest")
         return f + Tensor((blurred - data).astype(data.dtype))
     if spec.kind == "poisson":
         data = f.numpy()

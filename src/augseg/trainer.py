@@ -269,7 +269,6 @@ def train(train_cfg: TrainConfig, net_cfg: NetworkConfig, data_dir,
                 writer.writerow([row[0], f"{row[1]:.6f}", f"{row[2]:.6f}"])
         save_checkpoint(os.path.join(out_dir, "checkpoint"), net,
                         epoch=train_cfg.epochs, seed=train_cfg.seed,
-                        optimizer_state=state,
                         extra={"few_shot_ids": chosen_ids,
                                "augmentation": train_cfg.augmentation})
     return net, log_rows, chosen_ids

@@ -1,7 +1,4 @@
-import os
-
-# keep numpy's BLAS single-threaded: the arrays here are small and the
-# trend experiments run faster without thread-pool overhead
-os.environ.setdefault("OMP_NUM_THREADS", "1")
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("MKL_NUM_THREADS", "1")
+# The package pins BLAS to one thread, but only before numpy is first
+# imported; test modules import numpy before augseg, so import the
+# package here, ahead of them.
+import augseg  # noqa: F401

@@ -541,6 +541,9 @@ class TestTrainEvalCommands:
         (lambda m: m | {"config": m["config"] | {"encoder": m["config"][
             "encoder"] | {"kind": "toy"}}},
          ("unknown key 'kind'", "config.encoder")),
+        # a manifest written while checkpoints carried the Adam moments
+        (lambda m: m | {"optimizer": {"step": 1}},
+         ("unknown key 'optimizer'", "the manifest")),
         (lambda m: m | {"config": m["config"] | {"decoder_channels": [8]}},
          ("decoder_channels", "3 integers")),
         (lambda m: m | {"config": m["config"] | {"ff_mult": 0}},

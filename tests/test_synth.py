@@ -1,12 +1,18 @@
 """Synthetic sample generation, corruptions, and dataset files."""
 
+import hashlib
+import json
+import math
+
 import numpy as np
 import pytest
+from scipy.ndimage import convolve
 
 from augseg.autodiff import Tensor
 from augseg.errors import ContractError, FormatError
 from augseg.synth import (
     CorruptionSpec,
+    _shape_coverage,
     SynthConfig,
     corrupt,
     feature_spatial_aug,
@@ -58,6 +64,117 @@ class TestGenSample:
                 present[cls] += int((mask == cls).any())
         for cls in (1, 2):
             assert present[cls] >= 0.5 * n
+
+
+def full_grid_coverage(kind, size, cy, cx, ry, rx, angle):
+    """Reference: the 3x3-supersampled coverage over every image pixel."""
+    offs = (np.arange(3) + 0.5) / 3 - 0.5
+    yy = np.arange(size)[:, None, None, None] + offs[None, None, :, None]
+    xx = np.arange(size)[None, :, None, None] + offs[None, None, None, :]
+    ca, sa = math.cos(angle), math.sin(angle)
+    u = (yy - cy) * ca + (xx - cx) * sa
+    v = -(yy - cy) * sa + (xx - cx) * ca
+    if kind == "ellipse":
+        inside = (u / ry) ** 2 + (v / rx) ** 2 <= 1.0
+    else:
+        inside = (np.abs(u) <= ry) & (np.abs(v) <= rx)
+    return inside.mean(axis=(2, 3)), inside[:, :, 1, 1]
+
+
+def boxed_coverage(kind, size, cy, cx, ry, rx, angle):
+    """``_shape_coverage`` placed back on the full image, zero elsewhere."""
+    box, coverage, center_in = _shape_coverage(kind, size, cy, cx, ry, rx,
+                                               angle)
+    full, center = np.zeros((size, size)), np.zeros((size, size), bool)
+    full[box], center[box] = coverage, center_in
+    return full, center
+
+
+BELOW_PI = math.nextafter(math.pi, 0.0)
+ANGLES = (0.0, math.pi / 2, BELOW_PI, math.pi / 4, 0.3)
+
+
+def adversarial_shapes(size=24):
+    """Shapes at each border, sub-pixel radii, rectangles reaching past
+    the image, the end angles, and centers at every third of a pixel."""
+    mid = size / 2
+    for kind in ("ellipse", "rect"):
+        for angle in ANGLES:
+            # touching or crossing each border
+            for cy, cx in ((0.4, mid), (size - 1.4, mid), (mid, 0.4),
+                           (mid, size - 1.4), (0.0, 0.0),
+                           (size - 1.0, size - 1.0)):
+                for ry, rx in ((1.0, 3.3), (3.3, 1.0), (5.7, 5.7)):
+                    yield kind, size, cy, cx, ry, rx, angle
+            # sub-pixel radii
+            for ry, rx in ((0.2, 0.4), (0.34, 0.34), (0.5, 0.1)):
+                for frac in (0.0, 0.3, 0.5, 0.7, 0.99):
+                    yield kind, size, mid + frac, mid - frac, ry, rx, angle
+            # at most 0.45 * size per radius, so a rectangle's hypot reach
+            # exceeds the image
+            yield kind, size, mid, mid, 0.45 * size, 0.45 * size, angle
+            yield kind, size, mid - 0.5, mid + 0.2, 0.45 * size, 0.2, angle
+    # centers and radii whose ends fall at every fraction of a pixel, so
+    # each side of the box is tested where a sub-sample just reaches in
+    rng = np.random.default_rng(0)
+    for _ in range(400):
+        kind = "ellipse" if rng.random() < 0.5 else "rect"
+        ry, rx = rng.uniform(0.1, 0.45 * size, size=2)
+        yield (kind, size, float(rng.uniform(1, size - 1)),
+               float(rng.uniform(1, size - 1)), float(ry), float(rx),
+               float(rng.uniform(0, math.pi)))
+
+
+class TestShapeCoverage:
+    def test_box_equals_full_grid(self):
+        shapes = list(adversarial_shapes())
+        for shape in shapes:
+            want, want_center = full_grid_coverage(*shape)
+            got, got_center = boxed_coverage(*shape)
+            np.testing.assert_array_equal(got, want, err_msg=str(shape))
+            np.testing.assert_array_equal(got_center, want_center,
+                                          err_msg=str(shape))
+        assert len(shapes) > 500
+
+    def test_box_is_clipped_to_the_image(self):
+        box, coverage, _ = _shape_coverage("rect", 24, 12.0, 12.0, 10.8, 10.8,
+                                           math.pi / 4)
+        assert box == (slice(0, 24), slice(0, 24))
+        assert coverage.shape == (24, 24)
+
+    def test_small_shape_evaluates_a_small_box(self):
+        box, coverage, center_in = _shape_coverage("ellipse", 64, 30.5, 40.2,
+                                                   2.0, 1.0, 0.3)
+        assert coverage.shape == center_in.shape == (6, 6)
+        assert box == (slice(28, 34), slice(38, 44))
+
+
+# sha256 over (image bytes, mask bytes, shapes JSON) of consecutive seeds,
+# recorded with the full-grid renderer this module's reference keeps
+GOLDEN = {
+    "default": ({}, 300,
+                "20298d969ffb0a43971fc899d2fcf542"
+                "83767e4cbc60a57fcfa9d5ce8339d5ce"),
+    "size20": ({"image_size": 20}, 100,
+               "5ad5b4759abaaf3accfce3608a8252a8"
+               "1d3a9f21595e3194d1a2a2909318f9e4"),
+    "size96": ({"image_size": 96, "num_classes": 5, "max_shapes": 4}, 100,
+               "2d5f9bae1bf6a3121f83a64390f865c0"
+               "bfbf36dca79fd901f5b3bc8d33eb0666"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_samples_match_recorded_digest(name):
+    kwargs, count, digest = GOLDEN[name]
+    cfg = SynthConfig(**kwargs)
+    h = hashlib.sha256()
+    for seed in range(count):
+        s = gen_sample(seed, cfg)
+        h.update(s.image.tobytes())
+        h.update(s.mask.tobytes())
+        h.update(json.dumps(s.shapes).encode())
+    assert h.hexdigest() == digest
 
 
 class TestSynthConfig:
@@ -161,6 +278,26 @@ class TestFeatureSpatialAug:
         for kind in ("motion_blur", "poisson"):
             out = feature_spatial_aug(f, CorruptionSpec(kind=kind, seed=5))
             assert out.shape == f.shape
+
+    @pytest.mark.parametrize("shape", [(2, 24, 16, 16), (2, 32, 8, 8),
+                                       (2, 48, 4, 4), (2, 64, 2, 2),
+                                       (1, 3, 9, 7), (3, 1, 5, 11)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blur_equals_per_channel_loop(self, shape, dtype):
+        data = np.random.default_rng(4).normal(size=shape).astype(dtype)
+        for length in (1, 2, 5, 11):
+            spec = CorruptionSpec(kind="motion_blur", seed=length,
+                                  length=length)
+            out = feature_spatial_aug(Tensor(data), spec).numpy()
+            angle = np.random.default_rng(spec.seed).uniform(0, math.pi)
+            kernel = motion_blur_kernel(length, angle)
+            blurred = np.stack([
+                np.stack([convolve(data[n, c], kernel, mode="nearest")
+                          for c in range(shape[1])])
+                for n in range(shape[0])])
+            want = data + (blurred - data).astype(dtype)
+            assert out.dtype == dtype
+            assert out.tobytes() == want.tobytes()
 
     def test_random_corruption_is_seedable(self):
         a = random_corruption(np.random.default_rng(7))

@@ -479,6 +479,19 @@ class TestTrain:
         np.testing.assert_array_equal(loaded.forward(image).numpy(),
                                       net.forward(image).numpy())
 
+    def test_checkpoint_holds_only_what_a_reload_reads(self, dataset,
+                                                       tmp_path):
+        out = tmp_path / "run"
+        cfg = TrainConfig(epochs=1, shots=1, seed=3, augmentation="none")
+        net, _, _ = train(cfg, tiny_net_config(), dataset, str(out))
+        files = sorted(p.name for p in (out / "checkpoint").iterdir())
+        assert files == sorted([f"{n}.daug" for n in net.parameters()]
+                               + ["checkpoint.json"])
+        manifest = json.loads((out / "checkpoint" / "checkpoint.json")
+                              .read_text())
+        assert sorted(manifest) == ["config", "epoch", "extra", "format",
+                                    "parameters", "seed"]
+
     def test_fused_attention_trains_like_composed_chain(self, dataset,
                                                         monkeypatch):
         # the one-op attention evaluates in another order than the
