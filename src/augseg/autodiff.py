@@ -356,28 +356,19 @@ def transpose(x, axes) -> Tensor:
 # ----------------------------------------------------------------------
 # nonlinearities
 # ----------------------------------------------------------------------
-def unary(kind: str, x) -> Tensor:
+def relu(x) -> Tensor:
     x = _as_tensor(x)
     d = x.data
-    if kind == "relu":
-        out = Tensor(np.maximum(d, 0))
-        back = lambda g: (g * (d > 0),)
-    elif kind == "gelu":
-        phi = 0.5 * (1.0 + erf(d * _INV_SQRT2))
-        out = Tensor((d * phi).astype(d.dtype, copy=False))
-        back = lambda g: (
-            g * (phi + d * np.exp(-0.5 * d * d) * _INV_SQRT2PI),)
-    else:
-        raise ContractError(f"unknown unary kind {kind!r}")
-    return _record(out, (x,), back)
+    return _record(Tensor(np.maximum(d, 0)), (x,), lambda g: (g * (d > 0),))
 
 
-def relu(x):
-    return unary("relu", x)
-
-
-def gelu(x):
-    return unary("gelu", x)
+def gelu(x) -> Tensor:
+    x = _as_tensor(x)
+    d = x.data
+    phi = 0.5 * (1.0 + erf(d * _INV_SQRT2))
+    out = Tensor((d * phi).astype(d.dtype, copy=False))
+    return _record(out, (x,), lambda g: (
+        g * (phi + d * np.exp(-0.5 * d * d) * _INV_SQRT2PI),))
 
 
 def softmax_vjp(y: np.ndarray, g: np.ndarray, axis=-1) -> np.ndarray:

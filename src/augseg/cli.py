@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success; 1 input/format errors (one-line diagnostic on
-stderr); 2 internal invariant violations.  ``AUGSEG_SEED`` provides the
-default for every ``--seed`` flag.
+Exit codes: 0 success; 1 input/format errors and paths that cannot be
+read or written (one-line diagnostic on stderr); 2 internal invariant
+violations.  ``AUGSEG_SEED`` provides the default for every ``--seed``
+flag.
 """
 
 from __future__ import annotations
@@ -225,13 +226,12 @@ def _read_rank4(path, limit=_F32_MAX):
 
 
 def _cmd_dwt(args) -> int:
-    from .autodiff import Tensor
     from .wavelet import haar_dwt2
     arr = _read_rank4(args.infile, _HAAR_LIMIT)
-    bands = haar_dwt2(Tensor(arr.astype(np.float32, copy=False)))
-    for name, band in zip(("LL", "LH", "HL", "HH"), bands.bands()):
+    bands = haar_dwt2(arr.astype(np.float32, copy=False))
+    for name, band in zip(("LL", "LH", "HL", "HH"), bands):
         out = f"{args.out_prefix}_{name}.daug"
-        daug.write_tensor(out, band.numpy())
+        daug.write_tensor(out, band)
         print(f"wrote {out}")
     return 0
 
@@ -335,6 +335,10 @@ def dispatch(argv) -> int:
     except InvariantError as exc:
         print(f"augseg: invariant violation: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:    # a path that cannot be read or written
+        print(f"augseg: {exc.filename}: {exc.strerror}"
+              if exc.filename else f"augseg: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:  # unexpected: treat as internal failure
         if os.environ.get("AUGSEG_DEBUG"):
             raise

@@ -8,8 +8,7 @@ Decoding walks levels 3, 2, 1: the deepest stage is bilinearly upsampled
 once to become the initial decoder state, then each level fuses the
 decoder state with that stage's (augmented) features and runs a concat +
 conv + transposed-conv block that doubles resolution.  Augmented features
-feed the fusion block; the raw encoder features feed the concat skip
-(switchable via ``ccu_skip_augmented``).
+feed the fusion block; the raw encoder features feed the concat skip.
 
 Checkpoints are a directory of DAUG tensors plus a JSON manifest; a
 reload reproduces eval-mode forward passes bit-exactly.
@@ -86,7 +85,6 @@ class NetworkConfig:
     ff_mult: int = 4
     wt_aug: tuple[WtAugConfig, ...] = (WtAugConfig(),) * 4
     use_cg_fuse: bool = True
-    ccu_skip_augmented: bool = False
     param_seed: int = 0
 
     def __post_init__(self):
@@ -113,15 +111,6 @@ class NetworkConfig:
         if not _is_positive_int(self.ff_mult):
             raise ContractError(
                 f"ff_mult must be an integer >= 1, got {self.ff_mult!r}")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=1)
-
-    @classmethod
-    def from_json(cls, text: str) -> "NetworkConfig":
-        """Inverse of ``to_json``; ``__post_init__`` rebuilds the nested
-        configs from their dicts."""
-        return cls(**json.loads(text))
 
 
 @dataclass
@@ -240,7 +229,10 @@ class Network:
         return params
 
     def trainable_parameters(self) -> dict:
-        return {k: v for k, v in self.parameters().items() if v.requires_grad}
+        """The parameters training updates, in ``parameters()`` order;
+        with CG-Fuse off the fusion blocks are unused and left out."""
+        return {k: v for k, v in self.parameters().items() if v.requires_grad
+                and (self.config.use_cg_fuse or not k.startswith("fusion."))}
 
     # ------------------------------------------------------------------
     # stages
@@ -310,8 +302,7 @@ class Network:
         for level, enc_aug, enc_raw in ((3, a3, f3), (2, a2, f2), (1, a1, f1)):
             fused = cg_fuse(dec, enc_aug, self.fusion[level]) \
                 if cfg.use_cg_fuse else dec
-            skip = enc_aug if cfg.ccu_skip_augmented else enc_raw
-            dec = ccu(fused, skip, self.ccu_params[level])
+            dec = ccu(fused, enc_raw, self.ccu_params[level])
         return seg_head(dec, self.head, (cfg.image_size, cfg.image_size))
 
 
@@ -356,7 +347,7 @@ def _write_checkpoint(out_dir, network, epoch, seed, extra):
         "format": "augseg-checkpoint",
         "epoch": epoch,
         "seed": seed,
-        "config": json.loads(network.config.to_json()),
+        "config": asdict(network.config),
         "parameters": sorted(params),
         "extra": extra or {},
     }
@@ -380,8 +371,7 @@ def load_checkpoint(ckpt_dir):
         if key not in manifest:
             raise InputError(f"{path}: missing key {key!r}")
     check_section(path, "config", manifest["config"], NetworkConfig)
-    config = NetworkConfig.from_json(json.dumps(manifest["config"]))
-    network = Network(config)
+    network = Network(NetworkConfig(**manifest["config"]))
     params = network.parameters()
     if sorted(params) != manifest["parameters"]:
         raise InputError("checkpoint parameter names do not match the config")

@@ -35,15 +35,14 @@ def _checks():
 
     def wavelet_roundtrip():
         for shape in [(1, 2, 8, 8), (2, 3, 7, 5), (1, 1, 6, 9)]:
-            f = Tensor(rng.normal(size=shape).astype(np.float32))
-            err = np.max(np.abs(haar_idwt2(haar_dwt2(f)).numpy() - f.numpy()))
+            f = rng.normal(size=shape).astype(np.float32)
+            err = np.max(np.abs(haar_idwt2(haar_dwt2(f), shape[2:]) - f))
             assert err < 1e-5, f"roundtrip error {err} on {shape}"
 
     def wavelet_parseval():
-        f = Tensor(rng.normal(size=(1, 3, 8, 8)).astype(np.float64))
-        bands = haar_dwt2(f)
-        got = sum(float((b.numpy() ** 2).sum()) for b in bands.bands())
-        want = float((f.numpy() ** 2).sum())
+        f = rng.normal(size=(1, 3, 8, 8)).astype(np.float64)
+        got = sum(float((b ** 2).sum()) for b in haar_dwt2(f))
+        want = float((f ** 2).sum())
         assert abs(got - want) / want < 1e-10
 
     def wt_aug_identity():

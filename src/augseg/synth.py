@@ -367,9 +367,25 @@ def load_manifest(path):
         raise InputError(f"manifest not found: {path}")
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})")
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{path}: the manifest must be a JSON object")
     for key in ("image_size", "num_classes", "samples"):
         if key not in manifest:
             raise FormatError(f"{path}: missing manifest key {key!r}")
+    for key in ("image_size", "num_classes"):
+        value = manifest[key]
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise FormatError(f"{path}: {key} must be an integer, got "
+                              f"{json.dumps(value)}")
+    if not isinstance(manifest["samples"], list):
+        raise FormatError(f"{path}: samples must be a list")
+    for i, entry in enumerate(manifest["samples"]):
+        if not isinstance(entry, dict):
+            raise FormatError(f"{path}: samples[{i}] must be an object")
+        for key in ("id", "split", "image", "mask"):
+            if not isinstance(entry.get(key), str):
+                raise FormatError(
+                    f"{path}: samples[{i}] needs a string {key!r}")
     return manifest
 
 

@@ -212,11 +212,7 @@ def train(train_cfg: TrainConfig, net_cfg: NetworkConfig, data_dir,
     chosen = few_shot_subset(train_entries, train_cfg.shots, train_cfg.seed)
     data = [load_sample(data_dir, e) for e in chosen]
     net = Network(net_cfg)
-    trainables = net.trainable_parameters()
-    if not net_cfg.use_cg_fuse:
-        trainables = {k: v for k, v in trainables.items()
-                      if not k.startswith("fusion.")}
-    state = AdamState.for_params(trainables)
+    state = AdamState.for_params(net.trainable_parameters())
     # The encoder is frozen and a pure function of the image, so the clean
     # subset is encoded once per run, in one call; only image_level, whose
     # images change every epoch, re-encodes its training batches.
@@ -275,6 +271,10 @@ def train(train_cfg: TrainConfig, net_cfg: NetworkConfig, data_dir,
 
 
 def _corrupt_image(image, rng, strengths):
+    # Imported at call time so that perfbench's tracer, which wraps
+    # ``augseg.synth.corrupt``, times this call; a module-level import
+    # would bind the unwrapped function and the ``synth.corrupt`` layer
+    # would drop out without any error.
     from .synth import corrupt
     return corrupt(image, random_corruption(rng, **strengths))
 

@@ -19,9 +19,9 @@ The augmentation zeroes a random subset of coefficients per sub-band
 batch, and across channels by default) and reconstructs.  With W the orthonormal analysis and M the
 0/1 mask, the map is W^T M W, which is symmetric, so ``wt_aug`` is one
 recorded op whose adjoint is the same map applied to the gradient.
-``haar_dwt2``/``haar_idwt2`` expose the sub-bands as plain values; they
-record nothing, and reject an input that requires grad while a tape is
-recording.
+``haar_dwt2``/``haar_idwt2`` expose the sub-bands as one plain numpy
+array, [4, N, C, h, w] in LL, LH, HL, HH order: the layout ``make_masks``
+draws and ``_as_blocks`` reads.
 """
 
 from __future__ import annotations
@@ -31,26 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _record, recording
+from .autodiff import Tensor, _record
 from .errors import ContractError
-
-
-@dataclass
-class SubbandSet:
-    """The LL/LH/HL/HH sub-bands of one feature map.
-
-    ``orig_hw`` records the pre-padding spatial extents so that
-    synthesis can crop; ``None`` means no padding was applied.
-    """
-
-    LL: Tensor
-    LH: Tensor
-    HL: Tensor
-    HH: Tensor
-    orig_hw: tuple | None = None
-
-    def bands(self):
-        return (self.LL, self.LH, self.HL, self.HH)
 
 
 @dataclass
@@ -75,43 +57,52 @@ class WtAugConfig:
                 raise ContractError(f"keep_prob {p!r} is not a number in [0, 1]")
 
 
-def _untaped(name, tensors):
-    """Reject a tape-tracked input: the sub-band pair records nothing."""
-    if recording() and any(t.requires_grad for t in tensors):
-        raise ContractError(
-            f"{name} does not record gradients; use wt_aug for a "
-            "differentiable sub-band mask")
+def _float_array(x) -> np.ndarray:
+    """``x`` as an array, which must be float32 or float64."""
+    arr = np.asarray(x)
+    if arr.dtype not in (np.float32, np.float64):
+        raise ContractError(f"expected a float32 or float64 array, got "
+                            f"{type(x).__name__} of dtype {arr.dtype}")
+    return arr
 
 
-def haar_dwt2(f: Tensor) -> SubbandSet:
-    """Orthonormal single-level Haar analysis of a [N,C,H,W] map."""
-    _untaped("haar_dwt2", (f,))
-    if f.ndim != 4:
-        raise ContractError(f"haar_dwt2 expects rank 4, got rank {f.ndim}")
-    n, c, h, w = f.shape
+def haar_dwt2(x) -> np.ndarray:
+    """Orthonormal single-level Haar analysis of a [N,C,H,W] array.
+
+    Returns the [4, N, C, ceil(H/2), ceil(W/2)] sub-bands in LL, LH, HL,
+    HH order.  Odd extents are reflect-padded; pass the source (H, W) to
+    ``haar_idwt2`` to crop them back.
+    """
+    x = _float_array(x)
+    if x.ndim != 4:
+        raise ContractError(f"haar_dwt2 expects rank 4, got rank {x.ndim}")
+    n, c, h, w = x.shape
     if h < 2 or w < 2:
         raise ContractError("spatial extents must be >= 2")
     ph, pw = h % 2, w % 2
-    x = np.pad(f.data, ((0, 0), (0, 0), (0, ph), (0, pw)), mode="reflect")
+    x = np.pad(x, ((0, 0), (0, 0), (0, ph), (0, pw)), mode="reflect")
     y = _butterfly(x.reshape(n, c, (h + ph) // 2, 2, (w + pw) // 2, 2))
-    bands = (y[:, :, :, i, :, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    return SubbandSet(*(Tensor(np.ascontiguousarray(b)) for b in bands),
-                      orig_hw=(h, w) if ph or pw else None)
+    return np.ascontiguousarray(
+        y.transpose(3, 5, 0, 1, 2, 4).reshape((4, n, c) + y.shape[2:5:2]))
 
 
-def haar_idwt2(s: SubbandSet) -> Tensor:
-    """Exact inverse of :func:`haar_dwt2`; crops any analysis padding."""
-    _untaped("haar_idwt2", s.bands())
-    shapes = {band.shape for band in s.bands()}
-    if len(shapes) != 1:
-        raise ContractError(f"sub-band shapes differ: {sorted(shapes)}")
-    n, c, h2, w2 = s.LL.shape
-    x = _butterfly(_as_blocks(np.stack([b.data for b in s.bands()])))
-    x = x.reshape(n, c, 2 * h2, 2 * w2)
-    if s.orig_hw is not None:
-        h, w = s.orig_hw
+def haar_idwt2(bands, hw=None) -> np.ndarray:
+    """Exact inverse of :func:`haar_dwt2`: a [N,C,2h,2w] array from
+    [4, N, C, h, w] sub-bands, cropped to ``hw`` = (H, W) when given."""
+    bands = _float_array(bands)
+    if bands.ndim != 5 or bands.shape[0] != 4:
+        raise ContractError(
+            f"haar_idwt2 expects [4, N, C, h, w] sub-bands, got shape "
+            f"{list(bands.shape)}")
+    _, n, c, h2, w2 = bands.shape
+    x = _butterfly(_as_blocks(bands)).reshape(n, c, 2 * h2, 2 * w2)
+    if hw is not None:
+        h, w = hw
+        if not (2 * h2 - 1 <= h <= 2 * h2 and 2 * w2 - 1 <= w <= 2 * w2):
+            raise ContractError(
+                f"crop {h}x{w} does not fit {h2}x{w2} sub-bands")
         x = np.ascontiguousarray(x[:, :, :h, :w])
-    return Tensor(x)
+    return x
 
 
 def make_masks(band_shape, cfg: WtAugConfig, rng) -> np.ndarray:

@@ -541,6 +541,9 @@ class TestTrainEvalCommands:
         (lambda m: m | {"config": m["config"] | {"encoder": m["config"][
             "encoder"] | {"kind": "toy"}}},
          ("unknown key 'kind'", "config.encoder")),
+        # a manifest written while the ccu skip could take augmented features
+        (lambda m: m | {"config": m["config"] | {"ccu_skip_augmented": False}},
+         ("unknown key 'ccu_skip_augmented'", "section 'config'")),
         # a manifest written while checkpoints carried the Adam moments
         (lambda m: m | {"optimizer": {"step": 1}},
          ("unknown key 'optimizer'", "the manifest")),
@@ -673,3 +676,99 @@ class TestNegativeSeedsAndK:
         self.check(capsys, ["featviz", "--in",
                             str(self.feature_file(tmp_path)), "--out",
                             str(out), "--k", k], ("--k", k), out)
+
+
+def _edit_manifest(dataset, edit):
+    path = dataset / "manifest.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+
+
+def _drop(key, index=0):
+    """A manifest edit that removes ``key`` from samples[index]."""
+    def edit(m):
+        m["samples"][index].pop(key)
+        return m
+    return edit
+
+
+class TestDatasetManifest:
+    """A dataset manifest of the wrong shape is exit 1 naming the entry
+    and the key, before anything is trained or evaluated."""
+
+    @pytest.mark.parametrize("edit,words", [
+        (_drop("image"), ("samples[0]", "'image'")),
+        (_drop("split", 2), ("samples[2]", "'split'")),
+        (_drop("id"), ("samples[0]", "'id'")),
+        (_drop("mask", 6), ("samples[6]", "'mask'")),
+        (lambda m: m | {"samples": m["samples"][:3] + [
+            m["samples"][3] | {"id": 3}] + m["samples"][4:]},
+         ("samples[3]", "'id'")),
+        (lambda m: m | {"samples": m["samples"][:1] + ["train_1.pgm"]},
+         ("samples[1]", "object")),
+        (lambda m: m | {"samples": 3}, ("samples", "list")),
+        (lambda m: m | {"num_classes": "3"}, ("num_classes", "integer", '"3"')),
+        (lambda m: m | {"image_size": 64.0}, ("image_size", "integer")),
+        (lambda m: m | {"num_classes": True}, ("num_classes", "integer")),
+        (lambda m: [m], ("manifest.json", "object"))])
+    @pytest.mark.parametrize("cmd", ["train", "eval"])
+    def test_bad_manifest_is_exit_1(self, dataset, tmp_path, capsys, cmd, edit,
+                                    words):
+        ckpt = tmp_path / "ckpt"
+        if cmd == "eval":
+            from augseg.model import Network, NetworkConfig, save_checkpoint
+            save_checkpoint(ckpt, Network(NetworkConfig()), epoch=0, seed=0)
+        _edit_manifest(dataset, edit)
+        out = tmp_path / "out"
+        argv = (["train", "--data", str(dataset), "--out", str(out),
+                 "--epochs", "1", "--shots", "1"] if cmd == "train" else
+                ["eval", "--checkpoint", str(ckpt), "--data", str(dataset),
+                 "--out", str(out)])
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert all(w in err for w in words), err
+        assert not out.exists()
+
+
+class TestPathErrors:
+    """A path that cannot be read or written is exit 1, in one line that
+    names it."""
+
+    @staticmethod
+    def check(capsys, argv, path):
+        assert dispatch(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert len(err.splitlines()) == 1 and str(path) in err, err
+
+    def test_manifest_naming_a_missing_pgm(self, dataset, tmp_path, capsys):
+        manifest = json.loads((dataset / "manifest.json").read_text())
+        missing = dataset / next(e["image"] for e in manifest["samples"]
+                                 if e["split"] == "train")
+        missing.unlink()
+        self.check(capsys, ["train", "--data", str(dataset), "--out",
+                            str(tmp_path / "run"), "--epochs", "1",
+                            "--shots", "4"], missing)
+
+    def _mask(self, tmp_path):
+        mask = tmp_path / "m.pgm"
+        write_pgm(mask, np.zeros((8, 8), dtype=np.uint8))
+        return mask
+
+    def test_metrics_pred_is_a_directory(self, tmp_path, capsys):
+        self.check(capsys, ["metrics", "--pred", str(tmp_path), "--gt",
+                            str(self._mask(tmp_path))], tmp_path)
+
+    def test_metrics_out_in_a_missing_directory(self, tmp_path, capsys):
+        mask = self._mask(tmp_path)
+        out = tmp_path / "nodir" / "x.csv"
+        self.check(capsys, ["metrics", "--pred", str(mask), "--gt", str(mask),
+                            "--out", str(out)], out)
+
+    def test_eval_out_in_a_missing_directory(self, dataset, tmp_path, capsys):
+        from augseg.model import Network, NetworkConfig, save_checkpoint
+        ckpt = tmp_path / "ckpt"
+        save_checkpoint(ckpt, Network(NetworkConfig()), epoch=0, seed=0)
+        out = tmp_path / "nodir" / "x.csv"
+        self.check(capsys, ["eval", "--checkpoint", str(ckpt), "--data",
+                            str(dataset), "--out", str(out)], out)

@@ -1,7 +1,9 @@
 """Encoder/decoder assembly, forward contracts, checkpoint round-trips."""
 
+import json
 import os
 import tracemalloc
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -265,18 +267,13 @@ class TestForward:
         grads = [p.grad for n, p in net.trainable_parameters().items()]
         assert any(g is not None and np.abs(g).sum() > 0 for g in grads)
 
-    def test_ccu_skip_augmented_changes_train_mode_only(self):
-        image = Tensor(np.random.default_rng(17).random((1, 1, 64, 64))
-                       .astype(np.float32))
-        cfg = small_config(wt_aug=WtAugConfig(keep_prob=(0.5,) * 4))
-        raw = Network(cfg)
-        aug = Network(small_config(wt_aug=cfg.wt_aug, ccu_skip_augmented=True))
-        train = [net.forward(image, mode="train",
-                             rng=np.random.default_rng(5)).numpy()
-                 for net in (raw, aug)]
-        assert not np.array_equal(*train)
-        np.testing.assert_array_equal(raw.forward(image, mode="eval").numpy(),
-                                      aug.forward(image, mode="eval").numpy())
+    def test_cg_fuse_off_leaves_fusion_out_of_the_trainables(self):
+        on = Network(small_config()).trainable_parameters()
+        off = Network(small_config(use_cg_fuse=False)).trainable_parameters()
+        assert any(name.startswith("fusion.") for name in on)
+        # the same names in the same order, fusion blocks left out
+        assert list(off) == [n for n in on if not n.startswith("fusion.")]
+        assert all(p.requires_grad for p in off.values())
 
     def test_eval_forwards_outside_a_tape_keep_nothing(self):
         # Outside ``use_tape`` an eval forward is plain numpy: nothing
@@ -354,5 +351,7 @@ class TestCheckpoint:
     def test_config_json_roundtrip(self):
         cfg = small_config(use_cg_fuse=False,
                            wt_aug=WtAugConfig(keep_prob=(0.9, 0.8, 0.7, 0.6)))
-        back = NetworkConfig.from_json(cfg.to_json())
+        # what a checkpoint manifest stores and load_checkpoint rebuilds
+        back = NetworkConfig(**json.loads(json.dumps(asdict(cfg))))
         assert back == cfg
+        assert len(fields(NetworkConfig)) == 9

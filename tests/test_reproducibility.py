@@ -90,7 +90,14 @@ def test_compare_names_each_difference(tmp_path, capsys):
         root.mkdir()
         daug.write_tensor(root / "t.daug", np.arange(6.0).reshape(2, 3) + bump)
         (root / "log.csv").write_text(f"epoch,loss\n0,{1.5 + bump}\n")
-        manifest = {"epoch": 1} | ({"optimizer": {}} if name == "a" else {})
+        # nested keys only one side has are named by their dotted path
+        config = {"use_cg_fuse": True, "encoder": {"seed": 0}}
+        if name == "a":
+            config["ccu_skip_augmented"] = False
+        else:
+            config["encoder"]["kind"] = "image"
+        manifest = {"epoch": 1, "config": config} | (
+            {"optimizer": {}} if name == "a" else {})
         (root / "checkpoint.json").write_text(json.dumps(manifest))
         (root / "same.txt").write_text("x")
         (root / f"only_{name}.txt").write_text(name)
@@ -99,7 +106,9 @@ def test_compare_names_each_difference(tmp_path, capsys):
     assert recipe.compare(*runs) == 5
     out = capsys.readouterr().out.splitlines()
     assert out == ["only in A: only_a.txt", "only in B: only_b.txt",
-                   "differs: checkpoint.json: keys only in A: optimizer",
+                   "differs: checkpoint.json: keys only in A: "
+                   "config.ccu_skip_augmented, optimizer; "
+                   "keys only in B: config.encoder.kind",
                    "differs: log.csv: max |delta| 0.25 over 1 cells",
                    "differs: t.daug: max |delta| 0.25",
                    "1 equal, 3 differ, 1 only in A, 1 only in B"]

@@ -7,7 +7,6 @@ from augseg.autodiff import (GradTape, Tensor, finite_diff_check, reshape,
                              use_tape)
 from augseg.errors import ContractError
 from augseg.wavelet import (
-    SubbandSet,
     WtAugConfig,
     haar_dwt2,
     haar_idwt2,
@@ -18,97 +17,125 @@ from augseg.wavelet import (
 from test_autodiff import concat, getitem
 
 
-def t4(data, dtype=np.float32):
+def a4(data, dtype=np.float32):
     arr = np.asarray(data, dtype=dtype)
-    return Tensor(arr.reshape((1, 1) + arr.shape))
+    return arr.reshape((1, 1) + arr.shape)
+
+
+def t4(data, dtype=np.float32):
+    return Tensor(a4(data, dtype))
+
+
+def assert_bands_match_reference(got, x):
+    """``got`` is the [4, N, C, h, w] stack of the composed reference's
+    LL, LH, HL, HH bands of ``x``."""
+    want = reference_haar_dwt2(Tensor(x))
+    assert got.shape == (4,) + want[0].shape
+    for g, r in zip(got, want):
+        np.testing.assert_allclose(g, r.numpy(), atol=1e-6)
 
 
 class TestHaarDwt2:
     def test_constant_block(self):
-        s = haar_dwt2(t4([[1, 1], [1, 1]]))
-        np.testing.assert_allclose(s.LL.numpy(), [[[[2]]]])
-        for band in (s.LH, s.HL, s.HH):
-            np.testing.assert_allclose(band.numpy(), [[[[0]]]])
+        s = haar_dwt2(a4([[1, 1], [1, 1]]))
+        np.testing.assert_allclose(s, np.reshape([2, 0, 0, 0], (4, 1, 1, 1, 1)))
+        assert_bands_match_reference(s, a4([[1, 1], [1, 1]]))
 
     def test_direct_2x2(self):
-        s = haar_dwt2(t4([[1, 2], [3, 4]]))
-        np.testing.assert_allclose(s.LL.numpy(), [[[[5]]]])
-        np.testing.assert_allclose(s.LH.numpy(), [[[[-1]]]])
-        np.testing.assert_allclose(s.HL.numpy(), [[[[-2]]]])
-        np.testing.assert_allclose(s.HH.numpy(), [[[[0]]]])
+        s = haar_dwt2(a4([[1, 2], [3, 4]]))
+        np.testing.assert_allclose(s, np.reshape([5, -1, -2, 0],
+                                                 (4, 1, 1, 1, 1)))
+        assert_bands_match_reference(s, a4([[1, 2], [3, 4]]))
 
     def test_rank_contract(self):
         with pytest.raises(ContractError):
-            haar_dwt2(Tensor(np.zeros((4, 4))))
+            haar_dwt2(np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("value", [
+        Tensor(np.ones((1, 1, 4, 4))), np.ones((1, 1, 4, 4), dtype=int),
+        np.ones((1, 1, 4, 4), dtype=np.float16), [[[[1, 2], [3, 4]]]]])
+    def test_only_float32_or_float64_arrays_accepted(self, value):
+        with pytest.raises(ContractError, match="float32 or float64 array"):
+            haar_dwt2(value)
+        with pytest.raises(ContractError, match="float32 or float64 array"):
+            haar_idwt2(value)
 
     def test_parseval_energy(self):
         rng = np.random.default_rng(0)
-        f = Tensor(rng.normal(size=(1, 3, 8, 8)))
+        f = rng.normal(size=(1, 3, 8, 8))
         s = haar_dwt2(f)
-        band_energy = sum(float((b.numpy() ** 2).sum()) for b in s.bands())
-        src_energy = float((f.numpy().astype(np.float64) ** 2).sum())
+        assert s.dtype == np.float64 and s.shape == (4, 1, 3, 4, 4)
+        band_energy = float((s ** 2).sum())
+        src_energy = float((f ** 2).sum())
         assert abs(band_energy - src_energy) / src_energy < 1e-10
 
     def test_band_orientation(self):
+        LL, LH, HL, HH = range(4)
         # columns alternate -> energy lands in LH (horizontal detail)
         stripes = np.tile([1.0, -1.0], 4)[None, :].repeat(8, axis=0)
-        s = haar_dwt2(t4(stripes))
-        assert np.abs(s.LH.numpy()).sum() > 1.0
-        for band in (s.LL, s.HL, s.HH):
-            np.testing.assert_allclose(band.numpy(), 0.0, atol=1e-6)
+        s = haar_dwt2(a4(stripes))
+        assert_bands_match_reference(s, a4(stripes))
+        assert np.abs(s[LH]).sum() > 1.0
+        np.testing.assert_allclose(s[[LL, HL, HH]], 0.0, atol=1e-6)
         # rows alternate -> energy lands in HL (vertical detail)
-        s = haar_dwt2(t4(stripes.T))
-        assert np.abs(s.HL.numpy()).sum() > 1.0
-        for band in (s.LL, s.LH, s.HH):
-            np.testing.assert_allclose(band.numpy(), 0.0, atol=1e-6)
+        s = haar_dwt2(a4(stripes.T))
+        assert_bands_match_reference(s, a4(stripes.T))
+        assert np.abs(s[HL]).sum() > 1.0
+        np.testing.assert_allclose(s[[LL, LH, HH]], 0.0, atol=1e-6)
 
     def test_linearity(self):
         rng = np.random.default_rng(1)
-        f = Tensor(rng.normal(size=(1, 2, 6, 6)))
-        g = Tensor(rng.normal(size=(1, 2, 6, 6)))
-        sf, sg = haar_dwt2(f), haar_dwt2(g)
+        f = rng.normal(size=(1, 2, 6, 6))
+        g = rng.normal(size=(1, 2, 6, 6))
         combo = haar_dwt2(f * 2.0 + g * (-3.0))
-        for got, bf, bg in zip(combo.bands(), sf.bands(), sg.bands()):
-            want = 2.0 * bf.numpy() - 3.0 * bg.numpy()
-            np.testing.assert_allclose(got.numpy(), want, atol=1e-5)
+        np.testing.assert_allclose(
+            combo, 2.0 * haar_dwt2(f) - 3.0 * haar_dwt2(g), atol=1e-12)
 
 
 class TestHaarIdwt2:
     def test_inverse_of_direct_example(self):
-        s = SubbandSet(t4([[5.0]]), t4([[-1.0]]), t4([[-2.0]]), t4([[0.0]]))
-        np.testing.assert_allclose(haar_idwt2(s).numpy(),
-                                   [[[[1, 2], [3, 4]]]], atol=1e-6)
+        s = np.reshape([5.0, -1.0, -2.0, 0.0], (4, 1, 1, 1, 1))
+        np.testing.assert_allclose(haar_idwt2(s), [[[[1, 2], [3, 4]]]],
+                                   atol=1e-6)
 
     def test_zero_bands(self):
-        z = Tensor.zeros((1, 1, 3, 3))
-        out = haar_idwt2(SubbandSet(z, z, z, z))
-        np.testing.assert_array_equal(out.numpy(), np.zeros((1, 1, 6, 6)))
+        out = haar_idwt2(np.zeros((4, 1, 1, 3, 3), dtype=np.float32))
+        np.testing.assert_array_equal(out, np.zeros((1, 1, 6, 6)))
 
-    def test_mismatched_bands_rejected(self):
-        z = Tensor.zeros((1, 1, 3, 3))
-        bad = Tensor.zeros((1, 1, 2, 3))
-        with pytest.raises(ContractError):
-            haar_idwt2(SubbandSet(z, z, bad, z))
+    @pytest.mark.parametrize("shape", [(4, 1, 3, 3), (3, 1, 1, 3, 3),
+                                       (1, 4, 1, 3, 3), (4, 1, 1, 1, 3, 3)])
+    def test_shape_other_than_four_bands_rejected(self, shape):
+        with pytest.raises(ContractError, match=r"\[4, N, C, h, w\]"):
+            haar_idwt2(np.zeros(shape))
+
+    @pytest.mark.parametrize("hw", [(4, 6), (6, 4), (7, 6), (6, 8)])
+    def test_crop_that_does_not_fit_rejected(self, hw):
+        with pytest.raises(ContractError, match="does not fit"):
+            haar_idwt2(np.zeros((4, 1, 1, 3, 3)), hw)
 
     def test_roundtrip_float32(self):
         rng = np.random.default_rng(2)
-        f = Tensor(rng.normal(size=(2, 4, 6, 6)).astype(np.float32))
+        f = rng.normal(size=(2, 4, 6, 6)).astype(np.float32)
         out = haar_idwt2(haar_dwt2(f))
-        assert np.max(np.abs(out.numpy() - f.numpy())) < 1e-5
+        assert out.dtype == np.float32
+        assert np.max(np.abs(out - f)) < 1e-5
 
     @pytest.mark.parametrize("h,w", [(5, 8), (8, 5), (7, 7), (2, 3)])
     def test_roundtrip_odd_extents(self, h, w):
         rng = np.random.default_rng(h * 10 + w)
-        f = Tensor(rng.normal(size=(1, 2, h, w)).astype(np.float64))
-        out = haar_idwt2(haar_dwt2(f))
-        assert out.shape == f.shape
-        assert np.max(np.abs(out.numpy() - f.numpy())) < 1e-10
+        f = rng.normal(size=(1, 2, h, w))
+        bands = haar_dwt2(f)
+        assert bands.shape == (4, 1, 2, (h + 1) // 2, (w + 1) // 2)
+        assert haar_idwt2(bands).shape == (1, 2, h + h % 2, w + w % 2)
+        out = haar_idwt2(bands, (h, w))
+        assert out.shape == f.shape and out.flags.c_contiguous
+        assert np.max(np.abs(out - f)) < 1e-10
 
     def test_roundtrip_float64_tight(self):
         rng = np.random.default_rng(3)
-        f = Tensor(rng.normal(size=(2, 3, 8, 8)).astype(np.float64))
+        f = rng.normal(size=(2, 3, 8, 8))
         out = haar_idwt2(haar_dwt2(f))
-        assert np.max(np.abs(out.numpy() - f.numpy())) < 1e-10
+        assert np.max(np.abs(out - f)) < 1e-10
 
 
 def gen(seed):
@@ -234,6 +261,7 @@ class TestWtAug:
 # chain sums ((a + b) + c) + d, so the two agree to rounding.
 # ----------------------------------------------------------------------
 def reference_haar_dwt2(f):
+    """[LL, LH, HL, HH] tape tensors of the [N,C,H,W] tensor ``f``."""
     n, c, h, w = f.shape
     if h % 2:       # append a mirrored row/column where the extent is odd
         f = concat([f, getitem(f, np.s_[:, :, h - 2:h - 1, :])], axis=2)
@@ -245,12 +273,12 @@ def reference_haar_dwt2(f):
     lh = (a - b + cc - d) * 0.5
     hl = (a + b - cc - d) * 0.5
     hh = (a - b - cc + d) * 0.5
-    return SubbandSet(ll, lh, hl, hh,
-                      orig_hw=(h, w) if h % 2 or w % 2 else None)
+    return [ll, lh, hl, hh]
 
 
-def reference_haar_idwt2(s):
-    ll, lh, hl, hh = s.bands()
+def reference_haar_idwt2(bands, hw=None):
+    """Inverse of ``reference_haar_dwt2``, cropped to ``hw`` when given."""
+    ll, lh, hl, hh = bands
     a = (ll + lh + hl + hh) * 0.5
     b = (ll - lh + hl - hh) * 0.5
     c = (ll + lh - hl - hh) * 0.5
@@ -261,8 +289,8 @@ def reference_haar_idwt2(s):
     bottom = concat([reshape(c, (n, ch, h2, 1, w2, 1)),
                      reshape(d, (n, ch, h2, 1, w2, 1))], axis=5)
     out = reshape(concat([top, bottom], axis=3), (n, ch, 2 * h2, 2 * w2))
-    if s.orig_hw is not None:
-        h, w = s.orig_hw
+    if hw is not None:
+        h, w = hw
         out = getitem(out, np.s_[:, :, :h, :w])
     return out
 
@@ -270,9 +298,8 @@ def reference_haar_idwt2(s):
 def reference_wt_aug(f, masks):
     """idwt(mask * dwt(f)) with the composed reference pair; ``masks`` is
     make_masks' [4, 1, c|1, h, w] array."""
-    sub = reference_haar_dwt2(f)
-    bands = [b * Tensor(m) for b, m in zip(sub.bands(), masks)]
-    return reference_haar_idwt2(SubbandSet(*bands, orig_hw=sub.orig_hw))
+    bands = [b * Tensor(m) for b, m in zip(reference_haar_dwt2(f), masks)]
+    return reference_haar_idwt2(bands, f.shape[2:])
 
 
 def criterion_1_shapes(rng, count):
@@ -291,12 +318,12 @@ class TestButterflyKernel:
         for shape in criterion_1_shapes(rng, 200):
             x = (rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3)
                  ).astype(dtype)
-            got, want = haar_dwt2(Tensor(x)), reference_haar_dwt2(Tensor(x))
-            assert got.orig_hw == want.orig_hw
+            got, want = haar_dwt2(x), reference_haar_dwt2(Tensor(x))
+            assert got.dtype == dtype and got.flags.c_contiguous
+            assert got.shape == (4,) + want[0].shape
             bound = 2 * np.finfo(dtype).eps * np.max(np.abs(x))
-            for g, r in zip(got.bands(), want.bands()):
-                assert g.dtype == dtype and g.shape == r.shape
-                assert np.max(np.abs(g.numpy() - r.numpy())) <= bound, shape
+            for g, r in zip(got, want):
+                assert np.max(np.abs(g - r.numpy())) <= bound, shape
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_synthesis_matches_composed_reference(self, dtype):
@@ -304,32 +331,14 @@ class TestButterflyKernel:
         for n, c, h, w in criterion_1_shapes(rng, 200):
             band_shape = (n, c, (h + 1) // 2, (w + 1) // 2)
             scale = 10.0 ** rng.uniform(-3, 3)
-            bands = [Tensor((rng.normal(size=band_shape) * scale).astype(dtype))
-                     for _ in range(4)]
-            orig_hw = (h, w) if h % 2 or w % 2 else None
-            got = haar_idwt2(SubbandSet(*bands, orig_hw=orig_hw)).numpy()
-            want = reference_haar_idwt2(
-                SubbandSet(*bands, orig_hw=orig_hw)).numpy()
-            bound = 2 * np.finfo(dtype).eps * max(
-                np.max(np.abs(b.numpy())) for b in bands)
+            bands = (rng.normal(size=(4,) + band_shape) * scale).astype(dtype)
+            got = haar_idwt2(bands, (h, w))
+            want = reference_haar_idwt2(list(map(Tensor, bands)),
+                                        (h, w)).numpy()
+            bound = 2 * np.finfo(dtype).eps * np.max(np.abs(bands))
             assert got.dtype == dtype and got.shape == (n, c, h, w)
             assert got.flags.c_contiguous
             assert np.max(np.abs(got - want)) <= bound, (n, c, h, w)
-
-    def test_tape_tracked_input_rejected(self):
-        f = Tensor(np.ones((1, 1, 4, 4)), requires_grad=True)
-        bands = SubbandSet(*(Tensor(np.full((1, 1, 2, 2), 2.0 - 2 * min(i, 1)),
-                                    requires_grad=i == 2) for i in range(4)))
-        with use_tape(GradTape()):
-            with pytest.raises(ContractError, match="use wt_aug"):
-                haar_dwt2(f)
-            with pytest.raises(ContractError, match="use wt_aug"):
-                haar_idwt2(bands)
-            # an input that needs no gradient is read as a value
-            haar_dwt2(Tensor(np.ones((1, 1, 4, 4))))
-        # outside a tape nothing records, so any input is a value
-        np.testing.assert_array_equal(haar_dwt2(f).LL.numpy(), 2.0)
-        np.testing.assert_array_equal(haar_idwt2(bands).numpy(), 1.0)
 
 
 class TestFusedWtAug:

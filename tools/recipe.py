@@ -16,7 +16,8 @@ outputs are byte-identical do too.
 ``--compare A B`` reads both ``SHA256SUMS`` and lists the files that are
 only in one run or that differ.  For a differing DAUG tensor or CSV table
 it gives the largest absolute difference of the numbers, and for a JSON
-object the top-level keys only one side has.  It exits 1 if anything
+object the dotted paths of the keys only one side has, nested objects
+included (``config.ccu_skip_augmented``).  It exits 1 if anything
 differs.
 """
 
@@ -155,12 +156,26 @@ def describe(a, b, rel):
     if rel.endswith(".json"):
         with open(pa) as fa, open(pb) as fb:
             ja, jb = json.load(fa), json.load(fb)
-        if isinstance(ja, dict) and isinstance(jb, dict) and set(ja) != set(jb):
-            return "; ".join(
-                f"keys only in {side}: {', '.join(sorted(keys))}"
-                for side, keys in (("A", set(ja) - set(jb)),
-                                   ("B", set(jb) - set(ja))) if keys)
+        if isinstance(ja, dict) and isinstance(jb, dict):
+            only = {"A": [], "B": []}
+            _key_diff(ja, jb, "", only)
+            notes = [f"keys only in {side}: {', '.join(keys)}"
+                     for side, keys in only.items() if keys]
+            if notes:
+                return "; ".join(notes)
     return "bytes differ"
+
+
+def _key_diff(ja, jb, prefix, only):
+    """Append to ``only["A"]``/``only["B"]`` the dotted paths of the keys
+    that only ``ja``/``jb`` has, recursing into objects both sides have."""
+    for key in sorted(set(ja) | set(jb)):
+        if key not in jb:
+            only["A"].append(prefix + key)
+        elif key not in ja:
+            only["B"].append(prefix + key)
+        elif isinstance(ja[key], dict) and isinstance(jb[key], dict):
+            _key_diff(ja[key], jb[key], f"{prefix}{key}.", only)
 
 
 def compare(a, b):
