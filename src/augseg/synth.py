@@ -389,8 +389,24 @@ def load_manifest(path):
     return manifest
 
 
-def load_sample(manifest_dir, entry):
-    """Read one manifest entry back as float image in [0,1] plus mask."""
-    image = read_pgm(os.path.join(manifest_dir, entry["image"]))
-    mask = read_pgm(os.path.join(manifest_dir, entry["mask"]))
+def load_sample(manifest_dir, entry, size=None):
+    """Read one manifest entry back as float image in [0,1] plus mask.
+
+    The mask must have the image's shape and, when ``size`` is given,
+    the image must be ``size`` x ``size``; otherwise a ``FormatError``
+    names the file.
+    """
+    image_path = os.path.join(manifest_dir, entry["image"])
+    mask_path = os.path.join(manifest_dir, entry["mask"])
+    image, mask = read_pgm(image_path), read_pgm(mask_path)
+    if size is not None and image.shape != (size, size):
+        raise FormatError(f"{image_path}: image is {_hw(image)}, the manifest "
+                          f"says {size}x{size}")
+    if mask.shape != image.shape:
+        raise FormatError(f"{mask_path}: mask is {_hw(mask)}, its image "
+                          f"{image_path} is {_hw(image)}")
     return image.astype(np.float32)[None] / 255.0, mask
+
+
+def _hw(array):
+    return "x".join(map(str, array.shape))

@@ -202,39 +202,50 @@ def train(train_cfg: TrainConfig, net_cfg: NetworkConfig, data_dir,
     """Train on a few-shot subset; returns (network, log rows, chosen ids).
 
     Log rows are (epoch, mean train-mode loss, eval-mode Dice on the
-    training subset).  With ``monitor=False`` only the final epoch runs
-    that eval forward and earlier rows carry NaN Dice; the training
-    itself is the same.  When ``out_dir`` is given, writes
-    ``train_log.csv`` and a ``checkpoint/`` directory there.
+    training subset under the parameters that epoch's updates left).
+    With ``monitor=False`` only the final epoch measures that Dice and
+    earlier rows carry NaN; the training itself is the same.
+
+    Where the Dice comes from: the final row always runs its own batched
+    eval forward.  For the other rows, when the arm is ``none`` and one
+    batch covers the subset (``shots <= batch_size``), the next epoch's
+    training step already forwards the whole subset under those same
+    parameters, with no augmentation, so row e reads its Dice from the
+    logits of epoch e+1's step, put back in subset order; the values are
+    bit-identical to an eval forward, since every op of the forward is
+    per-sample.  Every other arm or batch layout runs one eval forward
+    per epoch.  When ``out_dir`` is given, writes ``train_log.csv`` and a
+    ``checkpoint/`` directory there.
     """
     manifest = _load_dataset(data_dir, net_cfg.num_classes)
     train_entries = [e for e in manifest["samples"] if e["split"] == "train"]
     chosen = few_shot_subset(train_entries, train_cfg.shots, train_cfg.seed)
-    data = [load_sample(data_dir, e) for e in chosen]
+    images, masks = (np.stack(a) for a in zip(*[
+        load_sample(data_dir, e, manifest["image_size"]) for e in chosen]))
     net = Network(net_cfg)
     state = AdamState.for_params(net.trainable_parameters())
     # The encoder is frozen and a pure function of the image, so the clean
     # subset is encoded once per run, in one call; only image_level, whose
     # images change every epoch, re-encodes its training batches.
-    stages = net.encode(Tensor(np.stack([image for image, _ in data])))
+    stages = net.encode(Tensor(images))
+    step_monitor = monitor and train_cfg.augmentation == "none" and \
+        len(images) <= train_cfg.batch_size
     log_rows = []
     tape = GradTape()
     for epoch in range(train_cfg.epochs):
-        order = _rng(train_cfg.seed, epoch, 0).permutation(len(data))
+        order = _rng(train_cfg.seed, epoch, 0).permutation(len(images))
         aug_rng = _rng(train_cfg.seed, epoch, 1)
         epoch_losses = []
         for start in range(0, len(order), train_cfg.batch_size):
             idx = order[start:start + train_cfg.batch_size]
-            images = [data[i][0] for i in idx]
             if train_cfg.augmentation == "image_level":
-                images = [
+                batch = Tensor(np.stack([
                     _corrupt_image(img, aug_rng, train_cfg.corruption_strengths)
-                    for img in images]
+                    for img in images[idx]]))
                 batch_stages = None
             else:
+                batch = Tensor(images[idx])
                 batch_stages = [Tensor(s.data[idx]) for s in stages]
-            batch = Tensor(np.stack(images))
-            labels = np.stack([data[i][1] for i in idx])
             feature_aug = _make_feature_aug(
                 train_cfg.augmentation, net_cfg, aug_rng,
                 train_cfg.corruption_strengths)
@@ -242,7 +253,7 @@ def train(train_cfg: TrainConfig, net_cfg: NetworkConfig, data_dir,
                 logits = net.forward(batch, mode="train",
                                      feature_aug=feature_aug,
                                      stages=batch_stages)
-                loss = combined_loss(logits, labels)
+                loss = combined_loss(logits, masks[idx])
                 loss_val = loss.item()
                 if not np.isfinite(loss_val):
                     raise TrainingError(
@@ -251,9 +262,14 @@ def train(train_cfg: TrainConfig, net_cfg: NetworkConfig, data_dir,
                 tape.backward(loss)
             adam_step(state, train_cfg)
             epoch_losses.append(loss_val)
+        if step_monitor and epoch > 0:
+            # this epoch's one batch is the whole subset, in ``order``
+            log_rows[-1] = log_rows[-1][:2] + (_mean_dice(
+                logits.numpy()[np.argsort(order)], masks, net_cfg.num_classes),)
         dice = math.nan
-        if monitor or epoch == train_cfg.epochs - 1:
-            dice = _subset_dice(net, data, stages, net_cfg.num_classes)
+        if epoch == train_cfg.epochs - 1 or (monitor and not step_monitor):
+            dice = _subset_dice(net, images, masks, stages,
+                                net_cfg.num_classes)
         log_rows.append((epoch, float(np.mean(epoch_losses)), dice))
     chosen_ids = [e["id"] for e in chosen]
     if out_dir is not None:
@@ -279,16 +295,21 @@ def _corrupt_image(image, rng, strengths):
     return corrupt(image, random_corruption(rng, **strengths))
 
 
-def _subset_dice(net, data, stages, num_classes) -> float:
+def _subset_dice(net, images, masks, stages, num_classes) -> float:
     """Eval-mode mean foreground Dice of the samples, in one batched forward.
 
-    ``stages`` is the encoding of ``data``'s images stacked in order.
+    ``stages`` is the encoding of the stacked ``images``.
     """
-    logits = net.forward(Tensor(np.stack([image for image, _ in data])),
-                         mode="eval", stages=stages)
-    preds = np.argmax(logits.numpy(), axis=1).astype(np.uint8)
+    logits = net.forward(Tensor(images), mode="eval", stages=stages)
+    return _mean_dice(logits.numpy(), masks, num_classes)
+
+
+def _mean_dice(logits, masks, num_classes) -> float:
+    """Mean over samples of the foreground Dice of the argmax of
+    ``logits`` [N, C, H, W] against ``masks`` [N, H, W], in that order."""
+    preds = np.argmax(logits, axis=1).astype(np.uint8)
     return float(np.mean([mean_foreground_dice(pred, mask, num_classes)
-                          for pred, (_, mask) in zip(preds, data)]))
+                          for pred, mask in zip(preds, masks)]))
 
 
 def evaluate(net_or_ckpt, data_dir, split="test", csv_path=None):
@@ -304,7 +325,7 @@ def evaluate(net_or_ckpt, data_dir, split="test", csv_path=None):
         raise InputError(f"no samples in split {split!r}")
     records = []
     for entry in entries:
-        image, mask = load_sample(data_dir, entry)
+        image, mask = load_sample(data_dir, entry, manifest["image_size"])
         logits = net.forward(Tensor(image[None]), mode="eval")
         pred = np.argmax(logits.numpy()[0], axis=0).astype(np.uint8)
         dice = {c: dice_score(pred, mask, c) for c in range(1, num_classes)}

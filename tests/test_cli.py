@@ -730,6 +730,37 @@ class TestDatasetManifest:
         assert not out.exists()
 
 
+class TestSampleSizes:
+    """A sample whose image is not the manifest's square, or whose mask
+    has another shape than its image, is exit 1 naming the file."""
+
+    @pytest.mark.parametrize("key", ["image", "mask"])
+    @pytest.mark.parametrize("cmd,split", [("train", "train"),
+                                           ("eval", "test")])
+    def test_wrong_size_is_exit_1(self, dataset, tmp_path, capsys, cmd, split,
+                                  key):
+        manifest = json.loads((dataset / "manifest.json").read_text())
+        entry = next(e for e in manifest["samples"] if e["split"] == split)
+        write_pgm(dataset / entry[key], np.zeros((32, 32), dtype=np.uint8))
+        out = tmp_path / "out"
+        if cmd == "train":
+            argv = ["train", "--data", str(dataset), "--out", str(out),
+                    "--epochs", "1", "--shots", "4"]
+        else:
+            from augseg.model import Network, NetworkConfig, save_checkpoint
+            ckpt = tmp_path / "ckpt"
+            save_checkpoint(ckpt, Network(NetworkConfig()), epoch=0, seed=0)
+            argv = ["eval", "--checkpoint", str(ckpt), "--data", str(dataset),
+                    "--out", str(out)]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert str(dataset / entry[key]) in err and "32x32" in err, err
+        if key == "mask":
+            assert str(dataset / entry["image"]) in err, err
+        assert not out.exists()
+
+
 class TestPathErrors:
     """A path that cannot be read or written is exit 1, in one line that
     names it."""

@@ -82,6 +82,19 @@ def reference_adam_step(state, cfg):
                  (np.sqrt(v_hat) + cfg.eps))
 
 
+def spy_forward_modes(monkeypatch):
+    """The ``mode`` of every later ``Network.forward`` call, in order."""
+    modes = []
+    forward = Network.forward
+
+    def spy(self, image, mode="eval", **kw):
+        modes.append(mode)
+        return forward(self, image, mode=mode, **kw)
+
+    monkeypatch.setattr(Network, "forward", spy)
+    return modes
+
+
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and \
@@ -409,27 +422,22 @@ class TestTrain:
                           tiny_net_config(), dataset)
         manifest = load_manifest(os.path.join(dataset, "manifest.json"))
         data = [load_sample(dataset, e) for e in manifest["samples"][:3]]
-        stages = net.encode(Tensor(np.stack([image for image, _ in data])))
+        images, masks = (np.stack(a) for a in zip(*data))
+        stages = net.encode(Tensor(images))
         scores = []
         for image, mask in data:
             logits = net.forward(Tensor(image[None]), mode="eval")
             pred = np.argmax(logits.numpy()[0], axis=0).astype(np.uint8)
             scores.append(mean_foreground_dice(pred, mask, 3))
-        assert _subset_dice(net, data, stages, 3) == float(np.mean(scores))
+        assert _subset_dice(net, images, masks, stages, 3) == \
+            float(np.mean(scores))
 
     @pytest.mark.parametrize("arm", ["none", "feature_wavelet"])
     def test_monitor_off_trains_the_same_and_measures_only_the_last_epoch(
             self, dataset, arm, monkeypatch):
         cfg = TrainConfig(epochs=3, shots=3, seed=2, augmentation=arm)
         on_net, on_rows, _ = train(cfg, tiny_net_config(), dataset)
-        modes = []
-        forward = Network.forward
-
-        def spy(self, image, mode="eval", **kw):
-            modes.append(mode)
-            return forward(self, image, mode=mode, **kw)
-
-        monkeypatch.setattr(Network, "forward", spy)
+        modes = spy_forward_modes(monkeypatch)
         off_net, off_rows, _ = train(cfg, tiny_net_config(), dataset,
                                      monitor=False)
         assert modes.count("eval") == 1 and modes[-1] == "eval"
@@ -439,6 +447,37 @@ class TestTrain:
         on_params = on_net.parameters()
         for name, tensor in off_net.parameters().items():
             assert same_bits(tensor.numpy(), on_params[name].numpy()), name
+
+    @pytest.mark.parametrize("arm,shots,batch,evals", [
+        ("none", 2, 2, 1), ("none", 3, 4, 1),
+        ("none", 3, 2, 4), ("feature_wavelet", 2, 2, 4)])
+    def test_monitor_forwards(self, dataset, monkeypatch, arm, shots, batch,
+                              evals):
+        """With one batch per epoch and no augmentation the monitor reads
+        each step's logits, so only the final row runs an eval forward;
+        other layouts and arms run one eval forward per epoch."""
+        modes = spy_forward_modes(monkeypatch)
+        train(TrainConfig(epochs=4, shots=shots, batch_size=batch, seed=1,
+                          augmentation=arm), tiny_net_config(), dataset)
+        assert modes.count("train") == 4 * math.ceil(shots / batch)
+        assert modes.count("eval") == evals and modes[-1] == "eval"
+
+    @pytest.mark.parametrize("arm,shots,batch", [
+        ("none", 2, 2), ("none", 3, 4), ("none", 4, 2),
+        ("feature_wavelet", 2, 2)])
+    def test_log_rows_are_prefixes_of_longer_runs(self, dataset, arm, shots,
+                                                  batch):
+        """Row e of a run is the final row of the same run cut to e+1
+        epochs, bit for bit, whichever forward measured its Dice."""
+        def rows(epochs):
+            cfg = TrainConfig(epochs=epochs, shots=shots, batch_size=batch,
+                              seed=5, learning_rate=3e-3, augmentation=arm)
+            return [(e, loss.hex(), dice.hex())
+                    for e, loss, dice in train(cfg, tiny_net_config(),
+                                               dataset)[1]]
+
+        full = rows(4)
+        assert [rows(e + 1)[-1] for e in range(4)] == full
 
     def test_encoder_frozen_through_training(self, dataset):
         cfg = TrainConfig(epochs=2, shots=2, seed=0, augmentation="none")
