@@ -187,13 +187,19 @@ def few_shot_subset(entries, shots, seed):
     return [entries[i] for i in order[:shots]]
 
 
-def _load_dataset(data_dir, num_classes):
-    """The dataset manifest, checked to have the network's class count."""
-    manifest = load_manifest(os.path.join(data_dir, "manifest.json"))
-    if manifest["num_classes"] != num_classes:
+def _load_dataset(data_dir, net_cfg):
+    """The dataset manifest, checked against the network's class count and
+    image size before any sample is read."""
+    path = os.path.join(data_dir, "manifest.json")
+    manifest = load_manifest(path)
+    if manifest["num_classes"] != net_cfg.num_classes:
         raise InputError(
             f"dataset has {manifest['num_classes']} classes, network expects "
-            f"{num_classes}")
+            f"{net_cfg.num_classes}")
+    if manifest["image_size"] != net_cfg.image_size:
+        raise InputError(
+            f"{path}: image_size {manifest['image_size']}, the network takes "
+            f"{net_cfg.image_size}")
     return manifest
 
 
@@ -201,23 +207,26 @@ def train(train_cfg: TrainConfig, net_cfg: NetworkConfig, data_dir,
           out_dir=None, *, monitor=True):
     """Train on a few-shot subset; returns (network, log rows, chosen ids).
 
-    Log rows are (epoch, mean train-mode loss, eval-mode Dice on the
-    training subset under the parameters that epoch's updates left).
-    With ``monitor=False`` only the final epoch measures that Dice and
-    earlier rows carry NaN; the training itself is the same.
+    Log rows are (epoch, mean train-mode loss, train_dice, step_dice).
 
-    Where the Dice comes from: the final row always runs its own batched
-    eval forward.  For the other rows, when the arm is ``none`` and one
-    batch covers the subset (``shots <= batch_size``), the next epoch's
-    training step already forwards the whole subset under those same
-    parameters, with no augmentation, so row e reads its Dice from the
-    logits of epoch e+1's step, put back in subset order; the values are
-    bit-identical to an eval forward, since every op of the forward is
-    per-sample.  Every other arm or batch layout runs one eval forward
-    per epoch.  When ``out_dir`` is given, writes ``train_log.csv`` and a
-    ``checkpoint/`` directory there.
+    ``step_dice`` is the mean over the subset, in subset order, of each
+    sample's foreground Dice from the argmax of the logits the epoch's
+    loss saw: train mode, augmentation included.
+
+    ``train_dice`` is the eval-mode Dice on the subset under the
+    parameters the epoch's updates left.  The final row runs one batched
+    eval forward for it.  When the arm is ``none`` and one batch covers
+    the subset (``shots <= batch_size``), the next epoch's step forwards
+    the whole subset under those same parameters with no augmentation, so
+    row e takes row e+1's ``step_dice``; it is the eval forward's value
+    bit for bit, since every op of the forward is per-sample.  The other
+    rows carry NaN.
+
+    With ``monitor=False`` both columns are NaN before the final row; the
+    training itself is the same.  When ``out_dir`` is given, writes
+    ``train_log.csv`` and a ``checkpoint/`` directory there.
     """
-    manifest = _load_dataset(data_dir, net_cfg.num_classes)
+    manifest = _load_dataset(data_dir, net_cfg)
     train_entries = [e for e in manifest["samples"] if e["split"] == "train"]
     chosen = few_shot_subset(train_entries, train_cfg.shots, train_cfg.seed)
     images, masks = (np.stack(a) for a in zip(*[
@@ -228,11 +237,14 @@ def train(train_cfg: TrainConfig, net_cfg: NetworkConfig, data_dir,
     # subset is encoded once per run, in one call; only image_level, whose
     # images change every epoch, re-encodes its training batches.
     stages = net.encode(Tensor(images))
-    step_monitor = monitor and train_cfg.augmentation == "none" and \
+    last = train_cfg.epochs - 1
+    backfill = monitor and train_cfg.augmentation == "none" and \
         len(images) <= train_cfg.batch_size
+    sample_dice = np.empty(len(images))
     log_rows = []
     tape = GradTape()
     for epoch in range(train_cfg.epochs):
+        measure = monitor or epoch == last
         order = _rng(train_cfg.seed, epoch, 0).permutation(len(images))
         aug_rng = _rng(train_cfg.seed, epoch, 1)
         epoch_losses = []
@@ -262,23 +274,25 @@ def train(train_cfg: TrainConfig, net_cfg: NetworkConfig, data_dir,
                 tape.backward(loss)
             adam_step(state, train_cfg)
             epoch_losses.append(loss_val)
-        if step_monitor and epoch > 0:
-            # this epoch's one batch is the whole subset, in ``order``
-            log_rows[-1] = log_rows[-1][:2] + (_mean_dice(
-                logits.numpy()[np.argsort(order)], masks, net_cfg.num_classes),)
+            if measure:
+                sample_dice[idx] = _sample_dice(logits.numpy(), masks[idx],
+                                                net_cfg.num_classes)
+        step_dice = float(np.mean(sample_dice)) if measure else math.nan
+        if backfill and epoch > 0:
+            log_rows[-1] = log_rows[-1][:2] + (step_dice, log_rows[-1][3])
         dice = math.nan
-        if epoch == train_cfg.epochs - 1 or (monitor and not step_monitor):
+        if epoch == last:
             dice = _subset_dice(net, images, masks, stages,
                                 net_cfg.num_classes)
-        log_rows.append((epoch, float(np.mean(epoch_losses)), dice))
+        log_rows.append((epoch, float(np.mean(epoch_losses)), dice, step_dice))
     chosen_ids = [e["id"] for e in chosen]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "train_log.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["epoch", "loss", "train_dice"])
-            for row in log_rows:
-                writer.writerow([row[0], f"{row[1]:.6f}", f"{row[2]:.6f}"])
+            writer.writerow(["epoch", "loss", "train_dice", "step_dice"])
+            for epoch, *values in log_rows:
+                writer.writerow([epoch] + [f"{v:.6f}" for v in values])
         save_checkpoint(os.path.join(out_dir, "checkpoint"), net,
                         epoch=train_cfg.epochs, seed=train_cfg.seed,
                         extra={"few_shot_ids": chosen_ids,
@@ -301,15 +315,15 @@ def _subset_dice(net, images, masks, stages, num_classes) -> float:
     ``stages`` is the encoding of the stacked ``images``.
     """
     logits = net.forward(Tensor(images), mode="eval", stages=stages)
-    return _mean_dice(logits.numpy(), masks, num_classes)
+    return float(np.mean(_sample_dice(logits.numpy(), masks, num_classes)))
 
 
-def _mean_dice(logits, masks, num_classes) -> float:
-    """Mean over samples of the foreground Dice of the argmax of
-    ``logits`` [N, C, H, W] against ``masks`` [N, H, W], in that order."""
+def _sample_dice(logits, masks, num_classes) -> list:
+    """Foreground Dice of the argmax of each sample of ``logits``
+    [N, C, H, W] against ``masks`` [N, H, W], in that order."""
     preds = np.argmax(logits, axis=1).astype(np.uint8)
-    return float(np.mean([mean_foreground_dice(pred, mask, num_classes)
-                          for pred, mask in zip(preds, masks)]))
+    return [mean_foreground_dice(pred, mask, num_classes)
+            for pred, mask in zip(preds, masks)]
 
 
 def evaluate(net_or_ckpt, data_dir, split="test", csv_path=None):
@@ -319,7 +333,7 @@ def evaluate(net_or_ckpt, data_dir, split="test", csv_path=None):
     else:
         net, _ = load_checkpoint(net_or_ckpt)
     num_classes = net.config.num_classes
-    manifest = _load_dataset(data_dir, num_classes)
+    manifest = _load_dataset(data_dir, net.config)
     entries = [e for e in manifest["samples"] if e["split"] == split]
     if not entries:
         raise InputError(f"no samples in split {split!r}")

@@ -760,6 +760,36 @@ class TestSampleSizes:
             assert str(dataset / entry["image"]) in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd", ["train", "eval"])
+    def test_dataset_size_other_than_the_network_is_exit_1(
+            self, tmp_path, capsys, monkeypatch, cmd):
+        """A dataset of another ``image_size`` than the network's fails
+        on its manifest, before any sample is read."""
+        from augseg import trainer
+        data = tmp_path / "data"
+        assert dispatch(["synth", "--count", "2", "--test-count", "2",
+                         "--size", "32", "--seed", "1",
+                         "--out", str(data)]) == 0
+        reads = []
+        monkeypatch.setattr(trainer, "load_sample",
+                            lambda *a, **kw: reads.append(a))
+        out = tmp_path / "out"
+        if cmd == "train":
+            argv = ["train", "--data", str(data), "--out", str(out),
+                    "--epochs", "1", "--shots", "1"]
+        else:
+            from augseg.model import Network, NetworkConfig, save_checkpoint
+            ckpt = tmp_path / "ckpt"
+            save_checkpoint(ckpt, Network(NetworkConfig()), epoch=0, seed=0)
+            argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                    "--out", str(out)]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert str(data / "manifest.json") in err, err
+        assert "image_size 32" in err and "64" in err, err
+        assert reads == [] and not out.exists()
+
 
 class TestPathErrors:
     """A path that cannot be read or written is exit 1, in one line that

@@ -1,9 +1,11 @@
 """Adam updates, the training loop, evaluation, and the ablation harness."""
 
+import gc
 import inspect
 import json
 import math
 import os
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -435,32 +437,37 @@ class TestTrain:
     @pytest.mark.parametrize("arm", ["none", "feature_wavelet"])
     def test_monitor_off_trains_the_same_and_measures_only_the_last_epoch(
             self, dataset, arm, monkeypatch):
-        cfg = TrainConfig(epochs=3, shots=3, seed=2, augmentation=arm)
-        on_net, on_rows, _ = train(cfg, tiny_net_config(), dataset)
-        modes = spy_forward_modes(monkeypatch)
-        off_net, off_rows, _ = train(cfg, tiny_net_config(), dataset,
-                                     monitor=False)
-        assert modes.count("eval") == 1 and modes[-1] == "eval"
-        assert off_rows[-1] == on_rows[-1]
-        assert [r[:2] for r in off_rows] == [r[:2] for r in on_rows]
-        assert all(math.isnan(r[2]) for r in off_rows[:-1])
-        on_params = on_net.parameters()
-        for name, tensor in off_net.parameters().items():
-            assert same_bits(tensor.numpy(), on_params[name].numpy()), name
+        # batch 4 holds the whole 3-shot subset: arm none back-fills then
+        for batch in (2, 4):
+            cfg = TrainConfig(epochs=3, shots=3, batch_size=batch, seed=2,
+                              augmentation=arm)
+            on_net, on_rows, _ = train(cfg, tiny_net_config(), dataset)
+            with monkeypatch.context() as patch:
+                modes = spy_forward_modes(patch)
+                off_net, off_rows, _ = train(cfg, tiny_net_config(), dataset,
+                                             monitor=False)
+            assert modes.count("eval") == 1 and modes[-1] == "eval"
+            assert off_rows[-1] == on_rows[-1]
+            assert [r[:2] for r in off_rows] == [r[:2] for r in on_rows]
+            assert all(math.isnan(r[2]) and math.isnan(r[3])
+                       for r in off_rows[:-1])
+            on_params = on_net.parameters()
+            for name, tensor in off_net.parameters().items():
+                assert same_bits(tensor.numpy(),
+                                 on_params[name].numpy()), name
 
-    @pytest.mark.parametrize("arm,shots,batch,evals", [
-        ("none", 2, 2, 1), ("none", 3, 4, 1),
-        ("none", 3, 2, 4), ("feature_wavelet", 2, 2, 4)])
-    def test_monitor_forwards(self, dataset, monkeypatch, arm, shots, batch,
-                              evals):
-        """With one batch per epoch and no augmentation the monitor reads
-        each step's logits, so only the final row runs an eval forward;
-        other layouts and arms run one eval forward per epoch."""
+    @pytest.mark.parametrize("arm,shots,batch", [
+        *[(arm, 2, 2) for arm in ARMS],
+        ("none", 3, 4), ("none", 3, 2), ("feature_wavelet", 3, 2)])
+    def test_one_eval_forward_per_training_the_last(
+            self, dataset, monkeypatch, arm, shots, batch):
+        """Every arm and batch layout runs one train forward per step and
+        one eval forward per ``train`` call, after the last step."""
         modes = spy_forward_modes(monkeypatch)
         train(TrainConfig(epochs=4, shots=shots, batch_size=batch, seed=1,
                           augmentation=arm), tiny_net_config(), dataset)
         assert modes.count("train") == 4 * math.ceil(shots / batch)
-        assert modes.count("eval") == evals and modes[-1] == "eval"
+        assert modes.count("eval") == 1 and modes[-1] == "eval"
 
     @pytest.mark.parametrize("arm,shots,batch", [
         ("none", 2, 2), ("none", 3, 4), ("none", 4, 2),
@@ -468,16 +475,86 @@ class TestTrain:
     def test_log_rows_are_prefixes_of_longer_runs(self, dataset, arm, shots,
                                                   batch):
         """Row e of a run is the final row of the same run cut to e+1
-        epochs, bit for bit, whichever forward measured its Dice."""
+        epochs, bit for bit, except that the longer run's ``train_dice``
+        may be NaN; it is never NaN for ``none`` with one batch."""
         def rows(epochs):
             cfg = TrainConfig(epochs=epochs, shots=shots, batch_size=batch,
                               seed=5, learning_rate=3e-3, augmentation=arm)
-            return [(e, loss.hex(), dice.hex())
-                    for e, loss, dice in train(cfg, tiny_net_config(),
-                                               dataset)[1]]
+            return [tuple(v.hex() if isinstance(v, float) else v for v in r)
+                    for r in train(cfg, tiny_net_config(), dataset)[1]]
 
         full = rows(4)
-        assert [rows(e + 1)[-1] for e in range(4)] == full
+        backfilled = arm == "none" and shots <= batch
+        for e in range(4):
+            cut = rows(e + 1)[-1]
+            assert (cut[:2], cut[3]) == (full[e][:2], full[e][3])
+            if backfilled or e == 3:
+                assert cut[2] == full[e][2]
+            else:
+                assert full[e][2] == math.nan.hex()
+
+    @pytest.mark.parametrize("arm", ["none", "feature_wavelet"])
+    @pytest.mark.parametrize("shots,batch", [(2, 2), (4, 2), (3, 2)])
+    def test_step_dice_reads_the_logits_the_loss_saw(
+            self, dataset, monkeypatch, arm, shots, batch):
+        """``step_dice`` is the mean, in subset order, of each sample's
+        foreground Dice from the logits ``combined_loss`` received."""
+        seen = []
+        loss = trainer.combined_loss
+
+        def spy(logits, labels):
+            seen.append((logits.numpy().copy(), labels.copy()))
+            return loss(logits, labels)
+
+        monkeypatch.setattr(trainer, "combined_loss", spy)
+        cfg = TrainConfig(epochs=3, shots=shots, batch_size=batch, seed=3,
+                          learning_rate=3e-3, augmentation=arm)
+        _, rows, _ = train(cfg, tiny_net_config(), dataset)
+        steps = iter(seen)
+        for epoch, row in enumerate(rows):
+            order = trainer._rng(cfg.seed, epoch, 0).permutation(shots)
+            dice = np.empty(shots)
+            for start in range(0, shots, batch):
+                logits, labels = next(steps)
+                dice[order[start:start + batch]] = [
+                    mean_foreground_dice(
+                        np.argmax(l, axis=0).astype(np.uint8), m, 3)
+                    for l, m in zip(logits, labels)]
+            assert row[3] == float(np.mean(dice))
+        assert next(steps, None) is None
+
+    @pytest.mark.parametrize("shots,batch", [(2, 2), (3, 4)])
+    def test_none_one_batch_train_dice_is_the_next_step_dice(
+            self, dataset, shots, batch):
+        """Arm ``none`` with one batch per epoch: row e's ``train_dice``
+        is row e+1's ``step_dice``, and both equal the eval forward of
+        the run cut to e+1 epochs, bit for bit."""
+        def rows(epochs):
+            cfg = TrainConfig(epochs=epochs, shots=shots, batch_size=batch,
+                              seed=5, learning_rate=3e-3)
+            return train(cfg, tiny_net_config(), dataset)[1]
+
+        full = rows(4)
+        for e in range(3):
+            assert full[e][2].hex() == full[e + 1][3].hex()
+            assert rows(e + 1)[-1][2].hex() == full[e + 1][3].hex()
+
+    def test_train_log_csv_columns(self, dataset, tmp_path):
+        cfg = TrainConfig(epochs=3, shots=2, seed=3,
+                          augmentation="feature_wavelet")
+        for monitor in (True, False):
+            out = tmp_path / f"run_{monitor}"
+            _, rows, _ = train(cfg, tiny_net_config(), dataset, str(out),
+                               monitor=monitor)
+            lines = (out / "train_log.csv").read_text().splitlines()
+            assert lines[0] == "epoch,loss,train_dice,step_dice"
+            assert lines[1:] == [
+                f"{e},{loss:.6f},{dice:.6f},{step:.6f}"
+                for e, loss, dice, step in rows]
+            cells = [line.split(",") for line in lines[1:]]
+            assert [c[2] for c in cells[:-1]] == ["nan", "nan"]
+            assert all(c[3] == "nan" for c in cells[:-1]) != monitor
+            assert "nan" not in cells[-1]
 
     def test_encoder_frozen_through_training(self, dataset):
         cfg = TrainConfig(epochs=2, shots=2, seed=0, augmentation="none")
@@ -490,14 +567,20 @@ class TestTrain:
                 np.testing.assert_array_equal(tensor.numpy(), before[name])
 
     def test_keep_prob_one_wavelet_equals_none_exactly(self, dataset):
+        # the two arms train alike; only arm none back-fills train_dice
         base = tiny_net_config(
             wt_aug=WtAugConfig(keep_prob=(1.0, 1.0, 1.0, 1.0)))
         cfg_wav = TrainConfig(epochs=3, shots=2, seed=2,
                               augmentation="feature_wavelet")
         cfg_none = TrainConfig(epochs=3, shots=2, seed=2, augmentation="none")
-        _, log_wav, _ = train(cfg_wav, base, dataset)
-        _, log_none, _ = train(cfg_none, base, dataset)
-        assert log_wav == log_none
+        net_wav, log_wav, _ = train(cfg_wav, base, dataset)
+        net_none, log_none, _ = train(cfg_none, base, dataset)
+        assert [(e, loss, step) for e, loss, _, step in log_wav] == \
+            [(e, loss, step) for e, loss, _, step in log_none]
+        assert log_wav[-1] == log_none[-1]
+        none_params = net_none.parameters()
+        for name, tensor in net_wav.parameters().items():
+            assert same_bits(tensor.numpy(), none_params[name].numpy()), name
 
     @pytest.mark.parametrize("arm", ["image_level", "feature_spatial"])
     def test_other_arms_run(self, dataset, arm):
@@ -696,3 +779,30 @@ class TestAblationRun:
         assert [a.use_cg_fuse for a in arms] == [True, True, False, False]
         assert [a.augmentation for a in arms] == [
             "feature_wavelet", "none", "feature_wavelet", "none"]
+
+
+class TestLongLivedUse:
+    def test_repeated_train_and_evaluate_hold_traced_memory_flat(
+            self, dataset):
+        """Rounds of training every arm and evaluating, in one process,
+        keep no memory past the first round: the tape is cleared on exit
+        and the caches are bounded.  Each network with its optimizer
+        store traces about 150 kB, so keeping even one per round would
+        exceed the slack."""
+        def one_round():
+            for arm in ARMS:
+                net, _, _ = train(TrainConfig(epochs=2, shots=2, seed=1,
+                                              augmentation=arm),
+                                  tiny_net_config(), dataset)
+                evaluate(net, dataset)
+
+        tracemalloc.start()
+        try:
+            traced = []
+            for _ in range(4):
+                one_round()
+                gc.collect()
+                traced.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert traced[-1] - traced[0] < 64 * 1024, traced
