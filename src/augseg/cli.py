@@ -16,8 +16,10 @@ import sys
 import numpy as np
 
 from . import __version__, daug
+from .autodiff import Tensor
 from .errors import (AugsegError, InputError, InvariantError,
                      NumericDomainError, check_seed)
+from .metrics import MetricsRecord, dice_score, hd95, write_metrics_csv
 from .model import NetworkConfig
 from .netpbm import read_pgm, write_ppm
 from .pca import feature_pca, pca_to_image
@@ -32,10 +34,13 @@ from .trainer import (
     table8_arms,
     train,
 )
-from .wavelet import WtAugConfig
+from .wavelet import WtAugConfig, haar_dwt2, wt_aug
 
 
-def _default_seed() -> int:
+def _seed(args) -> int:
+    """``--seed``, else ``AUGSEG_SEED``, else 0."""
+    if args.seed is not None:
+        return check_seed(args.seed, "--seed")
     env = os.environ.get("AUGSEG_SEED")
     if env is None:
         return 0
@@ -44,13 +49,6 @@ def _default_seed() -> int:
     except ValueError:
         raise InputError(f"AUGSEG_SEED must be an integer, got {env!r}")
     return check_seed(seed, "AUGSEG_SEED")
-
-
-def _seed(args) -> int:
-    """``--seed``, else ``AUGSEG_SEED``, else 0."""
-    if args.seed is None:
-        return _default_seed()
-    return check_seed(args.seed, "--seed")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p = sub.add_parser("synth", parents=[], help="generate a synthetic dataset")
+    p = sub.add_parser("synth", help="generate a synthetic dataset")
+    p.set_defaults(run=_cmd_synth)
     p.add_argument("--count", type=int, required=True,
                    help="number of training samples")
     p.add_argument("--test-count", type=int, default=0)
@@ -75,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=int, default=3)
 
     p = sub.add_parser("train", help="train on a few-shot subset")
+    p.set_defaults(run=_cmd_train)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="JSON file with train/network sections")
@@ -87,12 +87,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-cg-fuse", action="store_true")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
+    p.set_defaults(run=_cmd_eval)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", default="test")
     p.add_argument("--out", help="per-sample metrics CSV")
 
     p = sub.add_parser("ablate", help="run the ablation harness")
+    p.set_defaults(run=_cmd_ablate)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=("table6", "table8"), default="table6")
@@ -101,10 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, default=2)
 
     p = sub.add_parser("dwt", help="Haar-decompose a DAUG tensor")
+    p.set_defaults(run=_cmd_dwt)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out-prefix", required=True)
 
     p = sub.add_parser("wt-aug", help="wavelet-domain mask augmentation")
+    p.set_defaults(run=_cmd_wt_aug)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
@@ -112,17 +116,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-sub-band keep probabilities, comma separated")
 
     p = sub.add_parser("metrics", help="Dice/HD95 between PGM mask files")
+    p.set_defaults(run=_cmd_metrics)
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--classes", type=int, default=3)
     p.add_argument("--out", help="CSV output path")
 
     p = sub.add_parser("featviz", help="PCA color rendering of a feature map")
+    p.set_defaults(run=_cmd_featviz)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--k", type=int, default=3)
 
-    sub.add_parser("selftest", help="run the built-in invariant suite")
+    sub.add_parser("selftest", help="run the built-in invariant suite"
+                   ).set_defaults(run=_cmd_selftest)
     return parser
 
 
@@ -226,7 +233,6 @@ def _read_rank4(path, limit=_F32_MAX):
 
 
 def _cmd_dwt(args) -> int:
-    from .wavelet import haar_dwt2
     arr = _read_rank4(args.infile, _HAAR_LIMIT)
     bands = haar_dwt2(arr.astype(np.float32, copy=False))
     for name, band in zip(("LL", "LH", "HL", "HH"), bands):
@@ -237,8 +243,6 @@ def _cmd_dwt(args) -> int:
 
 
 def _cmd_wt_aug(args) -> int:
-    from .autodiff import Tensor
-    from .wavelet import wt_aug
     arr = _read_rank4(args.infile, _HAAR_LIMIT)
     try:
         probs = tuple(float(p) for p in args.keep_prob.split(","))
@@ -256,7 +260,6 @@ def _cmd_wt_aug(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    from .metrics import MetricsRecord, dice_score, hd95, write_metrics_csv
     if args.classes < 2:
         raise InputError(
             f"--classes must be at least 2 (background and one foreground "
@@ -307,19 +310,6 @@ def _cmd_selftest(_args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "synth": _cmd_synth,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "ablate": _cmd_ablate,
-    "dwt": _cmd_dwt,
-    "wt-aug": _cmd_wt_aug,
-    "metrics": _cmd_metrics,
-    "featviz": _cmd_featviz,
-    "selftest": _cmd_selftest,
-}
-
-
 def dispatch(argv) -> int:
     parser = build_parser()
     try:
@@ -328,7 +318,7 @@ def dispatch(argv) -> int:
             parser.print_usage(sys.stderr)
             print("augseg: a subcommand is required", file=sys.stderr)
             return 1
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except AugsegError as exc:
         print(f"augseg: {exc}", file=sys.stderr)
         return 1

@@ -7,7 +7,7 @@ are pinned here):
   * HD95 is symmetric: both directed boundary-distance lists are pooled
     and the nearest-rank ceil(0.95 * n) entry of the sorted pool is
     returned.  Both masks empty -> 0; exactly one empty -> the image
-    diagonal ``spacing * hypot(H, W)`` as a finite sentinel.
+    diagonal ``hypot(H, W)`` as a finite sentinel.
   * Boundary pixels are foreground pixels with at least one of their 4
     neighbors background, or lying on the image border.
 
@@ -37,7 +37,7 @@ class MetricsRecord:
 
     sample_id: str
     dice: dict            # class -> Dice in [0, 1]
-    hd95: dict            # class -> distance (pixels * spacing)
+    hd95: dict            # class -> distance in pixels
     mean_dice: float      # mean over foreground classes
 
 
@@ -107,7 +107,7 @@ def _min_squared_distances(a, b):
     return row_min, col_min
 
 
-def hd95(pred: np.ndarray, gt: np.ndarray, cls: int, spacing: float = 1.0) -> float:
+def hd95(pred: np.ndarray, gt: np.ndarray, cls: int) -> float:
     """Pooled symmetric 95th-percentile boundary distance for one class.
 
     The minima are taken over exact integer squared distances and only the
@@ -124,14 +124,14 @@ def hd95(pred: np.ndarray, gt: np.ndarray, cls: int, spacing: float = 1.0) -> fl
         return 0.0
     h, w = pred.shape
     if len(bp) == 0 or len(bg) == 0:
-        return spacing * math.hypot(h, w)
+        return math.hypot(h, w)
     # int32 holds dy*dy + dx*dx while both offsets are below 2^15
     itype = np.int32 if max(h, w) <= 1 << 15 else np.int64
     pooled = np.concatenate(_min_squared_distances(bp.astype(itype),
                                                    bg.astype(itype)))
     pooled.sort()
     rank = math.ceil(0.95 * pooled.size)      # nearest-rank, 1-indexed
-    return spacing * math.sqrt(pooled[rank - 1])
+    return math.sqrt(pooled[rank - 1])
 
 
 @dataclass

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import FormatError
@@ -27,37 +29,21 @@ def write_ppm(path, image: np.ndarray):
     _write(path, "P6", image)
 
 
-class _Header:
-    """Whitespace/comment-aware scanner over the netpbm ASCII header."""
+# whitespace and ``#`` comments, which run to the end of their line
+_SPACE = re.compile(rb"(?:[ \t\r\n]+|#[^\n]*)*")
+_DIGITS = re.compile(rb"[0-9]+")
 
-    def __init__(self, data: bytes, name: str):
-        self.data = data
-        self.name = name
-        self.pos = 0
 
-    def fail(self, what):
-        raise FormatError(f"{self.name}: {what} at byte {self.pos}")
-
-    def skip_space(self):
-        while self.pos < len(self.data):
-            c = self.data[self.pos]
-            if c in b"#":
-                while self.pos < len(self.data) and self.data[self.pos] not in b"\n":
-                    self.pos += 1
-            elif c in b" \t\r\n":
-                self.pos += 1
-            else:
-                return
-        self.fail("truncated header")
-
-    def read_int(self, what):
-        self.skip_space()
-        start = self.pos
-        while self.pos < len(self.data) and self.data[self.pos:self.pos + 1].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.fail(f"expected {what}")
-        return int(self.data[start:self.pos])
+def _header_int(data, pos, what, name):
+    """The decimal header field at ``pos``, after any whitespace and
+    comments; returns it with the position just past it."""
+    pos = _SPACE.match(data, pos).end()
+    if pos == len(data):
+        raise FormatError(f"{name}: truncated header at byte {pos}")
+    digits = _DIGITS.match(data, pos)
+    if digits is None:
+        raise FormatError(f"{name}: expected {what} at byte {pos}")
+    return int(digits[0]), digits.end()
 
 
 def _read(path, expected_magic, channels):
@@ -69,16 +55,15 @@ def _read(path, expected_magic, channels):
     magic = data[:2].decode("ascii", errors="replace")
     if magic != expected_magic:
         raise FormatError(f"{name}: bad magic {magic!r} at byte 0")
-    hdr = _Header(data, name)
-    hdr.pos = 2
-    w = hdr.read_int("width")
-    h = hdr.read_int("height")
-    maxval = hdr.read_int("maxval")
+    w, pos = _header_int(data, 2, "width", name)
+    h, pos = _header_int(data, pos, "height", name)
+    maxval, pos = _header_int(data, pos, "maxval", name)
     if maxval != 255:
         raise FormatError(f"{name}: only maxval 255 supported, got {maxval}")
-    if hdr.pos >= len(data) or data[hdr.pos] not in b" \t\r\n":
-        hdr.fail("expected single whitespace before payload")
-    payload_at = hdr.pos + 1
+    if pos >= len(data) or data[pos] not in b" \t\r\n":
+        raise FormatError(f"{name}: expected single whitespace before "
+                          f"payload at byte {pos}")
+    payload_at = pos + 1
     nbytes = w * h * channels
     if len(data) < payload_at + nbytes:
         raise FormatError(

@@ -213,14 +213,11 @@ def motion_blur_kernel(length: int, angle: float) -> np.ndarray:
 
 
 def corrupt(image: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
-    """Apply one corruption to a [H,W] or [1,H,W] image in [0,1]."""
+    """Apply one corruption to a [1,H,W] image in [0,1]."""
     img = np.asarray(image, dtype=np.float32)
-    squeeze = False
-    if img.ndim == 3 and img.shape[0] == 1:
-        img = img[0]
-        squeeze = True
-    if img.ndim != 2:
-        raise ContractError("corrupt expects a [H,W] or [1,H,W] image")
+    if img.ndim != 3 or img.shape[0] != 1:
+        raise ContractError("corrupt expects a [1,H,W] image")
+    img = img[0]
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "brightness":
         out = np.clip(img * spec.factor, 0.0, 1.0)
@@ -236,7 +233,7 @@ def corrupt(image: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
         out = img * keep
     else:  # pragma: no cover - guarded by CorruptionSpec
         raise ContractError(f"unknown corruption kind {spec.kind!r}")
-    return out[None].astype(np.float32) if squeeze else out.astype(np.float32)
+    return out[None].astype(np.float32)
 
 
 def feature_spatial_aug(f: Tensor, spec: CorruptionSpec) -> Tensor:
@@ -389,22 +386,30 @@ def load_manifest(path):
     return manifest
 
 
-def load_sample(manifest_dir, entry, size=None):
+def load_sample(manifest_dir, entry, manifest=None):
     """Read one manifest entry back as float image in [0,1] plus mask.
 
-    The mask must have the image's shape and, when ``size`` is given,
-    the image must be ``size`` x ``size``; otherwise a ``FormatError``
-    names the file.
+    The mask must have the image's shape and, when the dataset
+    ``manifest`` is given, the image must be its ``image_size`` square and
+    every mask label below its ``num_classes``; otherwise a
+    ``FormatError`` names the file.
     """
     image_path = os.path.join(manifest_dir, entry["image"])
     mask_path = os.path.join(manifest_dir, entry["mask"])
     image, mask = read_pgm(image_path), read_pgm(mask_path)
-    if size is not None and image.shape != (size, size):
-        raise FormatError(f"{image_path}: image is {_hw(image)}, the manifest "
-                          f"says {size}x{size}")
+    if manifest is not None:
+        size = manifest["image_size"]
+        if image.shape != (size, size):
+            raise FormatError(f"{image_path}: image is {_hw(image)}, the "
+                              f"manifest says {size}x{size}")
     if mask.shape != image.shape:
         raise FormatError(f"{mask_path}: mask is {_hw(mask)}, its image "
                           f"{image_path} is {_hw(image)}")
+    if manifest is not None:
+        top = int(mask.max())
+        if top >= manifest["num_classes"]:
+            raise FormatError(f"{mask_path}: mask label {top}, the manifest "
+                              f"says {manifest['num_classes']} classes")
     return image.astype(np.float32)[None] / 255.0, mask
 
 

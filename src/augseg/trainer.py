@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import synth
 from .autodiff import GradTape, Tensor, recording, use_tape
 from .errors import AugsegError, ContractError, InputError, check_seed
 from .losses import combined_loss
@@ -230,7 +231,7 @@ def train(train_cfg: TrainConfig, net_cfg: NetworkConfig, data_dir,
     train_entries = [e for e in manifest["samples"] if e["split"] == "train"]
     chosen = few_shot_subset(train_entries, train_cfg.shots, train_cfg.seed)
     images, masks = (np.stack(a) for a in zip(*[
-        load_sample(data_dir, e, manifest["image_size"]) for e in chosen]))
+        load_sample(data_dir, e, manifest) for e in chosen]))
     net = Network(net_cfg)
     state = AdamState.for_params(net.trainable_parameters())
     # The encoder is frozen and a pure function of the image, so the clean
@@ -251,8 +252,10 @@ def train(train_cfg: TrainConfig, net_cfg: NetworkConfig, data_dir,
         for start in range(0, len(order), train_cfg.batch_size):
             idx = order[start:start + train_cfg.batch_size]
             if train_cfg.augmentation == "image_level":
-                batch = Tensor(np.stack([
-                    _corrupt_image(img, aug_rng, train_cfg.corruption_strengths)
+                # ``synth.corrupt`` is looked up at call time, so that
+                # perfbench's tracer, which wraps it there, times each call
+                batch = Tensor(np.stack([synth.corrupt(img, random_corruption(
+                    aug_rng, **train_cfg.corruption_strengths))
                     for img in images[idx]]))
                 batch_stages = None
             else:
@@ -300,15 +303,6 @@ def train(train_cfg: TrainConfig, net_cfg: NetworkConfig, data_dir,
     return net, log_rows, chosen_ids
 
 
-def _corrupt_image(image, rng, strengths):
-    # Imported at call time so that perfbench's tracer, which wraps
-    # ``augseg.synth.corrupt``, times this call; a module-level import
-    # would bind the unwrapped function and the ``synth.corrupt`` layer
-    # would drop out without any error.
-    from .synth import corrupt
-    return corrupt(image, random_corruption(rng, **strengths))
-
-
 def _subset_dice(net, images, masks, stages, num_classes) -> float:
     """Eval-mode mean foreground Dice of the samples, in one batched forward.
 
@@ -339,7 +333,7 @@ def evaluate(net_or_ckpt, data_dir, split="test", csv_path=None):
         raise InputError(f"no samples in split {split!r}")
     records = []
     for entry in entries:
-        image, mask = load_sample(data_dir, entry, manifest["image_size"])
+        image, mask = load_sample(data_dir, entry, manifest)
         logits = net.forward(Tensor(image[None]), mode="eval")
         pred = np.argmax(logits.numpy()[0], axis=0).astype(np.uint8)
         dice = {c: dice_score(pred, mask, c) for c in range(1, num_classes)}

@@ -9,7 +9,7 @@ import pytest
 
 from augseg import daug
 from augseg.cli import dispatch
-from augseg.netpbm import read_ppm, write_pgm
+from augseg.netpbm import read_pgm, read_ppm, write_pgm
 
 
 @pytest.fixture()
@@ -731,8 +731,9 @@ class TestDatasetManifest:
 
 
 class TestSampleSizes:
-    """A sample whose image is not the manifest's square, or whose mask
-    has another shape than its image, is exit 1 naming the file."""
+    """A sample whose image is not the manifest's square, whose mask has
+    another shape than its image, or whose mask holds a label of no
+    class in the manifest is exit 1 naming the file."""
 
     @pytest.mark.parametrize("key", ["image", "mask"])
     @pytest.mark.parametrize("cmd,split", [("train", "train"),
@@ -758,6 +759,35 @@ class TestSampleSizes:
         assert str(dataset / entry[key]) in err and "32x32" in err, err
         if key == "mask":
             assert str(dataset / entry["image"]) in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label", [3, 9])
+    @pytest.mark.parametrize("cmd,split", [("train", "train"),
+                                           ("eval", "test")])
+    def test_mask_label_out_of_range_is_exit_1(self, dataset, tmp_path,
+                                                capsys, cmd, split, label):
+        manifest = json.loads((dataset / "manifest.json").read_text())
+        for entry in manifest["samples"]:
+            if entry["split"] == split:
+                mask = read_pgm(dataset / entry["mask"])
+                mask[5, 7] = label
+                write_pgm(dataset / entry["mask"], mask)
+        out = tmp_path / "out"
+        if cmd == "train":
+            argv = ["train", "--data", str(dataset), "--out", str(out),
+                    "--epochs", "1", "--shots", "4"]
+        else:
+            from augseg.model import Network, NetworkConfig, save_checkpoint
+            ckpt = tmp_path / "ckpt"
+            save_checkpoint(ckpt, Network(NetworkConfig()), epoch=0, seed=0)
+            argv = ["eval", "--checkpoint", str(ckpt), "--data", str(dataset),
+                    "--out", str(out)]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert f"label {label}" in err and "3 classes" in err, err
+        assert any(str(dataset / e["mask"]) in err
+                   for e in manifest["samples"]), err
         assert not out.exists()
 
     @pytest.mark.parametrize("cmd", ["train", "eval"])

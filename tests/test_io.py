@@ -94,6 +94,51 @@ class TestNetpbm:
         assert img.shape == (2, 3)
         assert img.tobytes() == payload
 
+    @pytest.mark.parametrize("header", [
+        b"P5#a\n3#b\n2#c\n255\n",
+        b"P5\t3\r\n2\t255\r",
+        b"P5 # c1 #still c1\n\n3 2\n#c2\n255\n"])
+    def test_header_separators(self, tmp_path, header):
+        """Comments between every pair of fields, and tab and CR
+        separators, are whitespace."""
+        path = tmp_path / "s.pgm"
+        payload = bytes(range(6))
+        path.write_bytes(header + payload)
+        img = read_pgm(path)
+        assert img.shape == (2, 3)
+        assert img.tobytes() == payload
+
+    @pytest.mark.parametrize("data,message", [
+        (b"P5\n3 2\n# runs to the end", "truncated header at byte 24"),
+        (b"P5\n3 ", "truncated header at byte 5"),
+        (b"P5\n3 2\n255",
+         "expected single whitespace before payload at byte 10"),
+        (b"P5\nx 2\n255\n", "expected width at byte 3"),
+        (b"P5 3\n#w\n\t-2 255\n", "expected height at byte 9"),
+        (b"P5 3 2 255" + bytes(range(6)),
+         "expected single whitespace before payload at byte 10"),
+        (b"P5 3 2 255#c\n" + bytes(6),
+         "expected single whitespace before payload at byte 10")])
+    def test_header_errors_name_the_byte(self, tmp_path, data, message):
+        path = tmp_path / "e.pgm"
+        path.write_bytes(data)
+        with pytest.raises(FormatError) as exc:
+            read_pgm(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_ppm_header_and_truncated_payload(self, tmp_path):
+        path = tmp_path / "p.ppm"
+        payload = bytes(range(18))
+        path.write_bytes(b"P6 #rgb\n3\t2\r255\n" + payload)
+        img = read_ppm(path)
+        assert img.shape == (2, 3, 3)
+        assert img.tobytes() == payload
+        path.write_bytes(b"P6 3 2 255\n" + payload[:-1])
+        with pytest.raises(FormatError) as exc:
+            read_ppm(path)
+        assert str(exc.value) == (f"{path}: truncated payload at byte 28 "
+                                  "(need 29)")
+
     def test_truncated_reports_offset(self, tmp_path):
         path = tmp_path / "t.pgm"
         write_pgm(path, np.zeros((4, 4), dtype=np.uint8))

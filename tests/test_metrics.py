@@ -58,24 +58,24 @@ def padded_boundary(mask):
     return np.argwhere(m & (~interior | border))
 
 
-def oracle_hd95(pred, gt, cls, spacing=1.0):
+def oracle_hd95(pred, gt, cls):
     bp = oracle_boundary(pred == cls)
     bg = oracle_boundary(gt == cls)
     if not bp and not bg:
         return 0.0
     if not bp or not bg:
         h, w = pred.shape
-        return spacing * math.hypot(h, w)
+        return math.hypot(h, w)
     dists = []
     for p in bp:
         dists.append(min(math.dist(p, g) for g in bg))
     for g in bg:
         dists.append(min(math.dist(p, g) for p in bp))
     dists.sort()
-    return spacing * dists[math.ceil(0.95 * len(dists)) - 1]
+    return dists[math.ceil(0.95 * len(dists)) - 1]
 
 
-def cdist_hd95(pred, gt, cls, spacing=1.0, rows=512):
+def cdist_hd95(pred, gt, cls, rows=512):
     """HD95 from scipy's float64 Euclidean distances, the reference for
     ``hd95``'s integer squared distances.  ``cdist`` runs on ``rows``
     boundary points at a time so that noise masks fit in memory; the
@@ -86,7 +86,7 @@ def cdist_hd95(pred, gt, cls, spacing=1.0, rows=512):
         return 0.0
     if len(bp) == 0 or len(bg) == 0:
         h, w = pred.shape
-        return spacing * math.hypot(h, w)
+        return math.hypot(h, w)
     row_min, col_min = [], np.inf
     for i in range(0, len(bp), rows):
         d = cdist(bp[i:i + rows], bg)
@@ -94,7 +94,7 @@ def cdist_hd95(pred, gt, cls, spacing=1.0, rows=512):
         col_min = np.minimum(col_min, d.min(axis=0))
     pooled = np.concatenate(row_min + [col_min])
     pooled.sort()
-    return spacing * float(pooled[math.ceil(0.95 * pooled.size) - 1])
+    return float(pooled[math.ceil(0.95 * pooled.size) - 1])
 
 
 def oracle_wilcoxon_p(diffs):
@@ -221,13 +221,6 @@ class TestHd95:
         b[3, 3] = 1
         assert hd95(a, b, 1) == pytest.approx(math.hypot(10, 12))
 
-    def test_spacing_scales_distances(self):
-        a = np.zeros((8, 8), dtype=np.uint8)
-        b = np.zeros((8, 8), dtype=np.uint8)
-        a[2, 2] = 1
-        b[2, 6] = 1
-        assert hd95(a, b, 1, spacing=2.5) == pytest.approx(10.0)
-
     def test_symmetry(self):
         rng = np.random.default_rng(2)
         for _ in range(30):
@@ -281,11 +274,9 @@ class TestHd95:
 
     def test_matches_cdist_reference_bit_for_bit(self):
         for a, b in self.reference_cases():
-            for spacing in (1.0, 0.7):
-                got = hd95(a, b, 1, spacing=spacing)
-                want = cdist_hd95(a, b, 1, spacing=spacing)
-                assert type(got) is float
-                assert got.hex() == want.hex(), (a, b, spacing)
+            got = hd95(a, b, 1)
+            assert type(got) is float
+            assert got.hex() == cdist_hd95(a, b, 1).hex(), (a, b)
 
     def test_wide_mask_distances_beyond_int32_squares(self):
         # 46,341^2 overflows int32, so masks this wide take int64 points

@@ -223,12 +223,12 @@ class TestCorrupt:
             assert (k >= 0).all()
 
     def test_poisson_mean_preserved(self):
-        img = np.full((100, 100), 0.5, dtype=np.float32)
+        img = np.full((1, 100, 100), 0.5, dtype=np.float32)
         out = corrupt(img, CorruptionSpec(kind="poisson", scale=255.0, seed=2))
         assert abs(out.mean() - 0.5) < 0.02
 
     def test_rand_mask_zeroes_fraction(self):
-        img = np.ones((64, 64), dtype=np.float32)
+        img = np.ones((1, 64, 64), dtype=np.float32)
         out = corrupt(img, CorruptionSpec(kind="rand_mask", drop_prob=0.25,
                                           seed=3))
         zero_frac = (out == 0).mean()
@@ -248,6 +248,12 @@ class TestCorrupt:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ContractError):
             CorruptionSpec(kind="solarize")
+
+    @pytest.mark.parametrize("shape", [(8, 8), (2, 8, 8), (1, 1, 8, 8)])
+    def test_only_single_channel_images(self, shape):
+        with pytest.raises(ContractError, match=r"\[1,H,W\]"):
+            corrupt(np.zeros(shape, np.float32),
+                    CorruptionSpec(kind="brightness"))
 
 
 class TestFeatureSpatialAug:
@@ -313,7 +319,7 @@ class TestDatasetFiles:
         assert manifest["num_classes"] == 3
         assert len(manifest["samples"]) == 7
         entry = manifest["samples"][0]
-        image, mask = load_sample(tmp_path, entry)
+        image, mask = load_sample(tmp_path, entry, manifest)
         assert image.shape == (1, 64, 64)
         reference = gen_sample(entry["seed"])
         np.testing.assert_array_equal(mask, reference.mask)

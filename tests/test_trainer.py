@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from augseg import fusion, trainer
+from augseg import fusion, synth, trainer
 from augseg.autodiff import GradTape, Tensor, use_tape
 from augseg.errors import ContractError, InputError
 from augseg.metrics import mean_foreground_dice
@@ -423,7 +423,8 @@ class TestTrain:
         net, _, _ = train(TrainConfig(epochs=2, shots=3, seed=7),
                           tiny_net_config(), dataset)
         manifest = load_manifest(os.path.join(dataset, "manifest.json"))
-        data = [load_sample(dataset, e) for e in manifest["samples"][:3]]
+        data = [load_sample(dataset, e, manifest)
+                for e in manifest["samples"][:3]]
         images, masks = (np.stack(a) for a in zip(*data))
         stages = net.encode(Tensor(images))
         scores = []
@@ -588,6 +589,24 @@ class TestTrain:
         _, log_rows, _ = train(cfg, tiny_net_config(), dataset)
         assert len(log_rows) == 2
         assert all(np.isfinite(row[1]) for row in log_rows)
+
+    def test_image_level_corrupts_through_the_synth_module(self, dataset,
+                                                          monkeypatch):
+        """Training looks ``corrupt`` up on ``augseg.synth`` at each call,
+        so a wrapper set there, as perfbench's tracer sets one, sees every
+        image of every epoch."""
+        images = []
+        corrupt = synth.corrupt
+
+        def counting(image, spec):
+            images.append(image.shape)
+            return corrupt(image, spec)
+
+        monkeypatch.setattr(synth, "corrupt", counting)
+        train(TrainConfig(epochs=3, shots=3, batch_size=2, seed=2,
+                          augmentation="image_level"),
+              tiny_net_config(), dataset)
+        assert images == [(1, 64, 64)] * 9
 
     def test_checkpoint_and_log_written(self, dataset, tmp_path):
         out = tmp_path / "run"
