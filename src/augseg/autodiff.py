@@ -389,10 +389,16 @@ def _conv_out_extent(n, k, stride, pad):
     return (n + 2 * pad - k) // stride + 1
 
 
+@lru_cache(maxsize=256)
 def _tap_slices(k, stride, pad, n_out, n_in):
     """(t, output slice, input slice) along one axis for each kernel tap
     ``t`` that reads inside the input: output index ``r`` reads input
-    index ``t - pad + stride * r``, kept where that lies in [0, n_in)."""
+    index ``t - pad + stride * r``, kept where that lies in [0, n_in).
+
+    A negative ``pad`` crops: output ``r`` then starts reading at input
+    ``t - pad``.  Memoised per geometry, as a tuple of tuples: a network
+    convolves a few fixed geometries on every forward and backward.
+    """
     taps = []
     for t in range(k):
         off = t - pad
@@ -402,14 +408,16 @@ def _tap_slices(k, stride, pad, n_out, n_in):
             taps.append((t, slice(lo, hi),
                          slice(off + stride * lo, off + stride * (hi - 1) + 1,
                                stride)))
-    return taps
+    return tuple(taps)
 
 
 def _taps(kh, kw, stride, pad, oh, ow, h, w):
     """(i, j, output rows, output cols, input rows, input cols) for every
-    tap of a kh x kw kernel that reads at least one input pixel."""
-    col_taps = _tap_slices(kw, stride, pad, ow, w)
-    for i, orow, irow in _tap_slices(kh, stride, pad, oh, h):
+    tap of a kh x kw kernel that reads at least one input pixel; ``pad``
+    is one int for both axes or a (rows, cols) pair."""
+    ph, pw = pad if isinstance(pad, tuple) else (pad, pad)
+    col_taps = _tap_slices(kw, stride, pw, ow, w)
+    for i, orow, irow in _tap_slices(kh, stride, ph, oh, h):
         for j, ocol, icol in col_taps:
             yield i, j, orow, ocol, irow, icol
 
@@ -421,7 +429,8 @@ def _im2col(x, kh, kw, stride, pad, oh, ow):
     Neither the join nor the padded copy is built: each tap is one strided
     slice copy per block into its channels of a zeroed [N,C,kh,kw,oh,ow]
     buffer, clipped to the output positions that read inside the input;
-    the border entries stay 0.
+    the border entries stay 0.  ``pad`` is one int or a (rows, cols)
+    pair; a negative pad crops that many pixels from each side instead.
     """
     blocks = x if isinstance(x, list) else [x]
     n, _, h, w = blocks[0].shape
@@ -439,13 +448,24 @@ def _im2col(x, kh, kw, stride, pad, oh, ow):
 def _col2im(cols, x_shape, kh, kw, stride, pad, oh, ow):
     """Adjoint of ``_im2col`` for one block: sum [N, C*kh*kw, oh*ow]
     columns into the [N,C,H,W] input, tap by tap; entries that fall on
-    padding are dropped."""
+    padding are dropped.  Only ``conv_transpose2d``'s forward uses it."""
     n, c, h, w = x_shape
     x = np.zeros(x_shape, dtype=cols.dtype)
     cols = cols.reshape(n, c, kh, kw, oh, ow)
     for i, j, orow, ocol, irow, icol in _taps(kh, kw, stride, pad, oh, ow, h, w):
         x[:, :, irow, icol] += cols[:, :, i, j, orow, ocol]
     return x
+
+
+def _dilate(g, stride):
+    """[N,C,H,W] ``g`` with ``stride - 1`` zero rows and columns between
+    its entries; ``g`` itself at stride 1."""
+    if stride == 1:
+        return g
+    n, c, h, w = g.shape
+    d = np.zeros((n, c, (h - 1) * stride + 1, (w - 1) * stride + 1), g.dtype)
+    d[:, :, ::stride, ::stride] = g
+    return d
 
 
 def _check_stride_padding(stride, padding):
@@ -461,8 +481,13 @@ def conv2d(x, weight, bias=None, stride=1, padding=0) -> Tensor:
     x: [N,C,H,W], or a list of [N,C_i,H,W] maps read as their join along
     channels; weight: [O,C,kh,kw]; optional bias [O].
     Output extent per axis: floor((n + 2*pad - k) / stride) + 1.
-    The input gradient is formed only for the maps that require grad,
-    each from its own rows of ``W2^T g``.
+
+    The input gradient is a gather, not a scatter: the stride-1
+    correlation of ``g``, dilated by ``stride``, with the kernel flipped
+    along both spatial axes, ``W' im2col(g)`` at pad ``k - 1 - pad`` (a
+    negative pad when ``pad >= k``, which crops) and the input's extent.
+    ``W'`` is the [C, O*kh*kw] flipped kernel; each map that requires
+    grad takes one GEMM over its own rows, the others none.
     """
     blocks = [_as_tensor(t) for t in (x if isinstance(x, (list, tuple))
                                       else (x,))]
@@ -499,14 +524,22 @@ def conv2d(x, weight, bias=None, stride=1, padding=0) -> Tensor:
 
     def back(g):
         g2 = g.reshape(n, o, oh * ow)
-        dw = np.matmul(g2, cols.swapaxes(1, 2)).sum(axis=0).reshape(weight.shape)
-        dxs, r0 = [], 0
-        for t in blocks:            # block rows of dcols = W2^T g
-            r1 = r0 + t.shape[1] * kh * kw
-            dxs.append(_col2im(np.matmul(w2[:, r0:r1].T, g2), t.shape, kh,
-                               kw, stride, padding, oh, ow)
-                       if t.requires_grad else None)
-            r0 = r1
+        dw = np.matmul(cols, g2.swapaxes(1, 2)).sum(axis=0).T.reshape(
+            weight.shape)
+        dxs = [None] * len(blocks)
+        if any(t.requires_grad for t in blocks):
+            # the flipped kernel as [C, O*kh*kw] rows, against the
+            # stride-1 columns of the dilated g at pad k-1-padding
+            gcols = _im2col(_dilate(g, stride), kh, kw, 1,
+                            (kh - 1 - padding, kw - 1 - padding), h, w)
+            wf = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(
+                c, o * kh * kw)
+            c0 = 0
+            for b, t in enumerate(blocks):
+                c1 = c0 + t.shape[1]
+                if t.requires_grad:
+                    dxs[b] = np.matmul(wf[c0:c1], gcols).reshape(t.shape)
+                c0 = c1
         if bias is not None:
             return (*dxs, dw, g.sum(axis=(0, 2, 3)))
         return (*dxs, dw)
@@ -520,8 +553,8 @@ def conv_transpose2d(x, weight, bias=None, stride=1, padding=0) -> Tensor:
     x: [N,C,H,W]; weight: [C,O,kh,kw].
     Output extent per axis: (n - 1) * stride - 2*pad + k.
 
-    Shares conv2d's kernel: the forward is conv2d's input adjoint
-    ``col2im(W2^T x)``, and the input gradient is conv2d's forward
+    Shares conv2d's kernels: the forward scatters ``W2^T x`` with
+    ``col2im``, and the input gradient is conv2d's forward
     ``W2 im2col(g)``, with W2 the [C, O*kh*kw] kernel matrix.
     """
     x = _as_tensor(x)
@@ -553,7 +586,8 @@ def conv_transpose2d(x, weight, bias=None, stride=1, padding=0) -> Tensor:
     def back(g):
         gcols = _im2col(g, kh, kw, stride, padding, h, w)
         dx = np.matmul(w2, gcols).reshape(x.shape)
-        dw = np.matmul(x2, gcols.swapaxes(1, 2)).sum(axis=0).reshape(weight.shape)
+        dw = np.matmul(gcols, x2.swapaxes(1, 2)).sum(axis=0).T.reshape(
+            weight.shape)
         if bias is not None:
             return dx, dw, g.sum(axis=(0, 2, 3))
         return dx, dw

@@ -99,10 +99,12 @@ class NetworkConfig:
         if self.num_classes < 2:
             raise ContractError("need background plus at least one class")
         check_seed(self.param_seed, "param_seed")
-        if self.image_size % self.encoder.strides[-1] != 0:
+        deepest = self.encoder.strides[-1]
+        if not _is_positive_int(self.image_size) or \
+                self.image_size % deepest != 0:
             raise ContractError(
-                f"image size {self.image_size} not divisible by deepest "
-                f"stride {self.encoder.strides[-1]}")
+                f"image_size must be a positive multiple of the deepest "
+                f"stride {deepest}, got {self.image_size!r}")
         if self.decoder_channels is None:
             c = self.encoder.channels
             self.decoder_channels = (c[2], c[1], c[0])

@@ -312,12 +312,30 @@ def _subset_dice(net, images, masks, stages, num_classes) -> float:
     return float(np.mean(_sample_dice(logits.numpy(), masks, num_classes)))
 
 
+def _class_argmax(logits) -> np.ndarray:
+    """``np.argmax(logits, axis=1)`` of [N, C, H, W] logits, as uint8.
+
+    A running max over the classes, taking a class only where it is
+    strictly greater, so ties go to the first class as in ``np.argmax``;
+    C passes over [N, H, W] maps are cheaper than numpy's strided
+    reduction along axis 1.  NaN makes the running max NaN, and then
+    ``np.argmax`` decides, so its rule (the first NaN wins) holds.
+    """
+    best = logits[:, 0].copy()
+    pred = np.zeros(best.shape, np.uint8)
+    for c in range(1, logits.shape[1]):
+        pred[logits[:, c] > best] = c
+        np.maximum(best, logits[:, c], out=best)
+    if np.isnan(best).any():
+        return np.argmax(logits, axis=1).astype(np.uint8)
+    return pred
+
+
 def _sample_dice(logits, masks, num_classes) -> list:
     """Foreground Dice of the argmax of each sample of ``logits``
     [N, C, H, W] against ``masks`` [N, H, W], in that order."""
-    preds = np.argmax(logits, axis=1).astype(np.uint8)
     return [mean_foreground_dice(pred, mask, num_classes)
-            for pred, mask in zip(preds, masks)]
+            for pred, mask in zip(_class_argmax(logits), masks)]
 
 
 def evaluate(net_or_ckpt, data_dir, split="test", csv_path=None):
@@ -335,7 +353,7 @@ def evaluate(net_or_ckpt, data_dir, split="test", csv_path=None):
     for entry in entries:
         image, mask = load_sample(data_dir, entry, manifest)
         logits = net.forward(Tensor(image[None]), mode="eval")
-        pred = np.argmax(logits.numpy()[0], axis=0).astype(np.uint8)
+        pred = _class_argmax(logits.numpy())[0]
         dice = {c: dice_score(pred, mask, c) for c in range(1, num_classes)}
         hd = {c: hd95(pred, mask, c) for c in range(1, num_classes)}
         records.append(MetricsRecord(

@@ -1,5 +1,7 @@
 """Tensor core: arithmetic, convolution, reference ops, and gradient checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from augseg.autodiff import (
     _im2col,
     _interp_matrix,
     _record,
+    _tap_slices,
     _unbroadcast,
     gelu,
     matmul,
@@ -219,25 +222,57 @@ class TestConvChannelBlocks:
                 continue
             assert a.grad.tobytes() == b.grad.tobytes(), name
 
-    def test_frozen_block_is_never_folded_back(self, monkeypatch):
+    @pytest.mark.parametrize("skip_grad", [False, True])
+    def test_frozen_block_gets_no_input_gradient_gemm(self, monkeypatch,
+                                                      skip_grad):
+        """The input gradient's columns are gathered once, and only the
+        blocks that require grad take a GEMM against them."""
         fused_shape, skip_shape, w_shape = CCU_SHAPES[2]
+        o, _, kh, kw = w_shape
         rng = np.random.default_rng(42)
         fused = Tensor(rng.normal(size=fused_shape), requires_grad=True)
-        skip = Tensor(rng.normal(size=skip_shape))
+        skip = Tensor(rng.normal(size=skip_shape), requires_grad=skip_grad)
         w = Tensor(rng.normal(size=w_shape), requires_grad=True)
-        folded = []
-        col2im = autodiff._col2im
+        gathered, gemm_rows = [], []
+        im2col = autodiff._im2col
 
-        def spy(cols, x_shape, *args):
-            folded.append(x_shape)
-            return col2im(cols, x_shape, *args)
+        def spy_im2col(x, *args):
+            gathered.append(args)
+            return im2col(x, *args)
 
-        monkeypatch.setattr(autodiff, "_col2im", spy)
-        g = rng.normal(size=(2, w_shape[0]) + fused_shape[2:])
+        class SpyNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def matmul(a, b):
+                if a.ndim == 2 and a.shape[1] == o * kh * kw:
+                    gemm_rows.append(a.shape[0])     # a block of W'
+                return np.matmul(a, b)
+
+        monkeypatch.setattr(autodiff, "_im2col", spy_im2col)
+        monkeypatch.setattr(autodiff, "np", SpyNumpy())
+        g = rng.normal(size=(2, o) + fused_shape[2:])
         self.run([fused, skip], w, None, g)
-        assert folded == [fused_shape]
-        assert skip.grad is None
+        h, wd = fused_shape[2:]
+        assert gathered[1:] == [(kh, kw, 1, (kh - 2, kw - 2), h, wd)]
+        assert gemm_rows == [fused_shape[1]] + [skip_shape[1]] * skip_grad
+        assert (skip.grad is None) != skip_grad
         assert fused.grad.shape == fused_shape
+
+    def test_no_gather_without_an_input_that_requires_grad(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        x = Tensor(rng.normal(size=(1, 3, 8, 8)))
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        calls = []
+        im2col = autodiff._im2col
+        monkeypatch.setattr(autodiff, "_im2col",
+                            lambda *a: calls.append(a[1:]) or im2col(*a))
+        with use_tape(GradTape()) as tape:
+            y = conv2d(x, w, stride=2, padding=1)
+            tape.backward(y.sum())
+        assert len(calls) == 1                # the forward's columns only
+        assert x.grad is None and w.grad.shape == w.shape
 
     def test_blocks_must_share_batch_and_extent(self):
         w = t64(np.zeros((1, 3, 1, 1)))
@@ -276,6 +311,20 @@ class TestConv2d:
         err = finite_diff_check(
             lambda x: (conv2d(x, k, b, stride=1, padding=1) * w).sum(),
             t64(rng.normal(size=(1, 2, 5, 5))))
+        assert err < 1e-6
+
+    @pytest.mark.parametrize("h,w,k,s,p", [(4, 5, 3, 1, 3), (5, 4, 3, 2, 4),
+                                           (7, 8, 2, 3, 0), (5, 5, 1, 2, 0)])
+    def test_input_gradient_at_edge_geometries(self, h, w, k, s, p):
+        """Padding at or past the kernel (the gather's pad k-1-p goes
+        negative), gaps between windows, odd extents, 1x1 kernels."""
+        rng = np.random.default_rng(h * 1000 + w * 100 + k * 10 + s + p)
+        kern = t64(rng.normal(size=(3, 2, k, k)))
+        oh, ow = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+        wt = t64(rng.normal(size=(1, 3, oh, ow)))
+        err = finite_diff_check(
+            lambda x: (conv2d(x, kern, stride=s, padding=p) * wt).sum(),
+            t64(rng.normal(size=(1, 2, h, w))))
         assert err < 1e-6
 
     def test_kernel_and_bias_gradients(self):
@@ -534,6 +583,34 @@ def ref_conv_transpose2d(x, wt, stride, padding):
     return y, vjp
 
 
+def ref_conv2d(x, wt, stride, padding):
+    n, c, h, w = x.shape
+    o, _, kh, kw = wt.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    pads = ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2)
+    xp = np.pad(x, pads)
+
+    def window(i, j):
+        return np.s_[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+
+    y = sum(np.einsum("nchw,oc->nohw", xp[window(i, j)], wt[:, :, i, j])
+            for i in range(kh) for j in range(kw))
+
+    def vjp(g):
+        dxp = np.zeros_like(xp)
+        dw = np.zeros_like(wt)
+        for i in range(kh):
+            for j in range(kw):
+                dxp[window(i, j)] += np.einsum("nohw,oc->nchw", g,
+                                               wt[:, :, i, j])
+                dw[:, :, i, j] = np.einsum("nchw,nohw->oc",
+                                           xp[window(i, j)], g)
+        return dxp[:, :, padding:padding + h, padding:padding + w], dw
+
+    return y, vjp
+
+
 def ref_bilinear_resize(x, out_hw):
     h, w = x.shape[2:]
     oh, ow = out_hw
@@ -569,6 +646,18 @@ def tape_vjp(fn, inputs, g):
     return y.numpy(), [t.grad for t in leaves]
 
 
+# The decoder's conv2d shapes (ccu levels 3, 2, 1, then the head's 3x3
+# and 1x1) and its conv_transpose2d shapes (ccu levels 3, 2, 1) in a
+# default-network training step at batch 2: (x, weight, padding); every
+# conv here has stride 1 and the transposed ones stride 2.
+DECODER_CONV2D = [((2, 112, 4, 4), (48, 112, 3, 3), 1),
+                  ((2, 80, 8, 8), (32, 80, 3, 3), 1),
+                  ((2, 56, 16, 16), (24, 56, 3, 3), 1),
+                  ((2, 24, 32, 32), (24, 24, 3, 3), 1),
+                  ((2, 24, 32, 32), (3, 24, 1, 1), 0)]
+DECODER_CONV_T = [((2, 48, 4, 4), (48, 48, 2, 2)),
+                  ((2, 32, 8, 8), (32, 32, 2, 2)),
+                  ((2, 24, 16, 16), (24, 24, 2, 2))]
 # float32 rounding of sums over a few dozen terms of unit scale
 F32_TOL = dict(rtol=1e-5, atol=1e-5)
 
@@ -595,6 +684,51 @@ class TestKernelsAgainstReference:
         np.testing.assert_allclose(got, want, **F32_TOL)
         for gg, ref in zip(grads, vjp(g.astype(np.float64))):
             np.testing.assert_allclose(gg, ref, **F32_TOL)
+
+    @pytest.mark.parametrize("x_shape,w_shape,s,p,frozen", [
+        ((2, 3, 5, 6), (4, 3, 3, 3), 1, 1, 0),
+        ((2, 2, 6, 6), (3, 2, 3, 3), 1, 0, 0),     # no padding
+        ((2, 3, 8, 7), (4, 3, 3, 3), 2, 1, 0),     # (n + 2p - k) % s != 0
+        ((1, 2, 7, 8), (3, 2, 2, 2), 3, 0, 0),     # stride > kernel (gaps)
+        ((1, 2, 4, 5), (2, 2, 3, 3), 1, 3, 0),     # padding == kernel
+        ((1, 2, 5, 4), (2, 2, 3, 3), 2, 4, 0),     # padding > kernel
+        ((1, 1, 16, 16), (4, 1, 7, 7), 4, 3, 0),   # the encoder's stem
+        ((1, 4, 8, 8), (6, 4, 3, 3), 2, 1, 0),     # an encoder stage
+        ((1, 2, 6, 7), (3, 2, 3, 2), 2, 1, 0),     # rectangular kernel
+        ((2, 3, 5, 5), (2, 3, 1, 1), 1, 0, 0),     # 1x1
+        ((1, 3, 5, 4), (2, 3, 1, 1), 2, 0, 0),     # 1x1, stride 2
+        ((1, 1, 1, 1), (1, 1, 3, 3), 1, 1, 0),     # 1x1 input
+        ((2, 5, 6, 6), (3, 5, 3, 3), 2, 1, 2),     # two blocks, skip frozen
+    ] + [(x, w, 1, p, 0) for x, w, p in DECODER_CONV2D]
+      + [((f[0], f[1] + sk[1]) + f[2:], w, 1, 1, sk[1])
+         for f, sk, w in CCU_SHAPES])
+    def test_conv2d(self, x_shape, w_shape, s, p, frozen):
+        """Output, input and weight gradients against the padded einsum
+        reference; with ``frozen`` > 0 the last ``frozen`` channels are a
+        second, frozen block, which gets no gradient.  The kernel is drawn
+        at fan-in scale and ``g`` at one over the root of its size, so
+        that the output and both gradients are sums of unit scale."""
+        rng = np.random.default_rng(sum(x_shape) + sum(w_shape) + 10 * s + p)
+        x = rng.normal(size=x_shape).astype(np.float32)
+        wt = (rng.normal(size=w_shape)
+              / math.sqrt(np.prod(w_shape[1:]))).astype(np.float32)
+        want, vjp = ref_conv2d(x.astype(np.float64), wt.astype(np.float64),
+                               s, p)
+        g = (rng.normal(size=want.shape)
+             / math.sqrt(want.size / want.shape[1])).astype(np.float32)
+        c = x_shape[1] - frozen
+        live = Tensor(x[:, :c], requires_grad=True)
+        skip = Tensor(x[:, c:])
+        w = Tensor(wt, requires_grad=True)
+        with use_tape(GradTape()) as tape:
+            y = conv2d([live, skip] if frozen else live, w, stride=s,
+                       padding=p)
+            tape.backward((y * Tensor(g)).sum())
+        dx, dw = vjp(g.astype(np.float64))
+        assert y.dtype == np.float32 and skip.grad is None
+        np.testing.assert_allclose(y.numpy(), want, **F32_TOL)
+        np.testing.assert_allclose(live.grad, dx[:, :c], **F32_TOL)
+        np.testing.assert_allclose(w.grad, dw, **F32_TOL)
 
     @pytest.mark.parametrize("shape,out_hw", [
         ((2, 3, 4, 5), (9, 13)),       # up-sampling
@@ -633,18 +767,6 @@ class TestKernelsAgainstReference:
         assert err < 1e-4
 
 
-# The decoder's conv2d shapes (ccu levels 3, 2, 1, then the head's 3x3
-# and 1x1) and its conv_transpose2d shapes (ccu levels 3, 2, 1) in a
-# default-network training step at batch 2: (x, weight, padding); every
-# conv here has stride 1 and the transposed ones stride 2.
-DECODER_CONV2D = [((2, 112, 4, 4), (48, 112, 3, 3), 1),
-                  ((2, 80, 8, 8), (32, 80, 3, 3), 1),
-                  ((2, 56, 16, 16), (24, 56, 3, 3), 1),
-                  ((2, 24, 32, 32), (24, 24, 3, 3), 1),
-                  ((2, 24, 32, 32), (3, 24, 1, 1), 0)]
-DECODER_CONV_T = [((2, 48, 4, 4), (48, 48, 2, 2)),
-                  ((2, 32, 8, 8), (32, 32, 2, 2)),
-                  ((2, 24, 16, 16), (24, 24, 2, 2))]
 DW_TOL = [(np.float32, 1e-5), (np.float64, 1e-12)]
 
 
@@ -751,6 +873,24 @@ class TestPadFreeIm2col:
         x = rng.normal(size=(1, 2, 6, 7)).astype(np.float32)
         np.testing.assert_array_equal(_im2col(x, 3, 2, 2, 1, 3, 4),
                                       ref_im2col(x, 3, 2, 2, 1, 3, 4))
+
+
+    @pytest.mark.parametrize("k,crop", [(1, 1), (3, 1), (2, 2), (3, 3)])
+    def test_negative_pad_crops(self, k, crop):
+        """The input gradient's pad k-1-p is negative when p >= k: the
+        columns are then those of the input cropped by -pad per side."""
+        x = np.random.default_rng(31).normal(size=(2, 3, 9, 10))
+        inner = x[:, :, crop:-crop, crop:-crop]
+        oh, ow = inner.shape[2] - k + 1, inner.shape[3] - k + 1
+        np.testing.assert_array_equal(
+            _im2col(x, k, k, 1, (-crop, -crop), oh, ow),
+            ref_im2col(inner, k, k, 1, 0, oh, ow))
+
+    def test_tap_slices_are_memoised_tuples(self):
+        taps = _tap_slices(3, 2, 1, 4, 8)
+        assert taps is _tap_slices(3, 2, 1, 4, 8)
+        assert isinstance(taps, tuple) and all(
+            isinstance(t, tuple) for t in taps)
 
 
 class TestNegativePaddingRejected:

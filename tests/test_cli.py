@@ -387,6 +387,11 @@ class TestTrainEvalCommands:
         # the last two divide evenly, but the decoder cannot upsample them
         for value in ([0, 0, 0, 0], [4, 6, 16, 32], [3, 8, 16, 32],
                       [4, 4, 16, 32], [1, 2, 4, 8])] + [
+        # 0 and -32 divide by the deepest stride but size no image; 48 does
+        # not divide
+        ({"image_size": value}, ("image_size", "positive multiple",
+                                 "stride 32", f"got {value}"))
+        for value in (0, -32, 48)] + [
         # 0 would drop the attention path, -1 fail in the allocator
         ({"ff_mult": value}, ("ff_mult", "integer >= 1"))
         for value in (0, -1)] + [
@@ -550,7 +555,10 @@ class TestTrainEvalCommands:
         (lambda m: m | {"config": m["config"] | {"decoder_channels": [8]}},
          ("decoder_channels", "3 integers")),
         (lambda m: m | {"config": m["config"] | {"ff_mult": 0}},
-         ("ff_mult", "integer >= 1"))])
+         ("ff_mult", "integer >= 1"))] + [
+        (lambda m, v=value: m | {"config": m["config"] | {"image_size": v}},
+         ("image_size", "positive multiple", f"got {value}"))
+        for value in (0, -32)])
     def test_eval_bad_checkpoint_manifest_is_exit_1(self, dataset, tmp_path,
                                                     capsys, edit, words):
         from augseg.model import Network, NetworkConfig, save_checkpoint

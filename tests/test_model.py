@@ -295,6 +295,12 @@ class TestForward:
         net.head.out_b.assign(np.ones(net.head.out_b.shape))
         np.testing.assert_array_equal(net.head.out_b.numpy(), 1.0)
 
+    @pytest.mark.parametrize("size", [0, -32, -64, 48, 64.0, True])
+    def test_image_size_must_be_a_positive_multiple_of_the_deepest_stride(
+            self, size):
+        with pytest.raises(ContractError, match="image_size"):
+            NetworkConfig(image_size=size)
+
     def test_wrong_image_size_rejected(self):
         net = Network(small_config())
         with pytest.raises(ContractError):

@@ -29,6 +29,7 @@ from augseg.trainer import (
     few_shot_subset,
     table6_arms,
     table8_arms,
+    _class_argmax,
     _subset_dice,
     train,
 )
@@ -688,6 +689,39 @@ def Network_params_snapshot(cfg):
     from augseg.model import Network
     return {k: v for k, v in Network(cfg).parameters().items()
             if k.startswith("encoder.")}
+
+
+def _logit_cases():
+    rng = np.random.default_rng(77)
+    for n, c in ((1, 2), (2, 3), (1, 5)):
+        normal = rng.normal(size=(n, c, 16, 16))
+        yield normal.astype(np.float32)
+        yield normal
+        # ties: few distinct values, so most pixels tie between classes
+        yield rng.integers(0, 3, size=(n, c, 16, 16)).astype(np.float32)
+        specials = np.array([np.inf, -np.inf, 0.0, 1.0], np.float32)
+        yield specials[rng.integers(0, 4, size=(n, c, 16, 16))]
+        for class_ in range(c):
+            nan = normal.astype(np.float32)
+            nan[:, class_, :4] = np.nan        # one class NaN
+            nan[:, :, 8] = np.nan              # every class NaN
+            nan[:, -1, 12] = -np.inf
+            nan[:, class_, 12:] = np.nan       # NaN next to -inf
+            yield nan
+
+
+class TestClassArgmax:
+    @pytest.mark.parametrize("logits", list(_logit_cases()))
+    def test_equals_numpy_argmax(self, logits):
+        got = _class_argmax(logits)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, np.argmax(logits, axis=1))
+
+    def test_does_not_write_the_logits(self):
+        logits = np.random.default_rng(78).normal(size=(2, 3, 8, 8))
+        before = logits.copy()
+        _class_argmax(logits)
+        np.testing.assert_array_equal(logits, before)
 
 
 class TestEvaluate:
