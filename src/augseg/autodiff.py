@@ -110,11 +110,9 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_leaf")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
+    def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in (np.float32, np.float64, np.uint8):
+        if arr.dtype not in (np.float32, np.float64, np.uint8):
             arr = arr.astype(DEFAULT_DTYPE)
         if requires_grad and arr.dtype not in _GRAD_DTYPES:
             raise ContractError(
@@ -189,37 +187,11 @@ class Tensor:
     def __add__(self, other):
         return ew_binary("add", self, other)
 
-    def __radd__(self, other):
-        return ew_binary("add", _as_tensor(other, self.dtype), self)
-
-    def __sub__(self, other):
-        return ew_binary("sub", self, other)
-
-    def __rsub__(self, other):
-        return ew_binary("sub", _as_tensor(other, self.dtype), self)
-
     def __mul__(self, other):
         return ew_binary("mul", self, other)
 
-    def __rmul__(self, other):
-        return ew_binary("mul", _as_tensor(other, self.dtype), self)
-
-    def __neg__(self):
-        return ew_binary("mul", self, _as_tensor(-1.0, self.dtype))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
 
 
 def recording() -> bool:
@@ -269,16 +241,13 @@ def _check_broadcastable(a_shape, b_shape):
 # elementwise arithmetic
 # ----------------------------------------------------------------------
 def ew_binary(kind: str, a, b) -> Tensor:
-    """Elementwise add/sub/mul with singleton-extent broadcasting."""
+    """Elementwise add/mul with singleton-extent broadcasting."""
     a = _as_tensor(a)
     b = _as_tensor(b, a.dtype)
     _check_broadcastable(a.shape, b.shape)
     if kind == "add":
         out = Tensor(a.data + b.data)
         back = lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
-    elif kind == "sub":
-        out = Tensor(a.data - b.data)
-        back = lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape))
     elif kind == "mul":
         out = Tensor(a.data * b.data)
         back = lambda g: (_unbroadcast(g * b.data, a.shape),
@@ -445,18 +414,6 @@ def _im2col(x, kh, kw, stride, pad, oh, ow):
     return cols.reshape(n, c * kh * kw, oh * ow)
 
 
-def _col2im(cols, x_shape, kh, kw, stride, pad, oh, ow):
-    """Adjoint of ``_im2col`` for one block: sum [N, C*kh*kw, oh*ow]
-    columns into the [N,C,H,W] input, tap by tap; entries that fall on
-    padding are dropped.  Only ``conv_transpose2d``'s forward uses it."""
-    n, c, h, w = x_shape
-    x = np.zeros(x_shape, dtype=cols.dtype)
-    cols = cols.reshape(n, c, kh, kw, oh, ow)
-    for i, j, orow, ocol, irow, icol in _taps(kh, kw, stride, pad, oh, ow, h, w):
-        x[:, :, irow, icol] += cols[:, :, i, j, orow, ocol]
-    return x
-
-
 def _dilate(g, stride):
     """[N,C,H,W] ``g`` with ``stride - 1`` zero rows and columns between
     its entries; ``g`` itself at stride 1."""
@@ -466,13 +423,6 @@ def _dilate(g, stride):
     d = np.zeros((n, c, (h - 1) * stride + 1, (w - 1) * stride + 1), g.dtype)
     d[:, :, ::stride, ::stride] = g
     return d
-
-
-def _check_stride_padding(stride, padding):
-    if stride < 1:
-        raise ContractError("stride must be >= 1")
-    if padding < 0:
-        raise ContractError(f"padding must be >= 0, got {padding}")
 
 
 def conv2d(x, weight, bias=None, stride=1, padding=0) -> Tensor:
@@ -503,7 +453,10 @@ def conv2d(x, weight, bias=None, stride=1, padding=0) -> Tensor:
     o, ck, kh, kw = weight.shape
     if ck != c:
         raise DimensionError(f"kernel channels {ck} != input channels {c}")
-    _check_stride_padding(stride, padding)
+    if stride < 1:
+        raise ContractError("stride must be >= 1")
+    if padding < 0:
+        raise ContractError(f"padding must be >= 0, got {padding}")
     if kh > h + 2 * padding or kw > w + 2 * padding:
         raise DimensionError(
             f"kernel {kh}x{kw} larger than padded input "
@@ -547,33 +500,30 @@ def conv2d(x, weight, bias=None, stride=1, padding=0) -> Tensor:
     return _record(out, tuple(inputs), back)
 
 
-def conv_transpose2d(x, weight, bias=None, stride=1, padding=0) -> Tensor:
-    """Transposed convolution (adjoint of conv2d as a forward map).
+def conv_transpose2d(x, weight, bias=None) -> Tensor:
+    """Transposed convolution with stride equal to the kernel, no padding.
 
-    x: [N,C,H,W]; weight: [C,O,kh,kw].
-    Output extent per axis: (n - 1) * stride - 2*pad + k.
+    x: [N,C,H,W]; weight: [C,O,kh,kw]; optional bias [O].  Output:
+    [N,O,H*kh,W*kw].
 
-    Shares conv2d's kernels: the forward scatters ``W2^T x`` with
-    ``col2im``, and the input gradient is conv2d's forward
-    ``W2 im2col(g)``, with W2 the [C, O*kh*kw] kernel matrix.
+    The output windows do not overlap: each input pixel stamps its own
+    kh x kw block.  So the forward is the GEMM ``W2^T x`` followed by one
+    depth-to-space reshape, and the input gradient is ``W2 gcols``, where
+    ``gcols`` is ``g`` laid back out space-to-depth and W2 is the
+    [C, O*kh*kw] kernel matrix.
     """
     x = _as_tensor(x)
     weight = _as_tensor(weight)
     if x.ndim != 4 or weight.ndim != 4:
         raise DimensionError("conv_transpose2d expects rank-4 input and kernel")
-    _check_stride_padding(stride, padding)
     n, c, h, w = x.shape
     cw, o, kh, kw = weight.shape
     if cw != c:
         raise DimensionError(f"kernel in-channels {cw} != input channels {c}")
-    oh = (h - 1) * stride - 2 * padding + kh
-    ow = (w - 1) * stride - 2 * padding + kw
-    if oh < 1 or ow < 1:
-        raise DimensionError("padding too large for transposed output extent")
     w2 = weight.data.reshape(c, o * kh * kw)
     x2 = x.data.reshape(n, c, h * w)
-    y = _col2im(np.matmul(w2.T, x2), (n, o, oh, ow), kh, kw, stride, padding,
-                h, w)
+    y = np.matmul(w2.T, x2).reshape(n, o, kh, kw, h, w).transpose(
+        0, 1, 4, 2, 5, 3).reshape(n, o, h * kh, w * kw)
     inputs = [x, weight]
     if bias is not None:
         bias = _as_tensor(bias)
@@ -584,7 +534,8 @@ def conv_transpose2d(x, weight, bias=None, stride=1, padding=0) -> Tensor:
     out = Tensor(y)
 
     def back(g):
-        gcols = _im2col(g, kh, kw, stride, padding, h, w)
+        gcols = g.reshape(n, o, h, kh, w, kw).transpose(
+            0, 1, 3, 5, 2, 4).reshape(n, o * kh * kw, h * w)
         dx = np.matmul(w2, gcols).reshape(x.shape)
         dw = np.matmul(gcols, x2.swapaxes(1, 2)).sum(axis=0).T.reshape(
             weight.shape)

@@ -141,7 +141,8 @@ class HeadParams:
 
 def ccu(fused: Tensor, skip: Tensor, params: CcuParams) -> Tensor:
     """3x3 conv + relu over the channel join of ``fused`` and ``skip``,
-    then a stride-2 transposed conv (doubles H, W).
+    then a 2x2, stride-2 transposed conv (doubles H, W): one GEMM and a
+    depth-to-space reshape, since its output windows do not overlap.
 
     The conv reads both maps as channel blocks, so the join is never
     built and no input gradient is formed for the frozen skip.
@@ -151,7 +152,7 @@ def ccu(fused: Tensor, skip: Tensor, params: CcuParams) -> Tensor:
             f"ccu spatial mismatch: {fused.shape[2:]} vs {skip.shape[2:]}")
     x = relu(conv2d([fused, skip], params.conv_w, params.conv_b, stride=1,
                     padding=1))
-    return conv_transpose2d(x, params.up_w, params.up_b, stride=2)
+    return conv_transpose2d(x, params.up_w, params.up_b)
 
 
 def seg_head(feat: Tensor, params: HeadParams, target_hw) -> Tensor:

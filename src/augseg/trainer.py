@@ -97,11 +97,9 @@ class AdamState:
     scratch vector.  ``for_params`` rebinds each trainable's ``data`` to
     its slice of the parameter row and its ``grad`` to its zeroed slice
     of the gradient row, so ``GradTape.backward`` accumulates straight
-    into the store.  ``tensors`` keeps the trainables; ``params``,
-    ``grads``, ``m`` and ``v`` map the same names to their row views.
+    into the store.  ``tensors`` keeps the trainables; ``params`` and
+    ``grads`` map the same names to their row views.
     """
-    m: dict
-    v: dict
     params: dict
     grads: dict
     tensors: dict
@@ -127,8 +125,8 @@ class AdamState:
             flat[name][...] = p.data
             p.assign(flat[name])
             p.grad = grads[name]
-        return cls(m=views(store[1]), v=views(store[2]), params=flat,
-                   grads=grads, tensors=dict(params), store=store)
+        return cls(params=flat, grads=grads, tensors=dict(params),
+                   store=store)
 
 
 def adam_step(state: AdamState, cfg: TrainConfig):

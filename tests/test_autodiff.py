@@ -14,7 +14,6 @@ from augseg.autodiff import (
     conv_transpose2d,
     ew_binary,
     finite_diff_check,
-    _col2im,
     _im2col,
     _interp_matrix,
     _record,
@@ -343,39 +342,39 @@ class TestConv2d:
 class TestConvTranspose2d:
     def test_unit_kernel_identity(self):
         x = t64(np.arange(9, dtype=np.float64).reshape(1, 1, 3, 3))
-        out = conv_transpose2d(x, t64([[[[1.0]]]]), stride=1)
+        out = conv_transpose2d(x, t64([[[[1.0]]]]))
         np.testing.assert_array_equal(out.numpy(), x.numpy())
 
     def test_kernel_stamping(self):
-        out = conv_transpose2d(t64([[[[1.0]]]]), t64(np.ones((1, 1, 2, 2))),
-                               stride=2)
+        out = conv_transpose2d(t64([[[[1.0]]]]), t64(np.ones((1, 1, 2, 2))))
         np.testing.assert_array_equal(out.numpy(), [[[[1, 1], [1, 1]]]])
 
-    @pytest.mark.parametrize("h,w,k,s,p", [(5, 7, 3, 1, 0), (6, 6, 3, 2, 1),
-                                           (8, 4, 2, 2, 0), (9, 9, 4, 3, 1)])
-    def test_shape_contract_composition(self, h, w, k, s, p):
+    @pytest.mark.parametrize("h,w,k", [(5, 7, 3), (6, 6, 2), (8, 4, 1),
+                                       (9, 9, 4)])
+    def test_shape_contract_composition(self, h, w, k):
+        """conv2d at stride = kernel reads whole windows; the transposed
+        conv stamps each pixel back as one window."""
         rng = np.random.default_rng(h * 100 + w)
         x = t64(rng.normal(size=(1, 2, h, w)))
         kern = t64(rng.normal(size=(3, 2, k, k)))
-        y = conv2d(x, kern, stride=s, padding=p)
-        oh = (h + 2 * p - k) // s + 1
-        ow = (w + 2 * p - k) // s + 1
+        y = conv2d(x, kern, stride=k)
+        oh, ow = h // k, w // k
         assert y.shape == (1, 3, oh, ow)
         kern_t = t64(rng.normal(size=(3, 2, k, k)))
-        z = conv_transpose2d(y, kern_t, stride=s, padding=p)
-        assert z.shape == (1, 2, (oh - 1) * s - 2 * p + k, (ow - 1) * s - 2 * p + k)
+        z = conv_transpose2d(y, kern_t)
+        assert z.shape == (1, 2, oh * k, ow * k)
 
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(4)
         k = t64(rng.normal(size=(2, 3, 2, 2)))
         w = t64(rng.normal(size=(1, 3, 6, 6)))
         err = finite_diff_check(
-            lambda x: (conv_transpose2d(x, k, stride=2) * w).sum(),
+            lambda x: (conv_transpose2d(x, k) * w).sum(),
             t64(rng.normal(size=(1, 2, 3, 3))))
         assert err < 1e-6
         x = t64(rng.normal(size=(1, 2, 3, 3)))
         err = finite_diff_check(
-            lambda kk: (conv_transpose2d(x, kk, stride=2) * w).sum(),
+            lambda kk: (conv_transpose2d(x, kk) * w).sum(),
             t64(rng.normal(size=(2, 3, 2, 2))))
         assert err < 1e-6
 
@@ -556,26 +555,23 @@ class TestBilinearResize:
 # gather/scatter bilinear resize that the BLAS kernels replaced.  Each
 # returns (forward output, vjp(g) -> input gradients).
 # ----------------------------------------------------------------------
-def ref_conv_transpose2d(x, wt, stride, padding):
+def ref_conv_transpose2d(x, wt):
+    """At stride = kernel, tap (i, j) alone writes output rows i::kh and
+    columns j::kw."""
     n, c, h, w = x.shape
     _, o, kh, kw = wt.shape
-    oh = (h - 1) * stride - 2 * padding + kh
-    ow = (w - 1) * stride - 2 * padding + kw
-    full = np.zeros((n, o, (h - 1) * stride + kh, (w - 1) * stride + kw))
+    y = np.zeros((n, o, h * kh, w * kw))
     for i in range(kh):
         for j in range(kw):
-            full[:, :, i:i + stride * h:stride, j:j + stride * w:stride] += \
-                np.einsum("nchw,co->nohw", x, wt[:, :, i, j])
-    y = full[:, :, padding:padding + oh, padding:padding + ow]
+            y[:, :, i::kh, j::kw] = np.einsum("nchw,co->nohw", x,
+                                              wt[:, :, i, j])
 
     def vjp(g):
-        gp = np.pad(g, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2))
         dx = np.zeros_like(x)
         dw = np.zeros_like(wt)
         for i in range(kh):
             for j in range(kw):
-                gsub = gp[:, :, i:i + stride * h:stride,
-                          j:j + stride * w:stride]
+                gsub = g[:, :, i::kh, j::kw]
                 dx += np.einsum("nohw,co->nchw", gsub, wt[:, :, i, j])
                 dw[:, :, i, j] = np.einsum("nchw,nohw->co", x, gsub)
         return dx, dw
@@ -649,7 +645,7 @@ def tape_vjp(fn, inputs, g):
 # The decoder's conv2d shapes (ccu levels 3, 2, 1, then the head's 3x3
 # and 1x1) and its conv_transpose2d shapes (ccu levels 3, 2, 1) in a
 # default-network training step at batch 2: (x, weight, padding); every
-# conv here has stride 1 and the transposed ones stride 2.
+# conv here has stride 1 and the transposed ones stride 2, their kernel.
 DECODER_CONV2D = [((2, 112, 4, 4), (48, 112, 3, 3), 1),
                   ((2, 80, 8, 8), (32, 80, 3, 3), 1),
                   ((2, 56, 16, 16), (24, 56, 3, 3), 1),
@@ -663,23 +659,21 @@ F32_TOL = dict(rtol=1e-5, atol=1e-5)
 
 
 class TestKernelsAgainstReference:
-    @pytest.mark.parametrize("n,c,o,h,w,k,s,p", [
-        (2, 3, 4, 5, 6, 3, 2, 1),      # overlapping windows
-        (1, 2, 3, 4, 3, 2, 3, 0),      # stride > kernel (gaps)
-        (2, 4, 2, 3, 3, 4, 2, 2),      # padding > 0, cropped output
-        (1, 5, 6, 6, 6, 2, 2, 0),      # the decoder's up-sampling shape
-        (1, 1, 1, 1, 1, 3, 1, 1),
+    @pytest.mark.parametrize("n,c,o,h,w,kh,kw", [
+        (2, 3, 4, 5, 6, 1, 1),
+        (1, 5, 6, 6, 6, 2, 2),         # the decoder's up-sampling shape
+        (2, 4, 2, 3, 3, 3, 3),
+        (1, 2, 3, 4, 3, 3, 2),         # rectangular kernel
+        (1, 1, 1, 1, 1, 3, 3),
     ])
-    def test_conv_transpose2d(self, n, c, o, h, w, k, s, p):
-        rng = np.random.default_rng(n * 1000 + c * 100 + k * 10 + s)
+    def test_conv_transpose2d(self, n, c, o, h, w, kh, kw):
+        rng = np.random.default_rng(n * 1000 + c * 100 + kh * 10 + kw)
         x = rng.normal(size=(n, c, h, w)).astype(np.float32)
-        wt = rng.normal(size=(c, o, k, k)).astype(np.float32)
+        wt = rng.normal(size=(c, o, kh, kw)).astype(np.float32)
         want, vjp = ref_conv_transpose2d(x.astype(np.float64),
-                                         wt.astype(np.float64), s, p)
+                                         wt.astype(np.float64))
         g = rng.normal(size=want.shape).astype(np.float32)
-        got, grads = tape_vjp(
-            lambda a, b: conv_transpose2d(a, b, stride=s, padding=p),
-            [x, wt], g)
+        got, grads = tape_vjp(conv_transpose2d, [x, wt], g)
         assert got.dtype == np.float32
         np.testing.assert_allclose(got, want, **F32_TOL)
         for gg, ref in zip(grads, vjp(g.astype(np.float64))):
@@ -747,14 +741,14 @@ class TestKernelsAgainstReference:
         np.testing.assert_allclose(got, want, **F32_TOL)
         np.testing.assert_allclose(dx, vjp(g.astype(np.float64))[0], **F32_TOL)
 
-    def test_conv_transpose2d_padding_finite_differences(self):
-        rng = np.random.default_rng(21)
-        k = t64(rng.normal(size=(2, 3, 3, 3)))
+    @pytest.mark.parametrize("kh,kw", [(1, 1), (2, 2), (3, 3), (3, 2)])
+    def test_conv_transpose2d_finite_differences(self, kh, kw):
+        rng = np.random.default_rng(21 + 10 * kh + kw)
+        k = t64(rng.normal(size=(2, 3, kh, kw)))
         b = t64(rng.normal(size=(3,)))
         x = t64(rng.normal(size=(1, 2, 3, 4)))
-        w = t64(rng.normal(size=(1, 3, 5, 7)))
-        f = lambda xx, kk, bb: (conv_transpose2d(xx, kk, bb, stride=2,
-                                                 padding=1) * w).sum()
+        w = t64(rng.normal(size=(1, 3, 3 * kh, 4 * kw)))
+        f = lambda xx, kk, bb: (conv_transpose2d(xx, kk, bb) * w).sum()
         assert finite_diff_check(lambda xx: f(xx, k, b), x) < 1e-4
         assert finite_diff_check(lambda kk: f(x, kk, b), k) < 1e-4
         assert finite_diff_check(lambda bb: f(x, k, bb), b) < 1e-4
@@ -799,10 +793,9 @@ class TestConvWeightGradient:
         w = rng.normal(size=w_shape).astype(dtype)
         n, c, h, wd = x_shape
         _, o, k, _ = w_shape
-        g = rng.normal(size=(n, o, 2 * h, 2 * wd)).astype(dtype)
-        _, (_, dw) = tape_vjp(lambda a, b: conv_transpose2d(a, b, stride=2),
-                              [x, w], g)
-        gcols = _im2col(g, k, k, 2, 0, h, wd)
+        g = rng.normal(size=(n, o, k * h, k * wd)).astype(dtype)
+        _, (_, dw) = tape_vjp(conv_transpose2d, [x, w], g)
+        gcols = _im2col(g, k, k, k, 0, h, wd)
         want = np.tensordot(x.reshape(n, c, h * wd), gcols,
                             axes=([0, 2], [0, 2])).reshape(w_shape)
         assert dw.dtype == dtype
@@ -811,7 +804,8 @@ class TestConvWeightGradient:
 
 # ----------------------------------------------------------------------
 # Reference im2col/col2im: the padded-copy kernels that the pad-free tap
-# copies replaced.  Both must agree with them bit for bit.
+# copies replaced.  ``_im2col`` must agree with its reference bit for bit,
+# and the transposed conv with the col2im path it replaced.
 # ----------------------------------------------------------------------
 def ref_im2col(x, kh, kw, stride, pad, oh, ow):
     xp = np.pad(x, ((0, 0), (0, 0), (pad,) * 2, (pad,) * 2))
@@ -839,9 +833,9 @@ IM2COL_EXTENTS = [(5, 8), (9, 4), (1, 3), (16, 16), (64, 64)]
 
 
 class TestPadFreeIm2col:
-    """``_im2col`` and ``_col2im`` against the padded-copy references,
-    bit for bit, over kernel 1-7, stride 1-4 and padding 0-3 (pad >= k
-    included), which covers the encoder's 7x7/s4/p3 and 3x3/s2/p1."""
+    """``_im2col`` against the padded-copy reference, bit for bit, over
+    kernel 1-7, stride 1-4 and padding 0-3 (pad >= k included), which
+    covers the encoder's 7x7/s4/p3 and 3x3/s2/p1."""
 
     @pytest.mark.parametrize("pad", [0, 1, 2, 3])
     @pytest.mark.parametrize("stride", [1, 2, 4])
@@ -860,11 +854,6 @@ class TestPadFreeIm2col:
                 want = ref_im2col(x, k, k, stride, pad, oh, ow)
                 assert got.dtype == dtype and got.flags.c_contiguous
                 np.testing.assert_array_equal(got, want)
-                cols = rng.normal(size=want.shape).astype(dtype)
-                back = _col2im(cols, x.shape, k, k, stride, pad, oh, ow)
-                assert back.dtype == dtype
-                np.testing.assert_array_equal(
-                    back, ref_col2im(cols, x.shape, k, k, stride, pad, oh, ow))
                 checked += 1
         assert checked > 0
 
@@ -893,17 +882,40 @@ class TestPadFreeIm2col:
             isinstance(t, tuple) for t in taps)
 
 
+class TestConvTransposeMatchesCol2im:
+    """On the decoder's up-conv shapes the depth-to-space transposed conv
+    gives the bits of the col2im path it replaced: the output is
+    ``col2im(W2^T x) + b`` and the input gradient ``W2 im2col(g)`` at
+    stride = kernel, with W2 the [C, O*k*k] kernel matrix."""
+
+    @pytest.mark.parametrize("zero_bias", [False, True])
+    @pytest.mark.parametrize("x_shape,w_shape", DECODER_CONV_T)
+    def test_bit_for_bit(self, x_shape, w_shape, zero_bias):
+        rng = np.random.default_rng(sum(x_shape) + sum(w_shape))
+        x = rng.normal(size=x_shape).astype(np.float32)
+        w = rng.normal(size=w_shape).astype(np.float32)
+        b = np.zeros(w_shape[1], np.float32) if zero_bias else \
+            rng.normal(size=w_shape[1]).astype(np.float32)
+        n, c, h, wd = x_shape
+        _, o, k, _ = w_shape
+        g = rng.normal(size=(n, o, k * h, k * wd)).astype(np.float32)
+        got, (dx, _, _) = tape_vjp(conv_transpose2d, [x, w, b], g)
+        w2 = w.reshape(c, o * k * k)
+        want = ref_col2im(np.matmul(w2.T, x.reshape(n, c, h * wd)),
+                          (n, o, k * h, k * wd), k, k, k, 0, h, wd)
+        want += b[None, :, None, None]
+        want_dx = np.matmul(w2, ref_im2col(g, k, k, k, 0, h, wd))
+        assert got.dtype == dx.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(dx, want_dx.reshape(x_shape))
+
+
 class TestNegativePaddingRejected:
     def test_conv2d(self):
         x = t64(np.ones((1, 2, 4, 4)))
         for k in (1, 3):
             with pytest.raises(ContractError, match="padding"):
                 conv2d(x, t64(np.ones((3, 2, k, k))), padding=-1)
-
-    def test_conv_transpose2d(self):
-        with pytest.raises(ContractError, match="padding"):
-            conv_transpose2d(t64(np.ones((1, 2, 4, 4))),
-                             t64(np.ones((2, 3, 3, 3))), padding=-1)
 
 
 class TestInterpMatrixCache:

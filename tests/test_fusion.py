@@ -55,7 +55,7 @@ def composed_norm_tokens(feat):
     primitive tape ops."""
     n, c, h, w = feat.shape
     tokens = transpose(reshape(feat, (n, c, h * w)), (0, 2, 1))
-    centered = tokens - tsum(tokens, axis=-1, keepdims=True) * (1.0 / c)
+    centered = tokens + tsum(tokens, axis=-1, keepdims=True) * (-1.0 / c)
     var = tsum(centered * centered, axis=-1, keepdims=True) * (1.0 / c)
     return div(centered, sqrt(var + _NORM_EPS))
 

@@ -39,7 +39,7 @@ def dice_loss(probs, target_one_hot):
     psum = tsum(probs, axis=(0, 2, 3))
     tsum_ = tsum(target_one_hot, axis=(0, 2, 3))
     dice = div(inter * 2.0 + DICE_EPS, psum + tsum_ + DICE_EPS)
-    return 1.0 - getitem(dice, np.s_[1:]).sum() * (1.0 / (k - 1))
+    return getitem(dice, np.s_[1:]).sum() * (-1.0 / (k - 1)) + 1.0
 
 
 def composed_loss(logits, labels):

@@ -98,6 +98,11 @@ def spy_forward_modes(monkeypatch):
     return modes
 
 
+def flat_rows(per_tensor):
+    """Per-tensor arrays joined in dict order, as one store row."""
+    return np.concatenate([a.reshape(-1) for a in per_tensor.values()])
+
+
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and \
@@ -121,8 +126,8 @@ class TestAdamStep:
         assert state.step == ref_state.step
         for name, p in params.items():
             assert same_bits(p.numpy(), ref_params[name].numpy()), name
-            assert same_bits(state.m[name], ref_state.m[name]), name
-            assert same_bits(state.v[name], ref_state.v[name]), name
+        assert same_bits(state.store[1], flat_rows(ref_state.m))
+        assert same_bits(state.store[2], flat_rows(ref_state.v))
         assert not state.store[3].any()
 
     @staticmethod
@@ -182,19 +187,18 @@ class TestAdamStep:
                      .astype(dtype) for k, s in shapes.items()}
             self.step(params, grads, state, ref)
 
-    def test_store_holds_params_and_moments_as_views(self):
+    def test_store_holds_params_and_grads_as_views(self):
         params = {"a": Tensor(np.ones((2, 3), np.float32), requires_grad=True),
                   "b": Tensor(np.full(4, 2.0, np.float32), requires_grad=True)}
         params["b"].grad = np.ones(4, np.float32)
         state = AdamState.for_params(params)
         assert state.store.shape == (5, 10)
         np.testing.assert_array_equal(state.store[0], [1] * 6 + [2] * 4)
-        assert not state.store[3].any()
+        assert not state.store[1:4].any()
         for k, p in params.items():
             assert p.numpy() is state.params[k]
             assert p.grad is state.grads[k]
-            for row, views in ((0, state.params), (1, state.m), (2, state.v),
-                               (3, state.grads)):
+            for row, views in ((0, state.params), (3, state.grads)):
                 assert np.shares_memory(views[k], state.store[row])
                 assert views[k].shape == p.shape
 
@@ -286,10 +290,9 @@ class TestFlatAdamTraining:
         ref_params = ref_net.parameters()
         for name, tensor in flat_net.parameters().items():
             assert same_bits(tensor.numpy(), ref_params[name].numpy()), name
-        assert list(flat_state.m) == list(ref_state.m)
-        for name in ref_state.m:
-            assert same_bits(flat_state.m[name], ref_state.m[name]), name
-            assert same_bits(flat_state.v[name], ref_state.v[name]), name
+        assert list(flat_state.params) == list(ref_state.m)
+        assert same_bits(flat_state.store[1], flat_rows(ref_state.m))
+        assert same_bits(flat_state.store[2], flat_rows(ref_state.v))
 
     def test_adam_step_called_once_per_step_after_backward(self, dataset,
                                                           monkeypatch):

@@ -270,9 +270,9 @@ def reference_haar_dwt2(f):
     a, b, cc, d = (getitem(f, np.s_[:, :, i::2, j::2])
                    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
     ll = (a + b + cc + d) * 0.5
-    lh = (a - b + cc - d) * 0.5
-    hl = (a + b - cc - d) * 0.5
-    hh = (a - b - cc + d) * 0.5
+    lh = (a + b * -1.0 + cc + d * -1.0) * 0.5
+    hl = (a + b + cc * -1.0 + d * -1.0) * 0.5
+    hh = (a + b * -1.0 + cc * -1.0 + d) * 0.5
     return [ll, lh, hl, hh]
 
 
@@ -280,9 +280,9 @@ def reference_haar_idwt2(bands, hw=None):
     """Inverse of ``reference_haar_dwt2``, cropped to ``hw`` when given."""
     ll, lh, hl, hh = bands
     a = (ll + lh + hl + hh) * 0.5
-    b = (ll - lh + hl - hh) * 0.5
-    c = (ll + lh - hl - hh) * 0.5
-    d = (ll - lh - hl + hh) * 0.5
+    b = (ll + lh * -1.0 + hl + hh * -1.0) * 0.5
+    c = (ll + lh + hl * -1.0 + hh * -1.0) * 0.5
+    d = (ll + lh * -1.0 + hl * -1.0 + hh) * 0.5
     n, ch, h2, w2 = ll.shape
     top = concat([reshape(a, (n, ch, h2, 1, w2, 1)),
                   reshape(b, (n, ch, h2, 1, w2, 1))], axis=5)
