@@ -395,22 +395,18 @@ def _im2col(x, kh, kw, stride, pad, oh, ow):
     """Columns [N, C*kh*kw, oh*ow] of the zero-padded [N,C,H,W] input
     ``x``, or of the join along channels of a list of [N,C_i,H,W] blocks.
 
-    Neither the join nor the padded copy is built: each tap is one strided
-    slice copy per block into its channels of a zeroed [N,C,kh,kw,oh,ow]
-    buffer, clipped to the output positions that read inside the input;
-    the border entries stay 0.  ``pad`` is one int or a (rows, cols)
-    pair; a negative pad crops that many pixels from each side instead.
+    Blocks are joined once; the padded copy is never built: each tap is
+    one strided slice copy into a zeroed [N,C,kh,kw,oh,ow] buffer,
+    clipped to the output positions that read inside the input; the
+    border entries stay 0.  ``pad`` is one int or a (rows, cols) pair; a
+    negative pad crops that many pixels from each side instead.
     """
-    blocks = x if isinstance(x, list) else [x]
-    n, _, h, w = blocks[0].shape
-    c = sum(b.shape[1] for b in blocks)
-    cols = np.zeros((n, c, kh, kw, oh, ow), dtype=np.result_type(*blocks))
+    if isinstance(x, list):
+        x = x[0] if len(x) == 1 else np.concatenate(x, axis=1)
+    n, c, h, w = x.shape
+    cols = np.zeros((n, c, kh, kw, oh, ow), dtype=x.dtype)
     for i, j, orow, ocol, irow, icol in _taps(kh, kw, stride, pad, oh, ow, h, w):
-        c0 = 0
-        for b in blocks:
-            c1 = c0 + b.shape[1]
-            cols[:, c0:c1, i, j, orow, ocol] = b[:, :, irow, icol]
-            c0 = c1
+        cols[:, :, i, j, orow, ocol] = x[:, :, irow, icol]
     return cols.reshape(n, c * kh * kw, oh * ow)
 
 

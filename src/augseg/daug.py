@@ -29,8 +29,6 @@ _CODE_FOR_DTYPE = {np.dtype(np.float32): 1, np.dtype(np.float64): 2,
 
 def write_tensor(path, array: np.ndarray):
     array = np.asarray(array)
-    if not array.flags["C_CONTIGUOUS"]:
-        array = np.ascontiguousarray(array)
     code = _CODE_FOR_DTYPE.get(np.dtype(array.dtype))
     if code is None:
         raise FormatError(

@@ -38,11 +38,20 @@ class InvariantError(Exception):
     """An internal invariant failed; indicates a bug, not bad input."""
 
 
+def is_real(value) -> bool:
+    """A real number, not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_int(value) -> bool:
+    """An integer, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_seed(value, name):
     """``value`` if numpy's generators accept it as a seed (an integer
     >= 0); otherwise a ``ContractError`` naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-            or value < 0:
+    if not is_int(value) or value < 0:
         raise ContractError(
             f"{name} must be a non-negative integer, got {value!r}")
     return value

@@ -17,7 +17,6 @@ reload reproduces eval-mode forward passes bit-exactly.
 from __future__ import annotations
 
 import json
-import numbers
 import os
 import shutil
 from dataclasses import asdict, dataclass, field
@@ -33,24 +32,21 @@ from .autodiff import (
     gelu,
     relu,
 )
-from .errors import ContractError, InputError, NumericDomainError, check_seed
+from .errors import (ContractError, InputError, NumericDomainError,
+                     check_seed, is_int)
 from .fusion import FusionParams, cg_fuse
 from .schema import check_keys, check_section
-from .wavelet import WtAugConfig, wt_aug
+# wt_aug is unused here, but perfbench's tracer wraps augseg.model.wt_aug
+from .wavelet import WtAugConfig, wt_aug  # noqa: F401
 
 CHECKPOINT_MANIFEST = "checkpoint.json"
-
-
-def _is_positive_int(v) -> bool:
-    return (isinstance(v, numbers.Integral) and not isinstance(v, bool)
-            and v >= 1)
 
 
 def _positive_ints(values, count, name) -> tuple:
     """``values`` as a tuple of ``count`` ints, each at least 1; otherwise
     a ``ContractError`` naming ``name``."""
     values = tuple(values)
-    if len(values) != count or not all(map(_is_positive_int, values)):
+    if len(values) != count or not all(is_int(v) and v >= 1 for v in values):
         raise ContractError(
             f"{name} must be {count} integers >= 1, got {list(values)!r}")
     return tuple(int(v) for v in values)
@@ -90,8 +86,6 @@ class NetworkConfig:
     def __post_init__(self):
         if isinstance(self.encoder, dict):
             self.encoder = EncoderSpec(**self.encoder)
-        if isinstance(self.wt_aug, WtAugConfig):
-            self.wt_aug = (self.wt_aug,) * 4
         self.wt_aug = tuple(
             WtAugConfig(**w) if isinstance(w, dict) else w for w in self.wt_aug)
         if len(self.wt_aug) != 4:
@@ -100,7 +94,7 @@ class NetworkConfig:
             raise ContractError("need background plus at least one class")
         check_seed(self.param_seed, "param_seed")
         deepest = self.encoder.strides[-1]
-        if not _is_positive_int(self.image_size) or \
+        if not (is_int(self.image_size) and self.image_size >= 1) or \
                 self.image_size % deepest != 0:
             raise ContractError(
                 f"image_size must be a positive multiple of the deepest "
@@ -110,7 +104,7 @@ class NetworkConfig:
             self.decoder_channels = (c[2], c[1], c[0])
         self.decoder_channels = _positive_ints(
             self.decoder_channels, 3, "decoder_channels")
-        if not _is_positive_int(self.ff_mult):
+        if not (is_int(self.ff_mult) and self.ff_mult >= 1):
             raise ContractError(
                 f"ff_mult must be an integer >= 1, got {self.ff_mult!r}")
 
@@ -144,8 +138,8 @@ def ccu(fused: Tensor, skip: Tensor, params: CcuParams) -> Tensor:
     then a 2x2, stride-2 transposed conv (doubles H, W): one GEMM and a
     depth-to-space reshape, since its output windows do not overlap.
 
-    The conv reads both maps as channel blocks, so the join is never
-    built and no input gradient is formed for the frozen skip.
+    The conv reads both maps as channel blocks, so no concat op is taped
+    and no input gradient is formed for the frozen skip.
     """
     if fused.shape[2:] != skip.shape[2:]:
         raise ContractError(
@@ -270,14 +264,13 @@ class Network:
     # ------------------------------------------------------------------
     # forward
     # ------------------------------------------------------------------
-    def forward(self, image: Tensor, mode: str = "eval", rng=None,
-                feature_aug=None, stages=None) -> Tensor:
+    def forward(self, image: Tensor, mode: str = "eval", feature_aug=None,
+                stages=None) -> Tensor:
         """Logits [N, num_classes, H, W].
 
         ``mode='train'`` augments the stage features with
-        ``feature_aug(stage_tensor, stage_index)`` when given, else with
-        wavelet masks drawn from ``rng``; one of the two is required.
-        Eval mode is deterministic and applies no augmentation.
+        ``feature_aug(stage_tensor, stage_index)`` when one is given; with
+        none, and in eval mode, no augmentation is applied.
         ``stages``, when given, must be ``self.encode(image)``; callers
         that see the same images repeatedly pass it to skip the encoder.
         """
@@ -290,12 +283,7 @@ class Network:
                 f"{cfg.image_size}")
         if stages is None:
             stages = self.encode(image)
-        if mode == "train":
-            if feature_aug is None:
-                if rng is None:
-                    raise ContractError(
-                        "train mode needs an rng or a feature_aug")
-                feature_aug = lambda f, i: wt_aug(f, cfg.wt_aug[i], rng)
+        if mode == "train" and feature_aug is not None:
             aug = [feature_aug(f, i) for i, f in enumerate(stages)]
         else:
             aug = stages

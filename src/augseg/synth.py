@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,20 +21,21 @@ import numpy as np
 from scipy.ndimage import convolve
 
 from .autodiff import Tensor
-from .errors import ContractError, FormatError, InputError
+from .errors import ContractError, FormatError, InputError, is_int, is_real
 from .netpbm import read_pgm, write_pgm
 
 CORRUPTION_KINDS = ("brightness", "motion_blur", "poisson", "rand_mask")
+
+FG_FRACTION_RANGE = (0.05, 0.40)      # total foreground share of a sample
+BACKGROUND_RANGE = (0.15, 0.45)       # background texture intensities
+BACKGROUND_CELLS = 8                  # coarse noise grid extent
 
 
 @dataclass
 class SynthConfig:
     image_size: int = 64
     num_classes: int = 3                  # background + 2 foreground
-    fg_fraction_range: tuple = (0.05, 0.40)
     max_shapes: int = 3
-    background_range: tuple = (0.15, 0.45)
-    background_cells: int = 8             # coarse noise grid extent
 
     def __post_init__(self):
         # below 20 pixels the radius cap (0.45 * size) and the 1-pixel
@@ -142,19 +142,18 @@ def _shape_coverage(kind, size, cy, cx, ry, rx, angle):
 
 def gen_sample(seed: int, config: SynthConfig | None = None) -> Sample:
     """Deterministic sample for a seed; retries (seeded) until the total
-    foreground fraction lands inside the configured band."""
+    foreground fraction lands inside ``FG_FRACTION_RANGE``."""
     config = config or SynthConfig()
     size = config.image_size
     n_fg = config.num_classes - 1
     for attempt in range(64):
         rng = np.random.default_rng(np.random.SeedSequence((seed, attempt)))
-        bg = _coarse_noise(rng, size, config.background_cells,
-                           *config.background_range)
+        bg = _coarse_noise(rng, size, BACKGROUND_CELLS, *BACKGROUND_RANGE)
         image = bg.astype(np.float64)
         mask = np.zeros((size, size), dtype=np.uint8)
         count = int(rng.integers(1, min(config.max_shapes, n_fg) + 1))
         classes = rng.choice(np.arange(1, n_fg + 1), size=count, replace=False)
-        lo, hi = config.fg_fraction_range
+        lo, hi = FG_FRACTION_RANGE
         shapes = []
         for cls in classes:
             kind = "ellipse" if rng.random() < 0.6 else "rect"
@@ -186,7 +185,7 @@ def gen_sample(seed: int, config: SynthConfig | None = None) -> Sample:
             image = np.clip(image, 0.0, 1.0).astype(np.float32)
             return Sample(image=image[None], mask=mask, seed=seed, shapes=shapes)
     raise ContractError(
-        f"could not satisfy foreground band {config.fg_fraction_range} "
+        f"could not satisfy foreground band {FG_FRACTION_RANGE} "
         f"for seed {seed}")
 
 
@@ -286,8 +285,7 @@ def random_corruption(rng, *, length_range=(3, 9), factor_range=(0.6, 1.5),
 # random_corruption's range keywords, and what each end must be for every
 # draw to be a valid CorruptionSpec
 _STRENGTH_RANGES = {
-    "length_range": ("integers >= 1",
-                     lambda x: isinstance(x, numbers.Integral) and x >= 1),
+    "length_range": ("integers >= 1", lambda x: is_int(x) and x >= 1),
     "factor_range": ("finite numbers >= 0", lambda x: 0 <= x < math.inf),
     "scale_range": ("finite numbers > 0", lambda x: 0 < x < math.inf),
     "drop_range": ("numbers in [0, 1]", lambda x: 0 <= x <= 1),
@@ -310,9 +308,8 @@ def check_strengths(strengths) -> None:
         elif key in _STRENGTH_RANGES:
             what, ok = _STRENGTH_RANGES[key]
             if (not isinstance(value, (list, tuple)) or len(value) != 2
-                    or not all(isinstance(x, numbers.Real) and
-                               not isinstance(x, bool) and ok(x)
-                               for x in value) or value[0] > value[1]):
+                    or not all(is_real(x) and ok(x) for x in value)
+                    or value[0] > value[1]):
                 raise ContractError(
                     f"corruption_strengths.{key} must be two {what} with "
                     f"low <= high, got {value!r}")
@@ -371,7 +368,7 @@ def load_manifest(path):
             raise FormatError(f"{path}: missing manifest key {key!r}")
     for key in ("image_size", "num_classes"):
         value = manifest[key]
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        if not is_int(value):
             raise FormatError(f"{path}: {key} must be an integer, got "
                               f"{json.dumps(value)}")
     if not isinstance(manifest["samples"], list):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass, field, replace
 
@@ -26,7 +25,8 @@ import numpy as np
 
 from . import synth
 from .autodiff import GradTape, Tensor, recording, use_tape
-from .errors import AugsegError, ContractError, InputError, check_seed
+from .errors import (AugsegError, ContractError, InputError, check_seed,
+                     is_int, is_real)
 from .losses import combined_loss
 from .metrics import (
     MetricsRecord,
@@ -61,31 +61,30 @@ class TrainConfig:
     corruption_strengths: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (_is_number(self.learning_rate)
+        if not (is_real(self.learning_rate)
                 and 0 < self.learning_rate < math.inf):
             raise ContractError(
                 "learning rate must be a positive finite number, got "
                 f"{self.learning_rate!r}")
         for name in ("batch_size", "epochs", "shots"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if not is_int(value):
                 raise ContractError(
-                    f"{name} must be at least 1, got {getattr(self, name)}")
+                    f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ContractError(f"{name} must be at least 1, got {value}")
         check_seed(self.seed, "seed")
         if self.augmentation not in ARMS:
             raise ContractError(f"unknown augmentation arm {self.augmentation!r}")
-        if not (_is_number(self.eps) and 0 < self.eps < math.inf):
+        if not (is_real(self.eps) and 0 < self.eps < math.inf):
             raise ContractError(
                 f"eps must be a positive finite number, got {self.eps!r}")
         if (not isinstance(self.betas, (tuple, list)) or len(self.betas) != 2
-                or not all(_is_number(b) and 0 <= b < 1 for b in self.betas)):
+                or not all(is_real(b) and 0 <= b < 1 for b in self.betas)):
             raise ContractError(
                 f"betas must be two numbers in [0, 1), got {self.betas!r}")
         self.betas = tuple(self.betas)
         check_strengths(self.corruption_strengths)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 @dataclass
@@ -168,12 +167,13 @@ def _rng(seed, epoch, stream):
 
 
 def _make_feature_aug(arm, net_cfg, aug_rng, strengths):
+    """forward's ``feature_aug`` for the arm; None if it augments none."""
     if arm == "feature_wavelet":
         return lambda f, i: wt_aug(f, net_cfg.wt_aug[i], rng=aug_rng)
     if arm == "feature_spatial":
         return lambda f, i: feature_spatial_aug(
             f, random_corruption(aug_rng, **strengths))
-    return lambda f, i: f
+    return None
 
 
 def few_shot_subset(entries, shots, seed):
@@ -225,6 +225,13 @@ def train(train_cfg: TrainConfig, net_cfg: NetworkConfig, data_dir,
     training itself is the same.  When ``out_dir`` is given, writes
     ``train_log.csv`` and a ``checkpoint/`` directory there.
     """
+    deepest = net_cfg.encoder.strides[-1]
+    if train_cfg.augmentation == "feature_wavelet" and \
+            net_cfg.image_size < 2 * deepest:
+        # the Haar step of WT-Aug needs every stage at least 2x2
+        raise ContractError(
+            f"feature_wavelet needs image_size >= {2 * deepest}: at image_size "
+            f"{net_cfg.image_size} stage 4 (stride {deepest}) is 1x1")
     manifest = _load_dataset(data_dir, net_cfg)
     train_entries = [e for e in manifest["samples"] if e["split"] == "train"]
     chosen = few_shot_subset(train_entries, train_cfg.shots, train_cfg.seed)
@@ -246,6 +253,9 @@ def train(train_cfg: TrainConfig, net_cfg: NetworkConfig, data_dir,
         measure = monitor or epoch == last
         order = _rng(train_cfg.seed, epoch, 0).permutation(len(images))
         aug_rng = _rng(train_cfg.seed, epoch, 1)
+        feature_aug = _make_feature_aug(
+            train_cfg.augmentation, net_cfg, aug_rng,
+            train_cfg.corruption_strengths)
         epoch_losses = []
         for start in range(0, len(order), train_cfg.batch_size):
             idx = order[start:start + train_cfg.batch_size]
@@ -259,9 +269,6 @@ def train(train_cfg: TrainConfig, net_cfg: NetworkConfig, data_dir,
             else:
                 batch = Tensor(images[idx])
                 batch_stages = [Tensor(s.data[idx]) for s in stages]
-            feature_aug = _make_feature_aug(
-                train_cfg.augmentation, net_cfg, aug_rng,
-                train_cfg.corruption_strengths)
             with use_tape(tape):
                 logits = net.forward(batch, mode="train",
                                      feature_aug=feature_aug,

@@ -26,13 +26,12 @@ draws and ``_as_blocks`` reads.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor, _record
-from .errors import ContractError
+from .errors import ContractError, is_real
 
 
 @dataclass
@@ -52,8 +51,7 @@ class WtAugConfig:
             raise ContractError("keep_prob needs one value per sub-band")
         self.keep_prob = tuple(self.keep_prob)
         for p in self.keep_prob:
-            if not isinstance(p, numbers.Real) or isinstance(p, bool) or \
-                    not 0.0 <= p <= 1.0:
+            if not (is_real(p) and 0.0 <= p <= 1.0):
                 raise ContractError(f"keep_prob {p!r} is not a number in [0, 1]")
 
 

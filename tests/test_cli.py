@@ -828,6 +828,37 @@ class TestSampleSizes:
         assert "image_size 32" in err and "64" in err, err
         assert reads == [] and not out.exists()
 
+    def test_feature_wavelet_with_a_1x1_stage_is_exit_1(self, tmp_path, capsys,
+                                                        monkeypatch):
+        """At image_size 32 the deepest stage is 1x1, too small for the
+        Haar step of WT-Aug: arm feature_wavelet fails before any sample
+        is read, and arm none still trains."""
+        from augseg import trainer
+        data = tmp_path / "data"
+        assert dispatch(["synth", "--count", "2", "--test-count", "1",
+                         "--size", "32", "--seed", "1",
+                         "--out", str(data)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"network": {"image_size": 32}}))
+        reads, load = [], trainer.load_sample
+        monkeypatch.setattr(trainer, "load_sample",
+                            lambda *a, **kw: reads.append(a) or load(*a, **kw))
+
+        def argv(arm, out):
+            return ["train", "--data", str(data), "--out", str(out),
+                    "--config", str(cfg), "--arm", arm, "--epochs", "1",
+                    "--shots", "1"]
+
+        out = tmp_path / "wavelet"
+        assert dispatch(argv("feature_wavelet", out)) == 1
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert "image_size 32" in err and "stage 4" in err, err
+        assert "1x1" in err, err
+        assert reads == [] and not out.exists()
+        assert dispatch(argv("none", tmp_path / "none")) == 0
+        assert reads
+
 
 class TestPathErrors:
     """A path that cannot be read or written is exit 1, in one line that
@@ -871,3 +902,117 @@ class TestPathErrors:
         out = tmp_path / "nodir" / "x.csv"
         self.check(capsys, ["eval", "--checkpoint", str(ckpt), "--data",
                             str(dataset), "--out", str(out)], out)
+
+
+class TestExit1Messages:
+    """Arguments, files and runs each command rejects: exit 1 and a message
+    that says what is wrong."""
+
+    @staticmethod
+    def check(capsys, argv, message):
+        assert dispatch(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert f"augseg: {message}" in err, err
+
+    def test_non_integer_env_seed(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("AUGSEG_SEED", "abc")
+        self.check(capsys, ["synth", "--count", "1",
+                            "--out", str(tmp_path / "d")],
+                   "AUGSEG_SEED must be an integer, got 'abc'")
+
+    @pytest.mark.parametrize("seeds,message", [
+        ("0,x", "--seeds must be comma-separated integers: 0,x"),
+        ("", "need at least one seed")])
+    def test_ablate_seeds(self, dataset, tmp_path, capsys, seeds, message):
+        self.check(capsys, ["ablate", "--data", str(dataset), "--out",
+                            str(tmp_path / "abl"), "--seeds", seeds,
+                            "--epochs", "1", "--shots", "1"], message)
+
+    @pytest.mark.parametrize("keep,message", [
+        ("1,x,1,1", "--keep-prob must be comma-separated floats: 1,x,1,1"),
+        ("1,1,1", "--keep-prob needs exactly four values")])
+    def test_wt_aug_keep_prob(self, tmp_path, capsys, keep, message):
+        infile = tmp_path / "f.daug"
+        daug.write_tensor(infile, np.zeros((1, 1, 4, 4), np.float32))
+        self.check(capsys, ["wt-aug", "--in", str(infile), "--out",
+                            str(tmp_path / "g.daug"), "--keep-prob", keep],
+                   message)
+
+    def test_train_missing_config(self, dataset, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        self.check(capsys, ["train", "--data", str(dataset), "--out",
+                            str(tmp_path / "run"), "--config", str(missing)],
+                   f"config file not found: {missing}")
+
+    def test_metrics_missing_gt(self, tmp_path, capsys):
+        pred, missing = tmp_path / "pred.pgm", tmp_path / "missing.pgm"
+        write_pgm(pred, np.zeros((8, 8), dtype=np.uint8))
+        self.check(capsys, ["metrics", "--pred", str(pred), "--gt",
+                            str(missing)],
+                   f"ground-truth mask not found: {missing}")
+
+    def test_featviz_batch_of_two(self, tmp_path, capsys):
+        infile = tmp_path / "f.daug"
+        daug.write_tensor(infile, np.zeros((2, 4, 4, 4), np.float32))
+        self.check(capsys, ["featviz", "--in", str(infile), "--out",
+                            str(tmp_path / "v.ppm")],
+                   "featviz expects a single [1,C,H,W] feature map")
+
+    def test_dwt_rank_3(self, tmp_path, capsys):
+        infile = tmp_path / "f.daug"
+        daug.write_tensor(infile, np.zeros((4, 4, 4), np.float32))
+        self.check(capsys, ["dwt", "--in", str(infile), "--out-prefix",
+                            str(tmp_path / "s")],
+                   f"{infile}: expected a rank-4 tensor, got rank 3")
+
+    def test_eval_unknown_split(self, dataset, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert dispatch(["train", "--data", str(dataset), "--out",
+                         str(run_dir), "--epochs", "1", "--shots", "1"]) == 0
+        self.check(capsys, ["eval", "--checkpoint",
+                            str(run_dir / "checkpoint"), "--data",
+                            str(dataset), "--split", "nosuch"],
+                   "no samples in split 'nosuch'")
+
+    # the diverging run overflows in numpy, which warns before the loss
+    # turns NaN
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_train_diverging_learning_rate(self, dataset, tmp_path, capsys):
+        self.check(capsys, ["train", "--data", str(dataset), "--out",
+                            str(tmp_path / "run"), "--lr", "1e30",
+                            "--epochs", "30"],
+                   "non-finite loss nan at epoch 1, batch 0")
+
+
+class TestExit2:
+    """A broken internal invariant and an unexpected exception are exit 2."""
+
+    def test_failing_selftest_check(self, capsys, monkeypatch):
+        from augseg import selftest
+
+        def broken():
+            raise AssertionError("broken on purpose")
+
+        monkeypatch.setattr(selftest, "_checks", lambda: [("broken", broken)])
+        assert dispatch(["selftest"]) == 2
+        captured = capsys.readouterr()
+        assert "FAIL broken: broken on purpose" in captured.out
+        assert "augseg: invariant violation: 1 selftest check(s) failed" \
+            in captured.err, captured.err
+
+    def test_unexpected_exception_is_an_internal_error(self, tmp_path, capsys,
+                                                       monkeypatch):
+        from augseg import cli
+
+        def boom(*args, **kwargs):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.delenv("AUGSEG_DEBUG", raising=False)
+        monkeypatch.setattr(cli, "feature_pca", boom)
+        infile = tmp_path / "f.daug"
+        daug.write_tensor(infile, np.ones((1, 4, 4, 4), np.float32))
+        assert dispatch(["featviz", "--in", str(infile),
+                         "--out", str(tmp_path / "v.ppm")]) == 2
+        err = capsys.readouterr().err
+        assert "augseg: internal error: ZeroDivisionError: boom" in err, err

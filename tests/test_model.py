@@ -23,7 +23,7 @@ from augseg.model import (
     save_checkpoint,
     seg_head,
 )
-from augseg.wavelet import WtAugConfig
+from augseg.wavelet import WtAugConfig, wt_aug
 
 
 def small_config(**kw):
@@ -36,6 +36,12 @@ def small_config(**kw):
     )
     defaults.update(kw)
     return NetworkConfig(**defaults)
+
+
+def wavelet_aug(net, rng):
+    """The trainer's ``feature_wavelet`` augmentation: each stage masked
+    with its own ``wt_aug`` config, the masks drawn from ``rng``."""
+    return lambda f, i: wt_aug(f, net.config.wt_aug[i], rng)
 
 
 class TestEncoderSpec:
@@ -213,30 +219,29 @@ class TestForward:
         net = Network(small_config())
         image = Tensor(np.random.default_rng(10).random((1, 1, 64, 64))
                        .astype(np.float32))
-        a = net.forward(image, mode="train",
-                        rng=np.random.default_rng(123)).numpy()
-        b = net.forward(image, mode="train",
-                        rng=np.random.default_rng(123)).numpy()
+        a = net.forward(image, mode="train", feature_aug=wavelet_aug(
+            net, np.random.default_rng(123))).numpy()
+        b = net.forward(image, mode="train", feature_aug=wavelet_aug(
+            net, np.random.default_rng(123))).numpy()
         np.testing.assert_array_equal(a, b)
+        # the masks did act: keep_prob 0.8 drops sub-band coefficients
+        assert not np.array_equal(a, net.forward(image, mode="eval").numpy())
 
-    def test_train_mode_needs_an_rng_or_a_feature_aug(self):
+    def test_train_without_a_feature_aug_equals_eval(self):
         net = Network(small_config())
-        image = Tensor(np.zeros((1, 1, 64, 64), dtype=np.float32))
-        with pytest.raises(ContractError, match="rng or a feature_aug"):
-            net.forward(image, mode="train")
-        # a feature_aug alone is enough: the identity one reproduces eval
+        image = Tensor(np.random.default_rng(15).random((2, 1, 64, 64))
+                       .astype(np.float32))
         np.testing.assert_array_equal(
-            net.forward(image, mode="train",
-                        feature_aug=lambda f, i: f).numpy(),
+            net.forward(image, mode="train").numpy(),
             net.forward(image, mode="eval").numpy())
 
     def test_keep_prob_one_matches_eval(self):
-        cfg = small_config(wt_aug=WtAugConfig(keep_prob=(1, 1, 1, 1)))
+        cfg = small_config(wt_aug=(WtAugConfig(keep_prob=(1, 1, 1, 1)),) * 4)
         net = Network(cfg)
         image = Tensor(np.random.default_rng(11).random((1, 1, 64, 64))
                        .astype(np.float32))
-        train_logits = net.forward(image, mode="train",
-                                   rng=np.random.default_rng(0)).numpy()
+        train_logits = net.forward(image, mode="train", feature_aug=wavelet_aug(
+            net, np.random.default_rng(0))).numpy()
         eval_logits = net.forward(image, mode="eval").numpy()
         assert np.max(np.abs(train_logits - eval_logits)) < 1e-5
 
@@ -256,9 +261,9 @@ class TestForward:
                        .astype(np.float32))
         labels = np.random.default_rng(14).integers(0, 3, size=(1, 64, 64))
         with use_tape(GradTape()) as tape:
+            aug = wavelet_aug(net, np.random.default_rng(1))
             loss = combined_loss(net.forward(image, mode="train",
-                                             rng=np.random.default_rng(1)),
-                                 labels)
+                                             feature_aug=aug), labels)
             tape.backward(loss)
         for name, p in net.parameters().items():
             if name.startswith("encoder."):
@@ -355,8 +360,9 @@ class TestCheckpoint:
             load_checkpoint(tmp_path)
 
     def test_config_json_roundtrip(self):
-        cfg = small_config(use_cg_fuse=False,
-                           wt_aug=WtAugConfig(keep_prob=(0.9, 0.8, 0.7, 0.6)))
+        cfg = small_config(use_cg_fuse=False, wt_aug=tuple(
+            WtAugConfig(keep_prob=(0.9, 0.8, 0.7, p), channel_shared=p > 0.4)
+            for p in (0.6, 0.5, 0.4, 0.3)))
         # what a checkpoint manifest stores and load_checkpoint rebuilds
         back = NetworkConfig(**json.loads(json.dumps(asdict(cfg))))
         assert back == cfg

@@ -11,6 +11,7 @@ from scipy.ndimage import convolve
 from augseg.autodiff import Tensor
 from augseg.errors import ContractError, FormatError
 from augseg.synth import (
+    FG_FRACTION_RANGE,
     CorruptionSpec,
     _shape_coverage,
     SynthConfig,
@@ -47,10 +48,9 @@ class TestGenSample:
         assert s.image.min() >= 0.0 and s.image.max() <= 1.0
 
     def test_foreground_fraction_band(self):
-        cfg = SynthConfig()
-        lo, hi = cfg.fg_fraction_range
+        lo, hi = FG_FRACTION_RANGE
         for seed in range(100):
-            frac = (gen_sample(seed, cfg).mask > 0).mean()
+            frac = (gen_sample(seed).mask > 0).mean()
             assert lo <= frac <= hi
 
     def test_each_class_appears_often_enough(self):

@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import os
+import re
 import tracemalloc
 from dataclasses import dataclass
 
@@ -383,6 +384,18 @@ class TestAdamConfig:
                 key: inspect.signature(random_corruption)
                 .parameters[key].default})
 
+    @pytest.mark.parametrize("name", ["batch_size", "epochs", "shots"])
+    @pytest.mark.parametrize("value", [2.5, 1.0, True, "2", None])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ContractError, match=re.escape(
+                f"{name} must be an integer, got {value!r}")):
+            TrainConfig(**{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = TrainConfig(batch_size=np.int64(3), epochs=np.int32(1),
+                          shots=np.uint8(2))
+        assert (cfg.batch_size, cfg.epochs, cfg.shots) == (3, 1, 2)
+
     def test_betas_list_of_numpy_floats_becomes_a_tuple(self):
         cfg = TrainConfig(betas=[0, np.float32(0.5)], eps=1)
         assert cfg.betas == (0, 0.5) and isinstance(cfg.betas, tuple)
@@ -574,7 +587,7 @@ class TestTrain:
     def test_keep_prob_one_wavelet_equals_none_exactly(self, dataset):
         # the two arms train alike; only arm none back-fills train_dice
         base = tiny_net_config(
-            wt_aug=WtAugConfig(keep_prob=(1.0, 1.0, 1.0, 1.0)))
+            wt_aug=(WtAugConfig(keep_prob=(1.0, 1.0, 1.0, 1.0)),) * 4)
         cfg_wav = TrainConfig(epochs=3, shots=2, seed=2,
                               augmentation="feature_wavelet")
         cfg_none = TrainConfig(epochs=3, shots=2, seed=2, augmentation="none")
