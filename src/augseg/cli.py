@@ -16,7 +16,6 @@ import sys
 import numpy as np
 
 from . import __version__, daug
-from .autodiff import Tensor
 from .errors import (AugsegError, InputError, InvariantError,
                      NumericDomainError, check_seed)
 from .metrics import MetricsRecord, dice_score, hd95, write_metrics_csv
@@ -251,10 +250,10 @@ def _cmd_wt_aug(args) -> int:
                          f"{args.keep_prob}")
     if len(probs) != 4:
         raise InputError("--keep-prob needs exactly four values")
-    out = wt_aug(Tensor(arr.astype(np.float32, copy=False)),
+    out = wt_aug(arr.astype(np.float32, copy=False),
                  WtAugConfig(keep_prob=probs),
                  np.random.default_rng(_seed(args)))
-    daug.write_tensor(args.out, out.numpy())
+    daug.write_tensor(args.out, out)
     print(f"wrote {args.out}")
     return 0
 

@@ -23,8 +23,8 @@ from .errors import ContractError, DimensionError
 DICE_EPS = 1e-5
 
 
-def one_hot(labels: np.ndarray, num_classes: int) -> Tensor:
-    """[N,H,W] class indices -> constant [N,K,H,W] one-hot tensor.
+def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """[N,H,W] class indices -> [N,K,H,W] float32 one-hot array.
 
     Labels must be integers in ``[0, num_classes)``; float labels must
     hold whole numbers.
@@ -40,7 +40,7 @@ def one_hot(labels: np.ndarray, num_classes: int) -> Tensor:
     n, h, w = labels.shape
     oh = np.zeros((n, num_classes, h, w), dtype=np.float32)
     np.put_along_axis(oh, labels[:, None, :, :].astype(np.int64), 1.0, axis=1)
-    return Tensor(oh)
+    return oh
 
 
 def combined_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -64,7 +64,7 @@ def combined_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
             f"labels shape {labels.shape} does not match logits {logits.shape}")
     if k < 2:
         raise ContractError("need background + at least one foreground class")
-    t = one_hot(labels, k).data
+    t = one_hot(labels, k)
     z = logits.data - np.max(logits.data, axis=1, keepdims=True)
     e = np.exp(z)
     s = np.sum(e, axis=1, keepdims=True)

@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 
-EXACT_WILCOXON_LIMIT = 20
+# int64 counts of 2^n sign assignments stay exact up to n = 62
+EXACT_WILCOXON_LIMIT = 62
 # squared distances HD95 holds at once: 16 MB of int32 per block
 HD95_BLOCK = 1 << 22
 
@@ -175,7 +176,7 @@ def wilcoxon_signed_rank(differences) -> WilcoxonResult:
     """Two-sided signed-rank test on paired differences.
 
     Zero differences are dropped; ties in |d| get average ranks.  The
-    exact null distribution is counted for n <= 20, above that a
+    exact null distribution is counted for n <= 62, above that a
     normal approximation with continuity and tie corrections is used.
     All differences zero gives the degenerate result p = 1.
     """

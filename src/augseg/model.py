@@ -269,8 +269,9 @@ class Network:
         """Logits [N, num_classes, H, W].
 
         ``mode='train'`` augments the stage features with
-        ``feature_aug(stage_tensor, stage_index)`` when one is given; with
-        none, and in eval mode, no augmentation is applied.
+        ``feature_aug(stage_array, stage_index)``, which returns an array
+        of the same shape, when one is given; with none, and in eval mode,
+        no augmentation is applied.
         ``stages``, when given, must be ``self.encode(image)``; callers
         that see the same images repeatedly pass it to skip the encoder.
         """
@@ -284,7 +285,8 @@ class Network:
         if stages is None:
             stages = self.encode(image)
         if mode == "train" and feature_aug is not None:
-            aug = [feature_aug(f, i) for i, f in enumerate(stages)]
+            aug = [Tensor(feature_aug(f.data, i))
+                   for i, f in enumerate(stages)]
         else:
             aug = stages
         f1, f2, f3, _ = stages

@@ -30,6 +30,8 @@ def feature_pca(feature_map: np.ndarray, k: int = 3):
     c, h, w = fm.shape
     if c < k:
         raise ContractError(f"need at least k={k} channels, got {c}")
+    if h * w == 0:
+        raise ContractError(f"feature map has no pixels: {h}x{w}")
     x = fm.reshape(c, h * w).T                  # [P, C] location vectors
     x = x - x.mean(axis=0, keepdims=True)
     cov = (x.T @ x) / max(x.shape[0] - 1, 1)

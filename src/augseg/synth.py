@@ -20,7 +20,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.ndimage import convolve
 
-from .autodiff import Tensor
 from .errors import ContractError, FormatError, InputError, is_int, is_real
 from .netpbm import read_pgm, write_pgm
 
@@ -235,35 +234,32 @@ def corrupt(image: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
     return out[None].astype(np.float32)
 
 
-def feature_spatial_aug(f: Tensor, spec: CorruptionSpec) -> Tensor:
-    """The same four transforms applied per channel to a feature map.
+def feature_spatial_aug(f: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
+    """The same four transforms applied per channel to a float feature
+    array; returns an array of its shape and dtype.
 
-    This is the ablation baseline arm; it acts on frozen encoder outputs,
-    so only the brightness/rand_mask paths keep exact gradients (blur and
-    Poisson noise enter as additive constants).  Feature values are not
-    clamped.
+    This is the ablation baseline arm; it acts on frozen encoder outputs.
+    Feature values are not clamped.
     """
     if f.ndim != 4:
-        raise ContractError("feature_spatial_aug expects a rank-4 tensor")
+        raise ContractError("feature_spatial_aug expects a rank-4 array")
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "brightness":
-        return f * float(spec.factor)
+        return f * f.dtype.type(spec.factor)
     if spec.kind == "rand_mask":
         if spec.drop_prob <= 0:
             return f
         keep = (rng.random((1, 1) + f.shape[2:]) >= spec.drop_prob)
-        return f * Tensor(keep.astype(np.float32))
+        return f * keep.astype(np.float32)
     if spec.kind == "motion_blur":
         kernel = motion_blur_kernel(spec.length, rng.uniform(0, math.pi))
-        data = f.numpy()
         # a [1, 1, k, k] kernel blurs every (sample, channel) plane at once
-        blurred = convolve(data, kernel[None, None], mode="nearest")
-        return f + Tensor((blurred - data).astype(data.dtype))
+        blurred = convolve(f, kernel[None, None], mode="nearest")
+        return f + (blurred - f).astype(f.dtype)
     if spec.kind == "poisson":
-        data = f.numpy()
-        shifted = data - data.min(axis=(2, 3), keepdims=True)
+        shifted = f - f.min(axis=(2, 3), keepdims=True)
         noisy = rng.poisson(shifted * spec.scale) / spec.scale
-        return f + Tensor((noisy - shifted).astype(data.dtype))
+        return f + (noisy - shifted).astype(f.dtype)
     raise ContractError(f"unknown corruption kind {spec.kind!r}")
 
 

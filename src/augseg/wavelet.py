@@ -16,9 +16,10 @@ butterfly, ``_butterfly``, computes both analysis and synthesis.
 
 The augmentation zeroes a random subset of coefficients per sub-band
 (Bernoulli keep masks drawn from the caller's generator, shared across
-batch, and across channels by default) and reconstructs.  With W the orthonormal analysis and M the
-0/1 mask, the map is W^T M W, which is symmetric, so ``wt_aug`` is one
-recorded op whose adjoint is the same map applied to the gradient.
+batch, and across channels by default) and reconstructs.  With W the
+orthonormal analysis and M the 0/1 mask, the map is W^T M W.  It acts on
+the frozen encoder's stage maps, which carry no gradient, so ``wt_aug``
+takes and returns plain arrays and is not a tape op.
 ``haar_dwt2``/``haar_idwt2`` expose the sub-bands as one plain numpy
 array, [4, N, C, h, w] in LL, LH, HL, HH order: the layout ``make_masks``
 draws and ``_as_blocks`` reads.
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _record
 from .errors import ContractError, is_real
 
 
@@ -148,28 +148,16 @@ def _masked_haar(x, m6):
     return _butterfly(_butterfly(x6) * m6).reshape(x.shape)
 
 
-def _pad_adjoint(gp, h, w):
-    """Adjoint of appending a mirrored last row/column (odd extents)."""
-    g = gp[:, :, :h, :w].copy()
-    if gp.shape[3] > w:
-        g[:, :, :, w - 2] += gp[:, :, :h, w]
-    if gp.shape[2] > h:
-        g[:, :, h - 2, :] += gp[:, :, h, :w]
-        if gp.shape[3] > w:
-            g[:, :, h - 2, w - 2] += gp[:, :, h, w]
-    return g
+def wt_aug(f, cfg: WtAugConfig, rng) -> np.ndarray:
+    """Decompose a float [N,C,H,W] array, mask each sub-band with masks
+    drawn from ``rng``, reconstruct.
 
-
-def wt_aug(f: Tensor, cfg: WtAugConfig, rng) -> Tensor:
-    """Decompose, mask each sub-band with masks drawn from ``rng``,
-    reconstruct.
-
-    Output shape equals input shape and gradients flow through to ``f``.
-    When every mask is all-ones the input is returned unchanged, which
-    makes the identity configuration exact rather than merely within
-    float rounding.  Odd extents are reflect-padded before the transform
-    and cropped after it; the adjoint folds the padding back.
+    Output shape and dtype equal the input's.  When every mask is
+    all-ones the input is returned unchanged, which makes the identity
+    configuration exact rather than merely within float rounding.  Odd
+    extents are reflect-padded before the transform and cropped after it.
     """
+    f = _float_array(f)
     if f.ndim != 4:
         raise ContractError(f"wt_aug expects rank 4, got rank {f.ndim}")
     n, c, h, w = f.shape
@@ -179,12 +167,6 @@ def wt_aug(f: Tensor, cfg: WtAugConfig, rng) -> Tensor:
     m = make_masks((c, (h + ph) // 2, (w + pw) // 2), cfg, rng)
     if m.all():
         return f
-    m6 = _as_blocks(m)
-    pad = ((0, 0), (0, 0), (0, ph), (0, pw))
     if ph or pw:
-        y = _masked_haar(np.pad(f.data, pad, mode="reflect"), m6)[:, :, :h, :w]
-        back = lambda g: (_pad_adjoint(_masked_haar(np.pad(g, pad), m6), h, w),)
-    else:
-        y = _masked_haar(f.data, m6)
-        back = lambda g: (_masked_haar(g, m6),)
-    return _record(Tensor(np.ascontiguousarray(y)), (f,), back)
+        f = np.pad(f, ((0, 0), (0, 0), (0, ph), (0, pw)), mode="reflect")
+    return np.ascontiguousarray(_masked_haar(f, _as_blocks(m))[:, :, :h, :w])

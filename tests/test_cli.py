@@ -959,6 +959,13 @@ class TestExit1Messages:
                             str(tmp_path / "v.ppm")],
                    "featviz expects a single [1,C,H,W] feature map")
 
+    def test_featviz_map_without_pixels(self, tmp_path, capsys):
+        infile = tmp_path / "f.daug"
+        daug.write_tensor(infile, np.zeros((1, 3, 0, 4), np.float32))
+        self.check(capsys, ["featviz", "--in", str(infile), "--out",
+                            str(tmp_path / "v.ppm")],
+                   "feature map has no pixels: 0x4")
+
     def test_dwt_rank_3(self, tmp_path, capsys):
         infile = tmp_path / "f.daug"
         daug.write_tensor(infile, np.zeros((4, 4, 4), np.float32))

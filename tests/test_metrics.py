@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
-from scipy.stats import rankdata
+from scipy.stats import rankdata, wilcoxon
 
 from augseg import metrics
 from augseg.errors import DimensionError
@@ -447,9 +447,36 @@ class TestWilcoxon:
             approx_p = min(1.0, 2 * 0.5 * (1 + math.erf(z / math.sqrt(2))))
             assert abs(exact.p_value - approx_p) < 0.02
 
+    @pytest.mark.parametrize("n", [21, 30, 45, 62])
+    def test_exact_p_matches_scipy_above_twenty(self, n):
+        # untied magnitudes, so scipy's exact method applies too
+        rng = np.random.default_rng(n)
+        for loc in (0.0, 0.2, 0.5):
+            d = rng.normal(loc=loc, size=n)
+            res = wilcoxon_signed_rank(d)
+            want = wilcoxon(d, method="exact")
+            assert res.method == "exact"
+            assert res.statistic == want.statistic
+            assert res.p_value == pytest.approx(want.pvalue, rel=1e-11)
+
+    def test_int64_counts_exact_at_the_limit(self):
+        # the same recurrence in Python integers, which cannot overflow
+        n = EXACT_WILCOXON_LIMIT
+        ranks = rankdata(np.arange(1, n + 1) // 3)
+        doubled = [round(2 * r) for r in ranks]
+        counts = [1] + [0] * sum(doubled)
+        for r in doubled:
+            counts = counts[:r] + [a + b for a, b in zip(counts[r:], counts)]
+        top = len(counts) - 1
+        for w in (0.0, 100.5, 700.0, ranks.sum() / 2):
+            w2 = round(2 * w)
+            hits = sum(c for t, c in enumerate(counts)
+                       if t <= w2 or t >= top - w2)
+            assert _exact_p(ranks, w) == hits / (1 << n), w
+
     def test_large_n_uses_normal_approximation(self):
         rng = np.random.default_rng(7)
-        res = wilcoxon_signed_rank(rng.normal(loc=1.0, size=40))
+        res = wilcoxon_signed_rank(rng.normal(loc=1.0, size=80))
         assert res.method == "normal-approximation"
         assert 0.0 <= res.p_value <= 1.0
 

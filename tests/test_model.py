@@ -227,6 +227,21 @@ class TestForward:
         # the masks did act: keep_prob 0.8 drops sub-band coefficients
         assert not np.array_equal(a, net.forward(image, mode="eval").numpy())
 
+    def test_feature_aug_maps_stage_arrays(self):
+        # the stage maps are frozen features, so the augmentation sees
+        # and returns plain arrays, one call per stage in order
+        net = Network(small_config())
+        image = Tensor(np.random.default_rng(16).random((1, 1, 64, 64))
+                       .astype(np.float32))
+        seen = []
+
+        def record(f, i):
+            seen.append((type(f), i))
+            return f
+
+        net.forward(image, mode="train", feature_aug=record)
+        assert seen == [(np.ndarray, i) for i in range(4)]
+
     def test_train_without_a_feature_aug_equals_eval(self):
         net = Network(small_config())
         image = Tensor(np.random.default_rng(15).random((2, 1, 64, 64))

@@ -85,6 +85,12 @@ class TestFeaturePca:
         with pytest.raises(ContractError):
             feature_pca(np.zeros((2, 4, 4)), k=3)
 
+    @pytest.mark.parametrize("hw", [(0, 4), (4, 0), (0, 0)])
+    def test_map_without_pixels(self, hw):
+        with pytest.raises(ContractError,
+                           match=f"no pixels: {hw[0]}x{hw[1]}"):
+            feature_pca(np.zeros((1, 3) + hw), k=3)
+
 
 class TestPcaToImage:
     def test_normalizes_to_full_range(self):
