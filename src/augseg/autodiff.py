@@ -3,9 +3,13 @@
 A ``Tensor`` wraps a row-major numpy array plus an optional gradient
 buffer.  Ops record their adjoint closures only inside a
 ``with use_tape(tape):`` block, and only when some input requires
-gradients; ``tape.backward(loss)`` replays the tape in reverse and
-accumulates gradients into every reachable leaf.  Outside any block an
+gradients; ``tape.backward(out, grad)`` replays the tape in reverse from
+the cotangent ``grad`` (1 for a scalar loss) and accumulates the
+vector-Jacobian product into every reachable leaf.  Outside any block an
 op is plain numpy and its output never requires gradients.
+
+The module holds only the ops a training or eval step records; the fused
+norm, attention, residual and loss ops build on ``_record`` elsewhere.
 
 Conventions:
   * default compute dtype is float32; tests typically run float64
@@ -49,11 +53,17 @@ class GradTape:
     def __len__(self):
         return len(self._nodes)
 
-    def backward(self, loss):
-        """Accumulate d loss / d leaf into ``grad`` of every reachable leaf.
+    def backward(self, out, grad=None):
+        """Accumulate the vector-Jacobian product ``grad^T d out / d leaf``
+        into the ``.grad`` buffer of every reachable leaf.
+
+        ``grad`` is the cotangent that seeds the reverse sweep and must
+        have ``out``'s shape; it is read, never written.  Without it
+        ``out`` must be a scalar loss and the seed is 1, so each leaf
+        receives d loss / d leaf.
 
         Repeated calls within one block accumulate (each call adds one
-        full gradient), in place into a preset ``grad`` such as the store
+        full gradient), in place into a preset ``.grad`` such as the store
         view ``AdamState.for_params`` binds.  Adjoints of interior nodes
         live in a scratch table keyed by tensor identity; only leaves
         keep a ``grad``.
@@ -62,12 +72,18 @@ class GradTape:
         interior adjoints are summed out of place, so a closure may
         return ``g`` itself, a view of it, or a read-only broadcast.
         """
-        if loss.size != 1:
-            raise ContractError(
-                f"backward requires a scalar loss, got shape {loss.shape}")
-        adjoint = {id(loss): np.ones_like(loss.data)}
-        for out, inputs, backward_fn in reversed(self._nodes):
-            g = adjoint.pop(id(out), None)
+        if grad is None:
+            if out.size != 1:
+                raise ContractError(
+                    f"backward requires a scalar loss, got shape {out.shape}")
+            grad = np.ones_like(out.data)
+        elif np.shape(grad) != out.shape:
+            raise DimensionError(
+                f"cotangent shape {np.shape(grad)} != output shape "
+                f"{out.shape}")
+        adjoint = {id(out): grad}
+        for y, inputs, backward_fn in reversed(self._nodes):
+            g = adjoint.pop(id(y), None)
             if g is None:
                 continue
             for t, dt in zip(inputs, backward_fn(g)):
@@ -126,8 +142,8 @@ class Tensor:
     # construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def zeros(cls, shape, dtype=DEFAULT_DTYPE, requires_grad=False):
-        return cls(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
+    def zeros(cls, shape, requires_grad=False):
+        return cls(np.zeros(shape, DEFAULT_DTYPE), requires_grad=requires_grad)
 
     # ------------------------------------------------------------------
     # metadata
@@ -181,28 +197,16 @@ class Tensor:
                 f"assign shape {arr.shape} != tensor shape {self.data.shape}")
         self.data = arr
 
-    # ------------------------------------------------------------------
-    # operator sugar
-    # ------------------------------------------------------------------
-    def __add__(self, other):
-        return ew_binary("add", self, other)
-
-    def __mul__(self, other):
-        return ew_binary("mul", self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
 
 def recording() -> bool:
     """Whether a ``use_tape`` block is open."""
     return _tape is not None
 
 
-def _as_tensor(x, dtype=None) -> Tensor:
+def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    return Tensor(np.asarray(x, dtype=dtype if dtype is not None else DEFAULT_DTYPE))
+    return Tensor(np.asarray(x, dtype=DEFAULT_DTYPE))
 
 
 def _record(out: Tensor, inputs, backward_fn):
@@ -238,33 +242,15 @@ def _check_broadcastable(a_shape, b_shape):
 
 
 # ----------------------------------------------------------------------
-# elementwise arithmetic
-# ----------------------------------------------------------------------
-def ew_binary(kind: str, a, b) -> Tensor:
-    """Elementwise add/mul with singleton-extent broadcasting."""
-    a = _as_tensor(a)
-    b = _as_tensor(b, a.dtype)
-    _check_broadcastable(a.shape, b.shape)
-    if kind == "add":
-        out = Tensor(a.data + b.data)
-        back = lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
-    elif kind == "mul":
-        out = Tensor(a.data * b.data)
-        back = lambda g: (_unbroadcast(g * b.data, a.shape),
-                          _unbroadcast(g * a.data, b.shape))
-    else:
-        raise ContractError(f"unknown elementwise kind {kind!r}")
-    return _record(out, (a, b), back)
-
-
-# ----------------------------------------------------------------------
 # matmul
 # ----------------------------------------------------------------------
-def matmul(a, b) -> Tensor:
-    """Matrix product; leading batch axes broadcast numpy-style.
+def matmul(a, b, bias=None) -> Tensor:
+    """Matrix product, plus an optional bias [P] over the last axis;
+    leading batch axes broadcast numpy-style.
 
-    The adjoint computes an operand's gradient only when that operand
-    requires grad.
+    ``matmul(x, w, b)`` is the affine map ``x @ w + b`` as one node; the
+    bias gradient sums ``g`` over every other axis.  The adjoint computes
+    an operand's gradient only when that operand requires grad.
     """
     a = _as_tensor(a)
     b = _as_tensor(b)
@@ -274,7 +260,16 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(
             f"matmul inner extents differ: {a.shape} x {b.shape}")
     _check_broadcastable(a.shape[:-2], b.shape[:-2])
-    out = Tensor(np.matmul(a.data, b.data))
+    y = np.matmul(a.data, b.data)
+    inputs = (a, b)
+    if bias is not None:
+        bias = _as_tensor(bias)
+        if bias.shape != b.shape[-1:]:
+            raise DimensionError(
+                f"bias shape {bias.shape} != ({b.shape[-1]},)")
+        y += bias.data
+        inputs = (a, b, bias)
+    out = Tensor(y)
 
     def back(g):
         da = db = None
@@ -284,42 +279,11 @@ def matmul(a, b) -> Tensor:
         if b.requires_grad:
             db = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
                               b.shape)
+        if bias is not None:
+            return da, db, _unbroadcast(g, bias.shape)
         return da, db
 
-    return _record(out, (a, b), back)
-
-
-# ----------------------------------------------------------------------
-# reductions and shape ops
-# ----------------------------------------------------------------------
-def tsum(x, axis=None, keepdims=False) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor(np.sum(x.data, axis=axis, keepdims=keepdims))
-
-    def back(g):
-        g = np.asarray(g)
-        if axis is None:
-            return (np.broadcast_to(g.reshape((1,) * x.ndim), x.shape),)
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, x.shape),)
-
-    return _record(out, (x,), back)
-
-
-def reshape(x, shape) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor(x.data.reshape(shape))
-    return _record(out, (x,), lambda g: (g.reshape(x.shape),))
-
-
-def transpose(x, axes) -> Tensor:
-    x = _as_tensor(x)
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    out = Tensor(x.data.transpose(axes))
-    return _record(out, (x,), lambda g: (g.transpose(inv),))
+    return _record(out, inputs, back)
 
 
 # ----------------------------------------------------------------------
@@ -588,27 +552,34 @@ def bilinear_resize(x, out_hw) -> Tensor:
 # ----------------------------------------------------------------------
 # gradient checking
 # ----------------------------------------------------------------------
-def finite_diff_check(f, x: Tensor, eps=1e-5) -> float:
+def finite_diff_check(f, x: Tensor, w=None, eps=1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    ``f`` maps a Tensor to a scalar Tensor and must be deterministic.
-    Error per coordinate is |a - n| / max(|a|, |n|, 1e-12).
+    ``f`` maps a Tensor to a Tensor and must be deterministic.  With a
+    cotangent ``w`` of ``f(x)``'s shape the check compares the
+    vector-Jacobian product ``J^T w`` with central differences of
+    ``sum(f(x) * w)``; without one ``f(x)`` must be a scalar.  Error per
+    coordinate is |a - n| / max(|a|, |n|, 1e-12).
     """
     if eps <= 0:
         raise ContractError("eps must be positive")
     probe = Tensor(x.data.astype(np.float64, copy=True), requires_grad=True)
     with use_tape(GradTape()) as tape:
-        y = f(probe)
-        tape.backward(y)
+        tape.backward(f(probe), w)
     analytic = probe.grad if probe.grad is not None else np.zeros_like(probe.data)
+
+    def value():
+        y = f(Tensor(probe.data))
+        return y.item() if w is None else float(np.sum(y.data * w))
+
     flat = probe.data.reshape(-1)
     numeric = np.zeros_like(flat)
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + eps
-        hi = f(Tensor(probe.data, requires_grad=False)).item()
+        hi = value()
         flat[i] = orig - eps
-        lo = f(Tensor(probe.data, requires_grad=False)).item()
+        lo = value()
         flat[i] = orig
         numeric[i] = (hi - lo) / (2.0 * eps)
     a = analytic.reshape(-1)

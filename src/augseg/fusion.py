@@ -7,7 +7,9 @@ The model width D equals the decoder width, and per head of width
 through a small feed-forward block, and added residually to the original
 decoder features.  Tokens are normalized (zero mean / unit variance over
 the channel axis, per token) before the Q/K/V projections; the norm is
-one tape op that reads the [N,C,H,W] map and returns [N,H*W,C] tokens.
+one tape op that reads the [N,C,H,W] map and returns [N,H*W,C] tokens;
+its layout mirror ``_add_tokens`` adds the feed-forward tokens back as
+one op, and each feed-forward affine map is one biased ``matmul``.
 
 The output projection starts at zero so an untrained block is exactly the
 residual identity.
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _record, gelu, matmul, reshape, transpose
+from .autodiff import Tensor, _record, gelu, matmul
 from .errors import ContractError, DimensionError
 
 _NORM_EPS = 1e-5
@@ -48,9 +50,9 @@ class FusionParams:
     ff_b2: Tensor
 
     @classmethod
-    def create(cls, c_dec, c_enc, rng, head_count=4, ff_mult=4,
-               zero_out_proj=True, dtype=np.float32):
-        """Seeded initialization; ``zero_out_proj`` gives the identity start.
+    def create(cls, c_dec, c_enc, rng, head_count=4, ff_mult=4):
+        """Seeded float32 initialization with the identity start: the
+        output projection ``w_o`` and both biases are zero.
 
         The model width D equals the decoder width ``c_dec``, which
         ``head_count`` must divide.
@@ -63,20 +65,18 @@ class FusionParams:
 
         def init(fan_in, shape):
             return Tensor((rng.normal(size=shape) / np.sqrt(fan_in))
-                          .astype(dtype), requires_grad=True)
+                          .astype(np.float32), requires_grad=True)
 
-        w_o = (Tensor.zeros((c_dec, c_dec), dtype=dtype, requires_grad=True)
-               if zero_out_proj else init(c_dec, (c_dec, c_dec)))
         return cls(
             head_count=head_count,
             w_q=init(c_dec, (c_dec, c_dec)),
             w_k=init(c_enc, (c_enc, c_dec)),
             w_v=init(c_enc, (c_enc, c_dec)),
-            w_o=w_o,
+            w_o=Tensor.zeros((c_dec, c_dec), requires_grad=True),
             ff_w1=init(c_dec, (c_dec, hidden)),
-            ff_b1=Tensor.zeros((hidden,), dtype=dtype, requires_grad=True),
+            ff_b1=Tensor.zeros((hidden,), requires_grad=True),
             ff_w2=init(hidden, (hidden, c_dec)),
-            ff_b2=Tensor.zeros((c_dec,), dtype=dtype, requires_grad=True),
+            ff_b2=Tensor.zeros((c_dec,), requires_grad=True),
         )
 
     def named_tensors(self):
@@ -111,6 +111,18 @@ def _norm_tokens(feat: Tensor) -> Tensor:
         return (dt.transpose(0, 2, 1).reshape(feat.shape),)
 
     return _record(Tensor(xhat), (feat,), back)
+
+
+def _add_tokens(feat: Tensor, tokens: Tensor) -> Tensor:
+    """[N,C,H,W] map plus [N,H*W,C] tokens laid out as [N,C,H,W].
+
+    One recorded op, the layout mirror of ``_norm_tokens``: the tokens'
+    adjoint is ``g`` read back as [N,H*W,C].
+    """
+    n, c, h, w = feat.shape
+    out = feat.data + tokens.data.transpose(0, 2, 1).reshape(feat.shape)
+    return _record(Tensor(out), (feat, tokens), lambda g: (
+        g, g.reshape(n, c, h * w).transpose(0, 2, 1)))
 
 
 def cross_attention(q: Tensor, k: Tensor, v: Tensor, head_count: int) -> Tensor:
@@ -213,7 +225,6 @@ def cg_fuse(decoder_feat: Tensor, aug_enc_feat: Tensor,
     v = matmul(enc_n, params.w_v)
     attn = cross_attention(q, k, v, params.head_count)
     proj = matmul(attn, params.w_o)
-    hidden = gelu(matmul(proj, params.ff_w1) + params.ff_b1)
-    ff = matmul(hidden, params.ff_w2) + params.ff_b2
-    return decoder_feat + reshape(transpose(ff, (0, 2, 1)),
-                                  decoder_feat.shape)
+    hidden = gelu(matmul(proj, params.ff_w1, params.ff_b1))
+    ff = matmul(hidden, params.ff_w2, params.ff_b2)
+    return _add_tokens(decoder_feat, ff)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -52,9 +53,9 @@ def _checks():
 
     def gradient_conv():
         k = Tensor(rng.normal(size=(2, 1, 3, 3)))
-        err = finite_diff_check(
-            lambda x: (conv2d(x, k, padding=1) * 1.5).sum(),
-            Tensor(rng.normal(size=(1, 1, 5, 5))))
+        err = finite_diff_check(lambda x: conv2d(x, k, padding=1),
+                                Tensor(rng.normal(size=(1, 1, 5, 5))),
+                                np.full((1, 2, 5, 5), 1.5))
         assert err < 1e-4, f"conv gradient err {err}"
 
     def gradient_conv_weights():
@@ -66,8 +67,8 @@ def _checks():
                      (lambda kk: conv_transpose2d(x, kk), (3, 4, k, k)))
             for op, shape in cases:
                 kern = Tensor(rng.normal(size=shape))
-                w = Tensor(rng.normal(size=op(kern).shape))
-                err = finite_diff_check(lambda kk: (op(kk) * w).sum(), kern)
+                w = rng.normal(size=op(kern).shape)
+                err = finite_diff_check(op, kern, w)
                 assert err < 1e-4, \
                     f"weight gradient err {err} (kernel {shape})"
 
@@ -91,25 +92,26 @@ def _checks():
             y = rng.normal(size=shape[:2] + out_hw)
             with use_tape(GradTape()) as tape:
                 out = bilinear_resize(x, out_hw)
-                tape.backward((out * Tensor(y)).sum())
+                tape.backward(out, y)
             lhs = np.sum(out.numpy() * y)
             rhs = np.sum(x.numpy() * x.grad)
             assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs)), \
                 f"{shape}->{out_hw}: {lhs} != {rhs}"
 
     def gradient_fusion():
-        params = FusionParams.create(4, 4, np.random.default_rng(1),
-                                     head_count=2, zero_out_proj=False,
-                                     dtype=np.float64)
-        dec = Tensor(rng.normal(size=(1, 4, 2, 2)).astype(np.float64))
-        enc = Tensor(rng.normal(size=(1, 4, 2, 2)).astype(np.float64))
-        w = Tensor(rng.normal(size=(1, 4, 2, 2)).astype(np.float64))
-        err = finite_diff_check(
-            lambda d: (cg_fuse(d, enc, params) * w).sum(), dec)
+        # all weights drawn in float64, so w_o and the biases are non-zero
+        prng = np.random.default_rng(1)
+        params = FusionParams.create(4, 4, prng, head_count=2)
+        params = replace(params, **{
+            name: Tensor(prng.normal(size=t.shape) / 2, requires_grad=True)
+            for name, t in params.named_tensors().items()})
+        dec = Tensor(rng.normal(size=(1, 4, 2, 2)))
+        enc = Tensor(rng.normal(size=(1, 4, 2, 2)))
+        w = rng.normal(size=(1, 4, 2, 2))
+        err = finite_diff_check(lambda d: cg_fuse(d, enc, params), dec, w)
         assert err < 1e-4, f"fusion gradient err {err} (decoder input)"
         # keys and values come from the encoder input, so this reaches dK, dV
-        err = finite_diff_check(
-            lambda e: (cg_fuse(dec, e, params) * w).sum(), enc)
+        err = finite_diff_check(lambda e: cg_fuse(dec, e, params), enc, w)
         assert err < 1e-4, f"fusion gradient err {err} (encoder input)"
 
     def gradient_loss():

@@ -406,12 +406,17 @@ def ablation_run(arms, seeds, train_cfg: TrainConfig, net_cfg: NetworkConfig,
     Per arm: mean and sd (over seeds) of the test-set mean Dice and mean
     HD95.  Pairwise Wilcoxon signed-rank tests run on per-sample Dice
     (averaged over seeds, paired by test sample).  A single arm yields a
-    one-row table and no tests.
+    one-row table and no tests.  The seeds must be distinct.
     """
     if not arms:
         raise ContractError("need at least one arm")
     if not seeds:
         raise ContractError("need at least one seed")
+    repeated = sorted({s for s in seeds if list(seeds).count(s) > 1})
+    if repeated:
+        raise ContractError(
+            f"seeds repeat {repeated}: a repeated seed reruns one run and "
+            "would count as another seed")
     results = {}
     for arm in arms:
         seed_means, seed_hd95s, sample_dices = [], [], []

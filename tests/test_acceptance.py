@@ -20,11 +20,9 @@ from augseg.autodiff import (
     gelu,
     matmul,
     relu,
-    reshape,
-    transpose,
 )
 from augseg import daug
-from augseg.fusion import FusionParams, _norm_tokens, cg_fuse, cross_attention
+from augseg.fusion import _add_tokens, _norm_tokens, cg_fuse, cross_attention
 from augseg.losses import combined_loss
 from augseg.metrics import dice_score, hd95, wilcoxon_signed_rank
 from augseg.model import EncoderSpec, Network, NetworkConfig, load_checkpoint
@@ -34,7 +32,9 @@ from augseg.trainer import TrainConfig, train
 from augseg.wavelet import WtAugConfig, haar_dwt2, haar_idwt2, wt_aug
 from augseg.errors import FormatError
 
-from test_autodiff import concat, getitem, softmax
+from test_autodiff import (add, concat, getitem, mul, reshape, softmax,
+                           transpose, tsum)
+from test_fusion import drawn_params
 from test_metrics import oracle_hd95, oracle_wilcoxon_p
 from test_wavelet import reference_haar_dwt2, reference_haar_idwt2
 
@@ -117,41 +117,46 @@ def test_criterion_3_gradient_suite():
     w_shape = t((4, 4))
     w_wave = t((1, 2, 5, 5))
     w_bilin = t((1, 2, 6, 7))
+    x_aff = t((2, 3))
+    w_aff = t((2, 4))
+    w_res = t((2, 3, 2, 3))
+    # each check's cotangent is the .data of one of the tensors above
     checks = {
-        "add": lambda: finite_diff_check(lambda x: ((x + w31) * w31).sum(),
-                                         t((3, 4))),
-        "mul": lambda: finite_diff_check(lambda x: (x * w31 * x).sum(),
+        "add": lambda: finite_diff_check(lambda x: add(x, w31), t((3, 4)),
+                                         w31.data),
+        "mul": lambda: finite_diff_check(lambda x: tsum(mul(mul(x, w31), x)),
                                          t((3, 4))),
         "matmul": lambda: finite_diff_check(
-            lambda x: (matmul(x, w31) * matmul(x, w31)).sum(), t((2, 3))),
+            lambda x: tsum(mul(matmul(x, w31), matmul(x, w31))), t((2, 3))),
         "conv2d": lambda: finite_diff_check(
-            lambda x: (conv2d(x, w_conv, padding=1) * w33).sum(),
-            t((1, 2, 4, 4))),
+            lambda x: conv2d(x, w_conv, padding=1), t((1, 2, 4, 4)), w33.data),
         "conv_transpose2d": lambda: finite_diff_check(
-            lambda x: (conv_transpose2d(x, w_convt) * w_convt_out).sum(),
-            t((1, 2, 3, 3))),
+            lambda x: conv_transpose2d(x, w_convt), t((1, 2, 3, 3)),
+            w_convt_out.data),
         "softmax": lambda: finite_diff_check(
-            lambda x: (softmax(x, -1) * w31).sum(), t((3, 4))),
-        "relu": lambda: finite_diff_check(
-            lambda x: (relu(x) * w_small).sum(), t((5,), 1.0, 0.3)),
-        "gelu": lambda: finite_diff_check(
-            lambda x: (gelu(x) * w_small).sum(), t((5,))),
+            lambda x: softmax(x, -1), t((3, 4)), w31.data),
+        "relu": lambda: finite_diff_check(relu, t((5,), 1.0, 0.3),
+                                          w_small.data),
+        "gelu": lambda: finite_diff_check(gelu, t((5,)), w_small.data),
         "token norm": lambda: finite_diff_check(
-            lambda x: (_norm_tokens(x) * w_norm).sum(), t((2, 5, 2, 3))),
+            _norm_tokens, t((2, 5, 2, 3)), w_norm.data),
         "reshape/transpose/concat/slice": lambda: finite_diff_check(
-            lambda x: (getitem(concat([transpose(reshape(x, (2, 6)), (1, 0)),
+            lambda x: getitem(concat([transpose(reshape(x, (2, 6)), (1, 0)),
                                       transpose(reshape(x, (2, 6)), (1, 0))],
-                                     axis=1), np.s_[1:5, :])
-                       * w_shape).sum(), t((12,))),
+                                     axis=1), np.s_[1:5, :]),
+            t((12,)), w_shape.data),
         "bilinear_resize": lambda: finite_diff_check(
-            lambda x: (bilinear_resize(x, (6, 7)) * w_bilin).sum(),
-            t((1, 2, 3, 4))),
-        "sum": lambda: finite_diff_check(
-            lambda x: (x.sum(axis=0) * w_sum).sum(), t((3, 4))),
+            lambda x: bilinear_resize(x, (6, 7)), t((1, 2, 3, 4)),
+            w_bilin.data),
+        "sum": lambda: finite_diff_check(lambda x: tsum(x, axis=0), t((3, 4)),
+                                         w_sum.data),
         "wavelet": lambda: finite_diff_check(
-            lambda x: (reference_haar_idwt2(reference_haar_dwt2(x), (5, 5))
-                       * w_wave).sum(),
-            t((1, 2, 5, 5))),
+            lambda x: reference_haar_idwt2(reference_haar_dwt2(x), (5, 5)),
+            t((1, 2, 5, 5)), w_wave.data),
+        "matmul + bias": lambda: finite_diff_check(
+            lambda b: matmul(x_aff, w31, b), t((4,)), w_aff.data),
+        "token residual": lambda: finite_diff_check(
+            lambda x: _add_tokens(w_res, x), t((2, 6, 3)), w_res.data),
     }
     failures = {}
     for name, check in checks.items():
@@ -161,13 +166,11 @@ def test_criterion_3_gradient_suite():
     assert not failures, f"gradient failures: {failures}"
 
     # end-to-end cg_fuse
-    params = FusionParams.create(4, 5, np.random.default_rng(31),
-                                 head_count=2, zero_out_proj=False,
-                                 dtype=np.float64)
+    params = drawn_params(4, 5, seed=31, head_count=2, dtype=np.float64)
     enc = t((1, 5, 2, 3))
     w_out = t((1, 4, 2, 3))
-    err = finite_diff_check(lambda d: (cg_fuse(d, enc, params) * w_out).sum(),
-                            t((1, 4, 2, 3)))
+    err = finite_diff_check(lambda d: cg_fuse(d, enc, params),
+                            t((1, 4, 2, 3)), w_out.data)
     assert err < 1e-4, f"cg_fuse end-to-end gradient err {err}"
 
     # end-to-end combined loss
@@ -202,9 +205,7 @@ def test_criterion_4_attention_contracts():
 
     dec = Tensor(rng.normal(size=(1, 4, 3, 3)).astype(np.float64))
     enc = rng.normal(size=(1, 6, 3, 3))
-    params = FusionParams.create(4, 6, np.random.default_rng(41),
-                                 head_count=2, zero_out_proj=False,
-                                 dtype=np.float64)
+    params = drawn_params(4, 6, seed=41, head_count=2, dtype=np.float64)
     base = cg_fuse(dec, Tensor(enc), params).numpy()
     perm = rng.permutation(9)
     enc_p = enc.reshape(1, 6, 9)[:, :, perm].reshape(1, 6, 3, 3)

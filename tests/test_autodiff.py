@@ -12,8 +12,8 @@ from augseg.autodiff import (
     bilinear_resize,
     conv2d,
     conv_transpose2d,
-    ew_binary,
     finite_diff_check,
+    _check_broadcastable,
     _im2col,
     _interp_matrix,
     _record,
@@ -22,9 +22,7 @@ from augseg.autodiff import (
     gelu,
     matmul,
     relu,
-    reshape,
     softmax_vjp,
-    transpose,
     use_tape,
 )
 from augseg.errors import ContractError, DimensionError
@@ -35,12 +33,57 @@ def t64(data, requires_grad=False):
 
 
 # ----------------------------------------------------------------------
-# Reference primitives: the division, square root, (log-)softmax, concat
-# and slicing ops that the composed token-norm, loss, attention and Haar
-# chains were built from.  The fused ops and the shared Haar butterfly
-# replaced those chains, so these live here, where the tests rebuild the
-# chains as references.
+# Reference primitives: the add, multiply, sum, reshape, transpose,
+# division, square root, (log-)softmax, concat and slicing ops that the
+# composed token-norm, loss, attention, fusion and Haar chains were built
+# from.  The fused ops and the shared Haar butterfly replaced those
+# chains, so these live here, where the tests rebuild the chains as
+# references.  add and mul broadcast numpy-style, and take a number for
+# ``b`` as a constant of ``a``'s dtype.
 # ----------------------------------------------------------------------
+def _operands(a, b):
+    if not isinstance(b, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.dtype))
+    _check_broadcastable(a.shape, b.shape)
+    return a, b
+
+
+def add(a, b):
+    a, b = _operands(a, b)
+    return _record(Tensor(a.data + b.data), (a, b), lambda g: (
+        _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+
+
+def mul(a, b):
+    a, b = _operands(a, b)
+    return _record(Tensor(a.data * b.data), (a, b), lambda g: (
+        _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)))
+
+
+def tsum(x, axis=None, keepdims=False):
+    def back(g):
+        if axis is None:
+            return (np.broadcast_to(g.reshape((1,) * x.ndim), x.shape),)
+        axes = axis if isinstance(axis, tuple) else (axis,)
+        if not keepdims:
+            g = np.expand_dims(g, axes)
+        return (np.broadcast_to(g, x.shape),)
+
+    return _record(Tensor(np.sum(x.data, axis=axis, keepdims=keepdims)),
+                   (x,), back)
+
+
+def reshape(x, shape):
+    return _record(Tensor(x.data.reshape(shape)), (x,),
+                   lambda g: (g.reshape(x.shape),))
+
+
+def transpose(x, axes):
+    inv = tuple(np.argsort(axes))
+    return _record(Tensor(x.data.transpose(axes)), (x,),
+                   lambda g: (g.transpose(inv),))
+
+
 def div(a, b):
     out = Tensor(a.data / b.data)
     return _record(out, (a, b), lambda g: (
@@ -87,20 +130,20 @@ def getitem(x, key):
 
 class TestElementwise:
     def test_mul_identity_mask(self):
-        out = ew_binary("mul", t64([[1, 2], [3, 4]]), t64(np.ones((2, 2))))
+        out = mul(t64([[1, 2], [3, 4]]), t64(np.ones((2, 2))))
         np.testing.assert_array_equal(out.numpy(), [[1, 2], [3, 4]])
 
     def test_add(self):
-        out = ew_binary("add", t64([1, 2, 3]), t64([1, 2, 3]))
+        out = add(t64([1, 2, 3]), t64([1, 2, 3]))
         np.testing.assert_array_equal(out.numpy(), [2, 4, 6])
 
     def test_mul_binary_mask(self):
-        out = ew_binary("mul", t64([[1, 2], [3, 4]]), t64([[0, 1], [1, 0]]))
+        out = mul(t64([[1, 2], [3, 4]]), t64([[0, 1], [1, 0]]))
         np.testing.assert_array_equal(out.numpy(), [[0, 2], [3, 0]])
 
     def test_incompatible_shapes_rejected(self):
         with pytest.raises(DimensionError):
-            ew_binary("add", t64(np.zeros((2, 3))), t64(np.zeros((2, 2))))
+            add(t64(np.zeros((2, 3))), t64(np.zeros((2, 2))))
 
     def test_broadcast_then_reduce_adjoint_exact(self):
         # gradient of sum(A * b) wrt broadcast b is the per-axis sum of A
@@ -108,7 +151,7 @@ class TestElementwise:
         a = t64(rng.normal(size=(4, 3, 5)))
         b = t64(rng.normal(size=(1, 3, 1)), requires_grad=True)
         with use_tape(GradTape()) as tape:
-            tape.backward((a * b).sum())
+            tape.backward(tsum(mul(a, b)))
         expected = a.numpy().sum(axis=(0, 2), keepdims=True)
         np.testing.assert_array_equal(b.grad, expected)
 
@@ -129,7 +172,7 @@ class TestMatmul:
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(0)
         b = t64(rng.normal(size=(4, 3)))
-        err = finite_diff_check(lambda a: matmul(a, b).sum(),
+        err = finite_diff_check(lambda a: tsum(matmul(a, b)),
                                 t64(rng.normal(size=(2, 4))))
         assert err < 1e-6
 
@@ -139,6 +182,48 @@ class TestMatmul:
         lhs = matmul(matmul(t64(a), t64(b)), t64(c)).numpy()
         rhs = matmul(t64(a), matmul(t64(b), t64(c))).numpy()
         assert np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs)) < 1e-10
+
+
+# (tokens, weight) of cg_fuse's feed-forward maps at the default network's
+# fusion levels 1 and 3 in a training batch of 2
+FF_SHAPES = [((2, 256, 24), (24, 96)), ((2, 256, 96), (96, 24)),
+             ((2, 16, 48), (48, 192)), ((2, 16, 192), (192, 48))]
+
+
+class TestMatmulBias:
+    """``matmul(x, w, b)`` is the affine map ``x @ w + b`` as one node."""
+
+    @pytest.mark.parametrize("a_shape,b_shape", FF_SHAPES)
+    def test_equals_matmul_then_add_bit_for_bit(self, a_shape, b_shape):
+        rng = np.random.default_rng(sum(a_shape) + sum(b_shape))
+        a0, b0 = (rng.normal(size=sh).astype(np.float32)
+                  for sh in (a_shape, b_shape))
+        c0 = rng.normal(size=b_shape[1:]).astype(np.float32)
+        g = rng.normal(size=a_shape[:2] + b_shape[1:]).astype(np.float32)
+        runs = []
+        for fused in (True, False):
+            a, b, c = (Tensor(v, requires_grad=True) for v in (a0, b0, c0))
+            with use_tape(GradTape()) as tape:
+                y = matmul(a, b, c) if fused else add(matmul(a, b), c)
+                assert len(tape) == (1 if fused else 2)
+                tape.backward(y, g)
+            runs.append([y.numpy().tobytes()]
+                        + [t.grad.tobytes() for t in (a, b, c)])
+        assert runs[0] == runs[1]
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(19)
+        a, b, c = (t64(rng.normal(size=sh)) for sh in ((2, 3, 4), (4, 5), (5,)))
+        w = rng.normal(size=(2, 3, 5))
+        assert finite_diff_check(lambda t: matmul(t, b, c), a, w) < 1e-6
+        assert finite_diff_check(lambda t: matmul(a, t, c), b, w) < 1e-6
+        assert finite_diff_check(lambda t: matmul(a, b, t), c, w) < 1e-6
+
+    @pytest.mark.parametrize("bias_shape", [(4,), (1,), (1, 5), (3, 5), ()])
+    def test_wrong_bias_shape_rejected(self, bias_shape):
+        with pytest.raises(DimensionError, match="bias shape"):
+            matmul(t64(np.zeros((3, 4))), t64(np.zeros((4, 5))),
+                   t64(np.zeros(bias_shape)))
 
 
 class TestFrozenMatmulOperand:
@@ -184,7 +269,7 @@ class TestConvChannelBlocks:
     def run(x, w, b, g):
         with use_tape(GradTape()) as tape:
             y = conv2d(x, w, b, stride=1, padding=1)
-            tape.backward((y * Tensor(g)).sum())
+            tape.backward(y, g)
         return y.numpy()
 
     @pytest.mark.parametrize("skip_grad", [False, True])
@@ -210,7 +295,7 @@ class TestConvChannelBlocks:
         fc, sc, wc, bc = leaves()
         with use_tape(GradTape()) as tape:
             y = conv2d(concat([fc, sc], axis=1), wc, bc, stride=1, padding=1)
-            tape.backward((y * Tensor(g)).sum())
+            tape.backward(y, g)
         want = y.numpy()
         assert got.dtype == dtype
         assert got.tobytes() == want.tobytes()
@@ -268,8 +353,7 @@ class TestConvChannelBlocks:
         monkeypatch.setattr(autodiff, "_im2col",
                             lambda *a: calls.append(a[1:]) or im2col(*a))
         with use_tape(GradTape()) as tape:
-            y = conv2d(x, w, stride=2, padding=1)
-            tape.backward(y.sum())
+            tape.backward(tsum(conv2d(x, w, stride=2, padding=1)))
         assert len(calls) == 1                # the forward's columns only
         assert x.grad is None and w.grad.shape == w.shape
 
@@ -306,10 +390,10 @@ class TestConv2d:
         rng = np.random.default_rng(2)
         k = t64(rng.normal(size=(2, 2, 3, 3)))
         b = t64(rng.normal(size=(2,)))
-        w = t64(rng.normal(size=(1, 2, 5, 5)))
+        w = rng.normal(size=(1, 2, 5, 5))
         err = finite_diff_check(
-            lambda x: (conv2d(x, k, b, stride=1, padding=1) * w).sum(),
-            t64(rng.normal(size=(1, 2, 5, 5))))
+            lambda x: conv2d(x, k, b, stride=1, padding=1),
+            t64(rng.normal(size=(1, 2, 5, 5))), w)
         assert err < 1e-6
 
     @pytest.mark.parametrize("h,w,k,s,p", [(4, 5, 3, 1, 3), (5, 4, 3, 2, 4),
@@ -320,22 +404,22 @@ class TestConv2d:
         rng = np.random.default_rng(h * 1000 + w * 100 + k * 10 + s + p)
         kern = t64(rng.normal(size=(3, 2, k, k)))
         oh, ow = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
-        wt = t64(rng.normal(size=(1, 3, oh, ow)))
+        wt = rng.normal(size=(1, 3, oh, ow))
         err = finite_diff_check(
-            lambda x: (conv2d(x, kern, stride=s, padding=p) * wt).sum(),
-            t64(rng.normal(size=(1, 2, h, w))))
+            lambda x: conv2d(x, kern, stride=s, padding=p),
+            t64(rng.normal(size=(1, 2, h, w))), wt)
         assert err < 1e-6
 
     def test_kernel_and_bias_gradients(self):
         rng = np.random.default_rng(3)
         x = t64(rng.normal(size=(2, 1, 5, 5)))
-        w = t64(rng.normal(size=(2, 2, 2, 2)))
-        err = finite_diff_check(lambda k: (conv2d(x, k, stride=2) * w).sum(),
-                                t64(rng.normal(size=(2, 1, 3, 3))))
+        w = rng.normal(size=(2, 2, 2, 2))
+        err = finite_diff_check(lambda k: conv2d(x, k, stride=2),
+                                t64(rng.normal(size=(2, 1, 3, 3))), w)
         assert err < 1e-6
         kf = t64(rng.normal(size=(2, 1, 3, 3)))
-        err = finite_diff_check(lambda b: (conv2d(x, kf, b, stride=2) * w).sum(),
-                                t64(rng.normal(size=(2,))))
+        err = finite_diff_check(lambda b: conv2d(x, kf, b, stride=2),
+                                t64(rng.normal(size=(2,))), w)
         assert err < 1e-6
 
 
@@ -367,15 +451,13 @@ class TestConvTranspose2d:
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(4)
         k = t64(rng.normal(size=(2, 3, 2, 2)))
-        w = t64(rng.normal(size=(1, 3, 6, 6)))
-        err = finite_diff_check(
-            lambda x: (conv_transpose2d(x, k) * w).sum(),
-            t64(rng.normal(size=(1, 2, 3, 3))))
+        w = rng.normal(size=(1, 3, 6, 6))
+        err = finite_diff_check(lambda x: conv_transpose2d(x, k),
+                                t64(rng.normal(size=(1, 2, 3, 3))), w)
         assert err < 1e-6
         x = t64(rng.normal(size=(1, 2, 3, 3)))
-        err = finite_diff_check(
-            lambda kk: (conv_transpose2d(x, kk) * w).sum(),
-            t64(rng.normal(size=(2, 3, 2, 2))))
+        err = finite_diff_check(lambda kk: conv_transpose2d(x, kk),
+                                t64(rng.normal(size=(2, 3, 2, 2))), w)
         assert err < 1e-6
 
 
@@ -405,16 +487,16 @@ class TestSoftmax:
 
     def test_gradient(self):
         rng = np.random.default_rng(7)
-        w = t64(rng.normal(size=(4, 5)))
-        err = finite_diff_check(lambda x: (softmax(x, -1) * w).sum(),
-                                t64(rng.normal(size=(4, 5))))
+        w = rng.normal(size=(4, 5))
+        err = finite_diff_check(lambda x: softmax(x, -1),
+                                t64(rng.normal(size=(4, 5))), w)
         assert err < 1e-6
 
     def test_log_softmax_gradient(self):
         rng = np.random.default_rng(8)
-        w = t64(rng.normal(size=(3, 4)))
-        err = finite_diff_check(lambda x: (log_softmax(x, -1) * w).sum(),
-                                t64(rng.normal(size=(3, 4))))
+        w = rng.normal(size=(3, 4))
+        err = finite_diff_check(lambda x: log_softmax(x, -1),
+                                t64(rng.normal(size=(3, 4))), w)
         assert err < 1e-6
 
 
@@ -424,9 +506,8 @@ class TestUnary:
 
     def test_gelu_gradient(self):
         rng = np.random.default_rng(9)
-        w = t64(rng.normal(size=(12,)))
-        err = finite_diff_check(lambda x: (gelu(x) * w).sum(),
-                                t64(rng.normal(size=(12,))))
+        w = rng.normal(size=(12,))
+        err = finite_diff_check(gelu, t64(rng.normal(size=(12,))), w)
         assert err < 1e-5
 
     def test_gelu_values(self):
@@ -439,41 +520,79 @@ class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = t64(np.arange(12).reshape(3, 4), requires_grad=True)
         with use_tape(GradTape()) as tape:
-            tape.backward(x.sum())
+            tape.backward(tsum(x))
         np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
 
     def test_quadratic_gradient(self):
         x = t64([1.0, -2.0, 3.0], requires_grad=True)
         with use_tape(GradTape()) as tape:
-            tape.backward((x * x).sum())
+            tape.backward(tsum(mul(x, x)))
         np.testing.assert_allclose(x.grad, 2 * x.numpy())
 
     def test_composite_conv_relu_sum(self):
         rng = np.random.default_rng(10)
         k = t64(rng.normal(size=(2, 1, 3, 3)))
         err = finite_diff_check(
-            lambda x: relu(conv2d(x, k, padding=1)).sum(),
+            lambda x: tsum(relu(conv2d(x, k, padding=1))),
             t64(rng.normal(size=(1, 1, 6, 6)) + 0.2))
         assert err < 1e-4
 
     def test_non_scalar_loss_rejected(self):
         x = t64([1.0, 2.0], requires_grad=True)
         with use_tape(GradTape()) as tape:
-            y = x * x
-            with pytest.raises(ContractError):
+            y = mul(x, x)
+            with pytest.raises(ContractError, match="scalar loss"):
                 tape.backward(y)
+        assert x.grad is None
+
+    def test_cotangent_seeds_the_vjp(self):
+        x = t64([1.0, -2.0, 3.0], requires_grad=True)
+        g = np.array([0.5, 2.0, -1.0])
+        with use_tape(GradTape()) as tape:
+            tape.backward(mul(x, x), g)
+        np.testing.assert_array_equal(x.grad, 2 * x.numpy() * g)
+        np.testing.assert_array_equal(g, [0.5, 2.0, -1.0])   # only read
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 1), ()])
+    def test_cotangent_of_another_shape_rejected(self, shape):
+        x = t64([1.0, 2.0, 3.0], requires_grad=True)
+        with use_tape(GradTape()) as tape:
+            y = mul(x, x)
+            with pytest.raises(DimensionError, match="cotangent shape"):
+                tape.backward(y, np.ones(shape))
+        assert x.grad is None
+
+    def test_cotangent_equals_product_and_sum_bit_for_bit(self):
+        """Seeding with ``w`` gives the bits of ``sum(out * w)``'s backward,
+        in float32 with a float64 ``w`` too."""
+        rng = np.random.default_rng(17)
+        for dtype in (np.float32, np.float64):
+            x0 = rng.normal(size=(2, 3, 5, 5)).astype(dtype)
+            k0 = rng.normal(size=(4, 3, 3, 3)).astype(dtype)
+            w = rng.normal(size=(2, 4, 5, 5))
+            grads = []
+            for seeded in (True, False):
+                x, k = (Tensor(v, requires_grad=True) for v in (x0, k0))
+                with use_tape(GradTape()) as tape:
+                    y = gelu(conv2d(x, k, padding=1))
+                    if seeded:
+                        tape.backward(y, w)
+                    else:
+                        tape.backward(tsum(mul(y, Tensor(w))))
+                grads.append((x.grad.tobytes(), k.grad.tobytes()))
+            assert grads[0] == grads[1]
 
     def test_accumulation_without_reset(self):
         x = t64([1.0, 2.0], requires_grad=True)
         with use_tape(GradTape()) as tape:
-            loss = (x * x).sum()
+            loss = tsum(mul(x, x))
             tape.backward(loss)
             tape.backward(loss)
         np.testing.assert_allclose(x.grad, 4 * x.numpy())
 
     def test_ops_outside_any_tape_record_nothing(self):
         x = t64([1.0], requires_grad=True)
-        y = (x * x).sum()
+        y = tsum(mul(x, x))
         assert not y.requires_grad
         with use_tape(GradTape()) as tape:
             assert len(tape) == 0
@@ -482,7 +601,7 @@ class TestBackward:
         x = t64([1.0], requires_grad=True)
         unrecorded = t64([1.0], requires_grad=True)
         with use_tape(GradTape()) as tape:
-            (x * x).sum()
+            tsum(mul(x, x))
             assert len(tape) == 2
             for t in (x, unrecorded):
                 with pytest.raises(ContractError):
@@ -495,13 +614,13 @@ class TestBackward:
         x = t64([1.0], requires_grad=True)
         outer, inner = GradTape(), GradTape()
         with use_tape(outer):
-            x * x
+            mul(x, x)
             with use_tape(inner):
-                x * x
-                x * x
+                mul(x, x)
+                mul(x, x)
                 assert (len(outer), len(inner)) == (1, 2)
             assert len(inner) == 0
-            x * x
+            mul(x, x)
             assert len(outer) == 2
 
     def test_uint8_never_tracks_gradient(self):
@@ -512,21 +631,21 @@ class TestBackward:
 class TestShapeOps:
     def test_reshape_transpose_concat_gradients(self):
         rng = np.random.default_rng(11)
-        w = t64(rng.normal(size=(2, 12)))
+        w = rng.normal(size=(2, 12))
 
         def f(x):
             a = transpose(reshape(x, (2, 3, 4)), (0, 2, 1))
             b = concat([reshape(a, (2, 12)), reshape(a, (2, 12))], axis=1)
-            return (getitem(b, np.s_[:, :12]) * w).sum()
+            return getitem(b, np.s_[:, :12])
 
-        err = finite_diff_check(f, t64(rng.normal(size=(24,))))
+        err = finite_diff_check(f, t64(rng.normal(size=(24,))), w)
         assert err < 1e-7
 
     def test_slice_gradient(self):
         rng = np.random.default_rng(12)
-        w = t64(rng.normal(size=(2, 2)))
-        err = finite_diff_check(lambda x: (getitem(x, np.s_[1:3, ::2]) * w).sum(),
-                                t64(rng.normal(size=(4, 4))))
+        w = rng.normal(size=(2, 2))
+        err = finite_diff_check(lambda x: getitem(x, np.s_[1:3, ::2]),
+                                t64(rng.normal(size=(4, 4))), w)
         assert err < 1e-7
 
 
@@ -544,9 +663,9 @@ class TestBilinearResize:
 
     def test_gradient(self):
         rng = np.random.default_rng(14)
-        w = t64(rng.normal(size=(1, 2, 7, 6)))
-        err = finite_diff_check(lambda x: (bilinear_resize(x, (7, 6)) * w).sum(),
-                                t64(rng.normal(size=(1, 2, 3, 4))))
+        w = rng.normal(size=(1, 2, 7, 6))
+        err = finite_diff_check(lambda x: bilinear_resize(x, (7, 6)),
+                                t64(rng.normal(size=(1, 2, 3, 4))), w)
         assert err < 1e-7
 
 
@@ -634,11 +753,12 @@ def ref_bilinear_resize(x, out_hw):
 
 
 def tape_vjp(fn, inputs, g):
-    """Output and input gradients of ``sum(fn(*inputs) * g)`` via the tape."""
+    """Output and input gradients of ``fn(*inputs)`` at cotangent ``g``
+    via the tape."""
     leaves = [Tensor(a, requires_grad=True) for a in inputs]
     with use_tape(GradTape()) as tape:
         y = fn(*leaves)
-        tape.backward((y * Tensor(g)).sum())
+        tape.backward(y, g)
     return y.numpy(), [t.grad for t in leaves]
 
 
@@ -717,7 +837,7 @@ class TestKernelsAgainstReference:
         with use_tape(GradTape()) as tape:
             y = conv2d([live, skip] if frozen else live, w, stride=s,
                        padding=p)
-            tape.backward((y * Tensor(g)).sum())
+            tape.backward(y, g)
         dx, dw = vjp(g.astype(np.float64))
         assert y.dtype == np.float32 and skip.grad is None
         np.testing.assert_allclose(y.numpy(), want, **F32_TOL)
@@ -747,17 +867,19 @@ class TestKernelsAgainstReference:
         k = t64(rng.normal(size=(2, 3, kh, kw)))
         b = t64(rng.normal(size=(3,)))
         x = t64(rng.normal(size=(1, 2, 3, 4)))
-        w = t64(rng.normal(size=(1, 3, 3 * kh, 4 * kw)))
-        f = lambda xx, kk, bb: (conv_transpose2d(xx, kk, bb) * w).sum()
-        assert finite_diff_check(lambda xx: f(xx, k, b), x) < 1e-4
-        assert finite_diff_check(lambda kk: f(x, kk, b), k) < 1e-4
-        assert finite_diff_check(lambda bb: f(x, k, bb), b) < 1e-4
+        w = rng.normal(size=(1, 3, 3 * kh, 4 * kw))
+        assert finite_diff_check(lambda xx: conv_transpose2d(xx, k, b),
+                                 x, w) < 1e-4
+        assert finite_diff_check(lambda kk: conv_transpose2d(x, kk, b),
+                                 k, w) < 1e-4
+        assert finite_diff_check(lambda bb: conv_transpose2d(x, k, bb),
+                                 b, w) < 1e-4
 
     def test_bilinear_downsampling_finite_differences(self):
         rng = np.random.default_rng(22)
-        w = t64(rng.normal(size=(1, 2, 3, 4)))
-        err = finite_diff_check(lambda x: (bilinear_resize(x, (3, 4)) * w).sum(),
-                                t64(rng.normal(size=(1, 2, 8, 9))))
+        w = rng.normal(size=(1, 2, 3, 4))
+        err = finite_diff_check(lambda x: bilinear_resize(x, (3, 4)),
+                                t64(rng.normal(size=(1, 2, 8, 9))), w)
         assert err < 1e-4
 
 
@@ -939,23 +1061,39 @@ class TestInterpMatrixCache:
 
 class TestFiniteDiffCheck:
     def test_sum_is_exact(self):
-        assert finite_diff_check(lambda x: x.sum(), t64(np.ones((3, 3)))) < 1e-9
+        assert finite_diff_check(tsum, t64(np.ones((3, 3)))) < 1e-9
 
     def test_quadratic(self):
         rng = np.random.default_rng(15)
-        assert finite_diff_check(lambda x: (x * x).sum(),
+        assert finite_diff_check(lambda x: tsum(mul(x, x)),
                                  t64(rng.normal(size=(8,)))) < 1e-7
 
     def test_softmax_composite(self):
         rng = np.random.default_rng(16)
-        w = t64(rng.normal(size=(6,)))
-        err = finite_diff_check(lambda x: (softmax(x, 0) * w).sum(),
-                                t64(rng.normal(size=(6,))))
+        w = rng.normal(size=(6,))
+        err = finite_diff_check(lambda x: softmax(x, 0),
+                                t64(rng.normal(size=(6,))), w)
         assert err < 1e-5
+
+    def test_cotangent_equals_product_and_sum_bit_for_bit(self):
+        """With ``w`` the check makes the numpy calls of the scalar
+        ``sum(f(x) * w)`` check, so both return the same float."""
+        rng = np.random.default_rng(18)
+        w = rng.normal(size=(2, 7))
+        x = t64(rng.normal(size=(2, 7)))
+        for f in (lambda t: softmax(t, -1), gelu):
+            assert finite_diff_check(f, x, w) == finite_diff_check(
+                lambda t: tsum(mul(f(t), t64(w))), x)
+
+    def test_non_scalar_output_needs_a_cotangent(self):
+        with pytest.raises(ContractError, match="scalar loss"):
+            finite_diff_check(gelu, t64([1.0, 2.0]))
+        with pytest.raises(DimensionError, match="cotangent shape"):
+            finite_diff_check(gelu, t64([1.0, 2.0]), np.ones(3))
 
     def test_eps_must_be_positive(self):
         with pytest.raises(ContractError):
-            finite_diff_check(lambda x: x.sum(), t64([1.0]), eps=0.0)
+            finite_diff_check(tsum, t64([1.0]), eps=0.0)
 
 
 class TestRandomizedGradientSweep:
@@ -968,13 +1106,13 @@ class TestRandomizedGradientSweep:
         h = int(rng.integers(4, 9) // 2 * 2)
         w = int(rng.integers(4, 9) // 2 * 2)
         k = t64(rng.normal(size=(3, c, 3, 3)) * 0.5)
-        wt = t64(rng.normal(size=(n, 3, h, w)))
+        wt = rng.normal(size=(n, 3, h, w))
 
         def f(x):
             y = conv2d(x, k, padding=1)
             y = gelu(y)
             y = bilinear_resize(y, (h, w))
-            return (softmax(y, 1) * wt).sum()
+            return softmax(y, 1)
 
-        err = finite_diff_check(f, t64(rng.normal(size=(n, c, h, w))))
+        err = finite_diff_check(f, t64(rng.normal(size=(n, c, h, w))), wt)
         assert err < 1e-4

@@ -923,7 +923,9 @@ class TestExit1Messages:
 
     @pytest.mark.parametrize("seeds,message", [
         ("0,x", "--seeds must be comma-separated integers: 0,x"),
-        ("", "need at least one seed")])
+        ("", "need at least one seed"),
+        ("0,0", "seeds repeat [0]"),
+        ("2,1,2", "seeds repeat [2]")])
     def test_ablate_seeds(self, dataset, tmp_path, capsys, seeds, message):
         self.check(capsys, ["ablate", "--data", str(dataset), "--out",
                             str(tmp_path / "abl"), "--seeds", seeds,

@@ -1,6 +1,7 @@
 """Cross-attention (one recorded op) and the fusion block."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,18 +11,16 @@ from augseg.autodiff import (
     Tensor,
     finite_diff_check,
     matmul,
-    reshape,
     gelu,
-    transpose,
-    tsum,
     use_tape,
 )
 from augseg.errors import ContractError
-from augseg.fusion import (_NORM_EPS, FusionParams, _norm_tokens, cg_fuse,
-                           cross_attention)
+from augseg.fusion import (_NORM_EPS, FusionParams, _add_tokens, _norm_tokens,
+                           cg_fuse, cross_attention)
 from augseg.model import Network, NetworkConfig
 
-from test_autodiff import div, softmax, sqrt
+from test_autodiff import (add, div, mul, reshape, softmax, sqrt, transpose,
+                           tsum)
 
 # (decoder map, encoder map) shapes at fusion levels 3, 2 and 1 of a
 # default-network training batch of 2
@@ -32,6 +31,18 @@ LEVEL_SHAPES = [((2, 64, 4, 4), (2, 48, 4, 4)),
 
 def rand_params(c_dec, c_enc, seed=0, **kw):
     return FusionParams.create(c_dec, c_enc, np.random.default_rng(seed), **kw)
+
+
+def drawn_params(c_dec, c_enc, seed=0, head_count=4, dtype=np.float32):
+    """A block whose every tensor is drawn at fan-in scale in ``dtype``, so
+    that, unlike at the identity start, the output projection and the
+    biases carry signal and gradient."""
+    rng = np.random.default_rng(seed)
+    params = FusionParams.create(c_dec, c_enc, rng, head_count=head_count)
+    return replace(params, **{
+        name: Tensor((rng.normal(size=t.shape) / np.sqrt(t.shape[0]))
+                     .astype(dtype), requires_grad=True)
+        for name, t in params.named_tensors().items()})
 
 
 def composed_attention(q, k, v, head_count):
@@ -45,7 +56,7 @@ def composed_attention(q, k, v, head_count):
 
     logits = matmul(split_heads(q, t_q),
                     transpose(split_heads(k, t_k), (0, 1, 3, 2)))
-    attn = softmax(logits * (1.0 / np.sqrt(d_k)), axis=-1)
+    attn = softmax(mul(logits, 1.0 / np.sqrt(d_k)), axis=-1)
     out = matmul(attn, split_heads(v, t_k))
     return reshape(transpose(out, (0, 2, 1, 3)), (n, t_q, d))
 
@@ -55,33 +66,56 @@ def composed_norm_tokens(feat):
     primitive tape ops."""
     n, c, h, w = feat.shape
     tokens = transpose(reshape(feat, (n, c, h * w)), (0, 2, 1))
-    centered = tokens + tsum(tokens, axis=-1, keepdims=True) * (-1.0 / c)
-    var = tsum(centered * centered, axis=-1, keepdims=True) * (1.0 / c)
-    return div(centered, sqrt(var + _NORM_EPS))
+    centered = add(tokens, mul(tsum(tokens, axis=-1, keepdims=True), -1.0 / c))
+    var = mul(tsum(mul(centered, centered), axis=-1, keepdims=True), 1.0 / c)
+    return div(centered, sqrt(add(var, _NORM_EPS)))
+
+
+def composed_ff(proj, params):
+    """Reference: the feed-forward block as the chain of primitive ops
+    that the biased ``matmul`` replaced."""
+    hidden = gelu(add(matmul(proj, params.ff_w1), params.ff_b1))
+    return add(matmul(hidden, params.ff_w2), params.ff_b2)
+
+
+def composed_add_tokens(feat, tokens):
+    """Reference: the tokens laid out as a map by a transpose and a
+    reshape, then added."""
+    return add(feat, reshape(transpose(tokens, (0, 2, 1)), feat.shape))
 
 
 def composed_cg_fuse(decoder_feat, aug_enc_feat, params):
-    """Reference: ``cg_fuse`` with the composed norm, and the residual
-    added in token layout before the map is laid back out."""
+    """Reference: ``cg_fuse`` with the composed norm and feed-forward
+    block, and the residual added in token layout before the map is laid
+    back out."""
     n, c_dec, h, w = decoder_feat.shape
     dec_n = composed_norm_tokens(decoder_feat)
     enc_n = composed_norm_tokens(aug_enc_feat)
     attn = cross_attention(matmul(dec_n, params.w_q),
                            matmul(enc_n, params.w_k),
                            matmul(enc_n, params.w_v), params.head_count)
-    hidden = gelu(matmul(matmul(attn, params.w_o), params.ff_w1)
-                  + params.ff_b1)
-    ff = matmul(hidden, params.ff_w2) + params.ff_b2
+    ff = composed_ff(matmul(attn, params.w_o), params)
     dec = transpose(reshape(decoder_feat, (n, c_dec, h * w)), (0, 2, 1))
-    return reshape(transpose(dec + ff, (0, 2, 1)), (n, c_dec, h, w))
+    return reshape(transpose(add(dec, ff), (0, 2, 1)), (n, c_dec, h, w))
+
+
+def composed_tail_cg_fuse(decoder_feat, aug_enc_feat, params):
+    """Reference: ``cg_fuse`` up to the output projection, then its tail
+    as the eight-node chain that the two fused ops replaced."""
+    enc_n = _norm_tokens(aug_enc_feat)
+    attn = cross_attention(matmul(_norm_tokens(decoder_feat), params.w_q),
+                           matmul(enc_n, params.w_k), matmul(enc_n, params.w_v),
+                           params.head_count)
+    return composed_add_tokens(
+        decoder_feat, composed_ff(matmul(attn, params.w_o), params))
 
 
 def value_and_grads(fn, inputs, g):
-    """Output of ``fn(*inputs)`` and the gradients of ``sum(out * g)``
+    """Output of ``fn(*inputs)`` and its gradients at cotangent ``g``
     with respect to each input."""
     with use_tape(GradTape()) as tape:
         out = fn(*inputs)
-        tape.backward((out * Tensor(g)).sum())
+        tape.backward(out, g)
     grads = [t.grad for t in inputs]
     for t in inputs:
         t.grad = None
@@ -89,11 +123,12 @@ def value_and_grads(fn, inputs, g):
 
 
 def value_and_vjps(attention, q, k, v, g, head_count):
-    """Output and (dQ, dK, dV) of ``sum(attention(q, k, v) * g)``."""
+    """Output and (dQ, dK, dV) of ``attention(q, k, v)`` at cotangent
+    ``g``."""
     leaves = [Tensor(x.copy(), requires_grad=True) for x in (q, k, v)]
     with use_tape(GradTape()) as tape:
         out = attention(*leaves, head_count)
-        tape.backward((out * Tensor(g)).sum())
+        tape.backward(out, g)
     return [out.numpy()] + [t.grad for t in leaves]
 
 
@@ -217,8 +252,8 @@ class TestCrossAttention:
             forward = peak_above_current(
                 lambda: cross_attention(*leaves, heads))
             with use_tape(GradTape()) as tape:
-                loss = (cross_attention(*leaves, heads) * Tensor(g)).sum()
-                backward = peak_above_current(lambda: tape.backward(loss))
+                out = cross_attention(*leaves, heads)
+                backward = peak_above_current(lambda: tape.backward(out, g))
         finally:
             tracemalloc.stop()
         assert forward <= 1.5 * p_bytes, forward / p_bytes
@@ -241,19 +276,16 @@ class TestCrossAttention:
         rng = np.random.default_rng(5)
         k = Tensor(rng.normal(size=(1, 4, 4)).astype(np.float64))
         v = Tensor(rng.normal(size=(1, 4, 4)).astype(np.float64))
-        w = Tensor(rng.normal(size=(1, 3, 4)).astype(np.float64))
-        err = finite_diff_check(
-            lambda q: (cross_attention(q, k, v, 2) * w).sum(),
-            Tensor(rng.normal(size=(1, 3, 4))))
+        w = rng.normal(size=(1, 3, 4))
+        err = finite_diff_check(lambda q: cross_attention(q, k, v, 2),
+                                Tensor(rng.normal(size=(1, 3, 4))), w)
         assert err < 1e-6
         q = Tensor(rng.normal(size=(1, 3, 4)).astype(np.float64))
-        err = finite_diff_check(
-            lambda kk: (cross_attention(q, kk, v, 2) * w).sum(),
-            Tensor(rng.normal(size=(1, 4, 4))))
+        err = finite_diff_check(lambda kk: cross_attention(q, kk, v, 2),
+                                Tensor(rng.normal(size=(1, 4, 4))), w)
         assert err < 1e-6
-        err = finite_diff_check(
-            lambda vv: (cross_attention(q, k, vv, 2) * w).sum(),
-            Tensor(rng.normal(size=(1, 4, 4))))
+        err = finite_diff_check(lambda vv: cross_attention(q, k, vv, 2),
+                                Tensor(rng.normal(size=(1, 4, 4))), w)
         assert err < 1e-6
 
 
@@ -281,10 +313,10 @@ class TestTokenNorm:
 
     def test_gradient_finite_differences(self):
         rng = np.random.default_rng(22)
-        w = Tensor(rng.normal(size=(2, 6, 5)))
+        w = rng.normal(size=(2, 6, 5))
         x = Tensor(rng.normal(size=(2, 5, 2, 3)))
         for norm in (_norm_tokens, composed_norm_tokens):
-            err = finite_diff_check(lambda f: (norm(f) * w).sum(), x)
+            err = finite_diff_check(norm, x, w)
             assert err < 1e-4, norm.__name__
 
     def test_tokens_have_zero_mean_unit_variance(self):
@@ -300,12 +332,46 @@ class TestTokenNorm:
             assert len(tape) == 1
 
 
+class TestAddTokens:
+    @pytest.mark.parametrize("shape", [s for s, _ in LEVEL_SHAPES]
+                             + [(1, 3, 2, 5)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_composed_chain_bit_for_bit(self, shape, dtype):
+        n, c, h, w = shape
+        rng = np.random.default_rng(sum(shape))
+        f0 = rng.normal(size=shape).astype(dtype)
+        t0 = rng.normal(size=(n, h * w, c)).astype(dtype)
+        g = rng.normal(size=shape).astype(dtype)
+        runs = []
+        for op in (_add_tokens, composed_add_tokens):
+            feat, tokens = (Tensor(x, requires_grad=True) for x in (f0, t0))
+            out, grads = value_and_grads(op, [feat, tokens], g)
+            runs.append([out.tobytes()] + [x.tobytes() for x in grads])
+            assert out.dtype == dtype and grads[1].shape == t0.shape
+        assert runs[0] == runs[1]
+
+    def test_gradient_finite_differences(self):
+        rng = np.random.default_rng(28)
+        feat = Tensor(rng.normal(size=(2, 3, 2, 4)))
+        tokens = Tensor(rng.normal(size=(2, 8, 3)))
+        w = rng.normal(size=(2, 3, 2, 4))
+        assert finite_diff_check(lambda t: _add_tokens(feat, t), tokens,
+                                 w) < 1e-8
+        assert finite_diff_check(lambda f: _add_tokens(f, tokens), feat,
+                                 w) < 1e-8
+
+    def test_records_one_tape_node(self):
+        feat = Tensor(np.ones((1, 2, 2, 2)), requires_grad=True)
+        with use_tape(GradTape()) as tape:
+            _add_tokens(feat, Tensor(np.ones((1, 4, 2))))
+            assert len(tape) == 1
+
+
 class TestCgFuse:
     def test_float32_forward_equals_composed_chain_bit_for_bit(self):
         rng = np.random.default_rng(24)
         for level, (dec_shape, enc_shape) in enumerate(LEVEL_SHAPES):
-            params = rand_params(dec_shape[1], enc_shape[1], seed=level,
-                                 zero_out_proj=False)
+            params = drawn_params(dec_shape[1], enc_shape[1], seed=level)
             dec = Tensor(rng.normal(size=dec_shape).astype(np.float32))
             enc = Tensor(rng.normal(size=enc_shape).astype(np.float32))
             got = cg_fuse(dec, enc, params).numpy()
@@ -316,9 +382,8 @@ class TestCgFuse:
     def test_float64_vjps_match_composed_chain(self):
         rng = np.random.default_rng(25)
         dec_shape, enc_shape = LEVEL_SHAPES[1]
-        params = FusionParams.create(dec_shape[1], enc_shape[1],
-                                     np.random.default_rng(26),
-                                     zero_out_proj=False, dtype=np.float64)
+        params = drawn_params(dec_shape[1], enc_shape[1], seed=26,
+                              dtype=np.float64)
         dec = Tensor(rng.normal(size=dec_shape), requires_grad=True)
         enc = Tensor(rng.normal(size=enc_shape), requires_grad=True)
         inputs = [dec, enc] + list(params.named_tensors().values())
@@ -331,6 +396,40 @@ class TestCgFuse:
         names = ["decoder", "encoder"] + list(params.named_tensors())
         for name, a, b in zip(names, grads, grads_ref):
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+
+    @pytest.mark.parametrize("shapes", LEVEL_SHAPES)
+    def test_float32_equals_composed_tail_bit_for_bit(self, shapes):
+        """Forward and every gradient, against the tail as the chain of
+        matmul, bias add, GELU, matmul, bias add, transpose, reshape and
+        add that the biased matmuls and ``_add_tokens`` replaced."""
+        dec_shape, enc_shape = shapes
+        rng = np.random.default_rng(27 + dec_shape[1])
+        params = drawn_params(dec_shape[1], enc_shape[1], seed=dec_shape[1])
+        dec = Tensor(rng.normal(size=dec_shape).astype(np.float32),
+                     requires_grad=True)
+        enc = Tensor(rng.normal(size=enc_shape).astype(np.float32))
+        inputs = [dec] + list(params.named_tensors().values())
+        g = rng.normal(size=dec_shape).astype(np.float32)
+        got, grads = value_and_grads(
+            lambda d, *_: cg_fuse(d, enc, params), inputs, g)
+        want, grads_ref = value_and_grads(
+            lambda d, *_: composed_tail_cg_fuse(d, enc, params), inputs, g)
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+        names = ["decoder"] + list(params.named_tensors())
+        for name, a, b in zip(names, grads, grads_ref):
+            assert a.dtype == np.float32, name
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_records_eleven_tape_nodes(self):
+        # two norms, three projections, the attention, the output
+        # projection, two biased matmuls, the GELU and the residual
+        params = rand_params(4, 6, head_count=2)
+        dec = Tensor(np.ones((1, 4, 2, 2), np.float32), requires_grad=True)
+        enc = Tensor(np.ones((1, 6, 2, 2), np.float32), requires_grad=True)
+        with use_tape(GradTape()) as tape:
+            cg_fuse(dec, enc, params)
+            assert len(tape) == 11
 
     def test_residual_identity_at_init(self):
         rng = np.random.default_rng(6)
@@ -346,8 +445,7 @@ class TestCgFuse:
         for (n, cd, ce, h, w) in [(1, 4, 6, 2, 2), (2, 8, 8, 3, 5)]:
             dec = Tensor(rng.normal(size=(n, cd, h, w)).astype(np.float32))
             enc = Tensor(rng.normal(size=(n, ce, h, w)).astype(np.float32))
-            params = rand_params(cd, ce, seed=n, head_count=2,
-                                 zero_out_proj=False)
+            params = drawn_params(cd, ce, seed=n, head_count=2)
             assert cg_fuse(dec, enc, params).shape == dec.shape
 
     def test_head_count_not_dividing_width_rejected_at_build(self):
@@ -364,7 +462,7 @@ class TestCgFuse:
         rng = np.random.default_rng(8)
         dec = Tensor(rng.normal(size=(1, 4, 3, 3)).astype(np.float64))
         enc = rng.normal(size=(1, 6, 3, 3))
-        params = rand_params(4, 6, seed=9, head_count=2, zero_out_proj=False)
+        params = drawn_params(4, 6, seed=9, head_count=2)
         base = cg_fuse(dec, Tensor(enc), params).numpy()
         perm = rng.permutation(9)
         enc_perm = enc.reshape(1, 6, 9)[:, :, perm].reshape(1, 6, 3, 3)
@@ -373,18 +471,14 @@ class TestCgFuse:
 
     def test_gradients_wrt_inputs_and_weights(self):
         rng = np.random.default_rng(10)
-        params = FusionParams.create(4, 5, np.random.default_rng(11),
-                                     head_count=2, zero_out_proj=False,
-                                     dtype=np.float64)
-        dec64 = Tensor(rng.normal(size=(1, 4, 2, 3)).astype(np.float64))
-        enc64 = Tensor(rng.normal(size=(1, 5, 2, 3)).astype(np.float64))
-        w = Tensor(rng.normal(size=(1, 4, 2, 3)).astype(np.float64))
+        params = drawn_params(4, 5, seed=11, head_count=2, dtype=np.float64)
+        dec64 = Tensor(rng.normal(size=(1, 4, 2, 3)))
+        enc64 = Tensor(rng.normal(size=(1, 5, 2, 3)))
+        w = rng.normal(size=(1, 4, 2, 3))
 
-        err = finite_diff_check(
-            lambda d: (cg_fuse(d, enc64, params) * w).sum(), dec64)
+        err = finite_diff_check(lambda d: cg_fuse(d, enc64, params), dec64, w)
         assert err < 1e-4
-        err = finite_diff_check(
-            lambda e: (cg_fuse(dec64, e, params) * w).sum(), enc64)
+        err = finite_diff_check(lambda e: cg_fuse(dec64, e, params), enc64, w)
         assert err < 1e-4
         for name in params.named_tensors():
             original = getattr(params, name)
@@ -392,9 +486,9 @@ class TestCgFuse:
             def f(p, _name=name, _orig=original):
                 setattr(params, _name, p)
                 try:
-                    return (cg_fuse(dec64, enc64, params) * w).sum()
+                    return cg_fuse(dec64, enc64, params)
                 finally:
                     setattr(params, _name, _orig)
 
-            err = finite_diff_check(f, original)
+            err = finite_diff_check(f, original, w)
             assert err < 1e-4, f"gradient mismatch for {name}: {err}"

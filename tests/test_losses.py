@@ -10,12 +10,11 @@ import math
 import numpy as np
 import pytest
 
-from augseg.autodiff import (GradTape, Tensor, finite_diff_check, tsum,
-                             use_tape)
+from augseg.autodiff import GradTape, Tensor, finite_diff_check, use_tape
 from augseg.errors import ContractError, DimensionError
 from augseg.losses import DICE_EPS, combined_loss, one_hot
 
-from test_autodiff import div, getitem, log_softmax, softmax
+from test_autodiff import add, div, getitem, log_softmax, mul, softmax, tsum
 
 
 def ce_loss(logits, labels):
@@ -27,25 +26,27 @@ def ce_loss(logits, labels):
     if labels.shape != (n, h, w):
         raise DimensionError(
             f"labels shape {labels.shape} does not match logits {logits.shape}")
-    picked = tsum(log_softmax(logits, axis=1) * one_hot(labels, k))
-    return picked * (-1.0 / (n * h * w))
+    picked = tsum(mul(log_softmax(logits, axis=1), one_hot(labels, k)))
+    return mul(picked, -1.0 / (n * h * w))
 
 
 def dice_loss(probs, target_one_hot):
     """Reference: 1 - mean over foreground classes of the smoothed Dice
     coefficient, with sums over batch and spatial axes per class."""
     k = probs.shape[1]
-    inter = tsum(probs * target_one_hot, axis=(0, 2, 3))
+    inter = tsum(mul(probs, target_one_hot), axis=(0, 2, 3))
     psum = tsum(probs, axis=(0, 2, 3))
-    tsum_ = tsum(target_one_hot, axis=(0, 2, 3))
-    dice = div(inter * 2.0 + DICE_EPS, psum + tsum_ + DICE_EPS)
-    return getitem(dice, np.s_[1:]).sum() * (-1.0 / (k - 1)) + 1.0
+    tsum_ = tsum(Tensor(target_one_hot), axis=(0, 2, 3))
+    dice = div(add(mul(inter, 2.0), DICE_EPS),
+               add(add(psum, tsum_), DICE_EPS))
+    return add(mul(tsum(getitem(dice, np.s_[1:])), -1.0 / (k - 1)), 1.0)
 
 
 def composed_loss(logits, labels):
     """Reference: the loss as the chain of primitive tape ops."""
     target = one_hot(np.asarray(labels), logits.shape[1])
-    return ce_loss(logits, labels) + dice_loss(softmax(logits, axis=1), target)
+    return add(ce_loss(logits, labels),
+               dice_loss(softmax(logits, axis=1), target))
 
 
 def loss_and_vjp(loss_fn, logits, labels):

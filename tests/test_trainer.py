@@ -35,6 +35,7 @@ from augseg.trainer import (
     train,
 )
 from augseg.wavelet import WtAugConfig
+from test_autodiff import mul, tsum
 from test_fusion import composed_attention
 
 
@@ -208,7 +209,7 @@ class TestAdamStep:
         p = Tensor(x.copy(), requires_grad=True)
         state = AdamState.for_params({"p": p})
         with use_tape(GradTape()) as tape:
-            loss = (p * p).sum()
+            loss = tsum(mul(p, p))
             tape.backward(loss)
             tape.backward(loss)
         np.testing.assert_array_equal(state.store[3], 4 * x)
@@ -672,12 +673,14 @@ class TestTrain:
                                        chain_params[name].numpy(), rtol=0,
                                        atol=1e-4, err_msg=name)
 
-    def test_default_network_step_records_at_most_55_tape_nodes(
+    def test_default_network_step_records_at_most_43_tape_nodes(
             self, dataset, monkeypatch):
-        # the token norm, the attention and the loss are one node each, and
+        # the token norm, the attention, the residual and the loss are one
+        # node each, each feed-forward affine map is one biased matmul, and
         # each ccu conv reads its two inputs without a concat node; a
-        # feature_wavelet step records 55, 58 with the concats, and 95
-        # when the norm and the loss were chains of primitive ops
+        # feature_wavelet step records 43, 55 with the feed-forward tail as
+        # eight nodes per level, 58 with the concats as well, and 95 when
+        # the norm and the loss were chains of primitive ops
         sizes = []
         backward = trainer.GradTape.backward
 
@@ -689,7 +692,7 @@ class TestTrain:
         train(TrainConfig(epochs=1, shots=2, batch_size=2,
                           augmentation="feature_wavelet"),
               NetworkConfig(), dataset)
-        assert len(sizes) == 1 and sizes[0] <= 55, sizes
+        assert len(sizes) == 1 and sizes[0] <= 43, sizes
 
     def test_cg_fuse_off_skips_fusion_params(self, dataset):
         cfg = TrainConfig(epochs=2, shots=1, seed=5, augmentation="none")
@@ -781,6 +784,21 @@ class TestAblationRun:
         assert list(results) == ["none"]
         assert tests == {}
         assert (tmp_path / "ablation.csv").exists()
+
+    @pytest.mark.parametrize("seeds,repeated", [([0, 0], "[0]"),
+                                                ([3, 1, 3, 1, 2], "[1, 3]")])
+    def test_repeated_seed_rejected_before_any_run(self, dataset, tmp_path,
+                                                   monkeypatch, seeds,
+                                                   repeated):
+        runs = []
+        monkeypatch.setattr(trainer, "train",
+                            lambda *a, **kw: runs.append(a))
+        with pytest.raises(ContractError,
+                           match=re.escape(f"seeds repeat {repeated}")):
+            ablation_run([ArmSpec("none", "none")], seeds,
+                         TrainConfig(epochs=1, shots=1), tiny_net_config(),
+                         dataset, str(tmp_path))
+        assert runs == [] and not (tmp_path / "ablation.csv").exists()
 
     def test_identical_arms_give_degenerate_wilcoxon(self, dataset):
         cfg = TrainConfig(epochs=1, shots=1)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from augseg.autodiff import Tensor, reshape
+from augseg.autodiff import Tensor
 from augseg.errors import ContractError
 from augseg.wavelet import (
     WtAugConfig,
@@ -13,7 +13,7 @@ from augseg.wavelet import (
     wt_aug,
 )
 
-from test_autodiff import concat, getitem
+from test_autodiff import add, concat, getitem, mul, reshape
 
 
 def a4(data, dtype=np.float32):
@@ -238,6 +238,19 @@ class TestWtAug:
 # with the shared butterfly, which sums (a + b) + (c + d) where this
 # chain sums ((a + b) + c) + d, so the two agree to rounding.
 # ----------------------------------------------------------------------
+# signs of the 2nd, 3rd and 4th term of each (p ± q ± r ± s) / 2, in
+# LL, LH, HL, HH order for the analysis and a, b, c, d for the synthesis
+HAAR_SIGNS = [(1, 1, 1), (-1, 1, -1), (1, -1, -1), (-1, -1, 1)]
+
+
+def haar_combine(p, q, r, s, signs):
+    """(p ± q ± r ± s) * 0.5, summed left to right."""
+    acc = p
+    for t, sign in zip((q, r, s), signs):
+        acc = add(acc, t if sign > 0 else mul(t, -1.0))
+    return mul(acc, 0.5)
+
+
 def reference_haar_dwt2(f):
     """[LL, LH, HL, HH] tape tensors of the [N,C,H,W] tensor ``f``."""
     n, c, h, w = f.shape
@@ -247,21 +260,13 @@ def reference_haar_dwt2(f):
         f = concat([f, getitem(f, np.s_[:, :, :, w - 2:w - 1])], axis=3)
     a, b, cc, d = (getitem(f, np.s_[:, :, i::2, j::2])
                    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    ll = (a + b + cc + d) * 0.5
-    lh = (a + b * -1.0 + cc + d * -1.0) * 0.5
-    hl = (a + b + cc * -1.0 + d * -1.0) * 0.5
-    hh = (a + b * -1.0 + cc * -1.0 + d) * 0.5
-    return [ll, lh, hl, hh]
+    return [haar_combine(a, b, cc, d, signs) for signs in HAAR_SIGNS]
 
 
 def reference_haar_idwt2(bands, hw=None):
     """Inverse of ``reference_haar_dwt2``, cropped to ``hw`` when given."""
-    ll, lh, hl, hh = bands
-    a = (ll + lh + hl + hh) * 0.5
-    b = (ll + lh * -1.0 + hl + hh * -1.0) * 0.5
-    c = (ll + lh + hl * -1.0 + hh * -1.0) * 0.5
-    d = (ll + lh * -1.0 + hl * -1.0 + hh) * 0.5
-    n, ch, h2, w2 = ll.shape
+    a, b, c, d = (haar_combine(*bands, signs) for signs in HAAR_SIGNS)
+    n, ch, h2, w2 = bands[0].shape
     top = concat([reshape(a, (n, ch, h2, 1, w2, 1)),
                   reshape(b, (n, ch, h2, 1, w2, 1))], axis=5)
     bottom = concat([reshape(c, (n, ch, h2, 1, w2, 1)),
@@ -276,7 +281,7 @@ def reference_haar_idwt2(bands, hw=None):
 def reference_wt_aug(f, masks):
     """idwt(mask * dwt(f)) with the composed reference pair; ``masks`` is
     make_masks' [4, 1, c|1, h, w] array."""
-    bands = [b * Tensor(m) for b, m in zip(reference_haar_dwt2(f), masks)]
+    bands = [mul(b, Tensor(m)) for b, m in zip(reference_haar_dwt2(f), masks)]
     return reference_haar_idwt2(bands, f.shape[2:])
 
 
