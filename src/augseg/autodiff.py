@@ -32,7 +32,6 @@ from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ContractError, DimensionError
 
@@ -42,6 +41,20 @@ _GRAD_DTYPES = (np.float32, np.float64)
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# float32 erf(x) = x P(x^2) / Q(x^2), a rational minimax form (Eigen's
+# ``generic_fast_erf``), highest power first.  Its error is under 3.5e-7
+# against double erf.  x is clamped at erfinv(1 - 2^-24), past which erf
+# is within one float32 ulp of +-1, and the quotient clipped to [-1, 1].
+_ERF_CLAMP = np.float32(3.832506856900711)
+_ERF_P = tuple(np.float32(c) for c in (
+    2.2905065861350646e-4, 3.4082910107109506e-3, 5.0955695062380861e-2,
+    1.8520832239976145e-1, 1.128379143519084))
+_ERF_Q = tuple(np.float32(c) for c in (
+    -1.1791602954361697e-7, 2.3547966471313185e-5, 1.0179625278914885e-3,
+    1.4070470171167667e-2, 1.1098505178285362e-1, 4.9746925110067538e-1,
+    1.0))
+_erf64 = np.vectorize(math.erf, otypes=[np.float64])
 
 
 class GradTape:
@@ -71,6 +84,10 @@ class GradTape:
         An adjoint closure never writes into the ``g`` it receives, and
         interior adjoints are summed out of place, so a closure may
         return ``g`` itself, a view of it, or a read-only broadcast.
+
+        ``out`` must be the output of an op recorded on this tape, or
+        ``ContractError`` is raised and no gradient changes: a leaf, or a
+        result computed outside the block, has no path to any leaf here.
         """
         if grad is None:
             if out.size != 1:
@@ -96,6 +113,12 @@ class GradTape:
                 else:
                     acc = adjoint.get(id(t))
                     adjoint[id(t)] = dt if acc is None else acc + dt
+        if id(out) in adjoint:
+            # never popped: no recorded node produced ``out``, so the sweep
+            # matched no node and touched no gradient
+            raise ContractError(
+                "backward: out is not the output of an op recorded on this "
+                "tape")
 
 
 _tape = None    # the recording tape; set only inside ``use_tape``
@@ -295,10 +318,37 @@ def relu(x) -> Tensor:
     return _record(Tensor(np.maximum(d, 0)), (x,), lambda g: (g * (d > 0),))
 
 
+def _horner(x2: np.ndarray, coeffs) -> np.ndarray:
+    """The polynomial in ``x2`` with ``coeffs``, highest power first, in
+    one new buffer."""
+    acc = x2 * coeffs[0]
+    for c in coeffs[1:-1]:
+        acc += c
+        acc *= x2
+    acc += coeffs[-1]
+    return acc
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf, elementwise.  float32 runs the rational kernel in place;
+    float64, which only gradient checks reach, takes ``math.erf`` per
+    element, since the kernel's 3.5e-7 would show in a float64 check."""
+    if x.dtype != np.float32:
+        return _erf64(x)
+    t = np.clip(x.reshape(-1), -_ERF_CLAMP, _ERF_CLAMP)
+    t2 = t * t
+    p = _horner(t2, _ERF_P)
+    p *= t
+    p /= _horner(t2, _ERF_Q)
+    return np.clip(p, -1.0, 1.0, out=p).reshape(x.shape)
+
+
 def gelu(x) -> Tensor:
     x = _as_tensor(x)
     d = x.data
-    phi = 0.5 * (1.0 + erf(d * _INV_SQRT2))
+    phi = _erf(d * _INV_SQRT2)
+    phi += 1.0
+    phi *= 0.5
     out = Tensor((d * phi).astype(d.dtype, copy=False))
     return _record(out, (x,), lambda g: (
         g * (phi + d * np.exp(-0.5 * d * d) * _INV_SQRT2PI),))

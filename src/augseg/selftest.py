@@ -7,6 +7,7 @@ check; returns the number of failures.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from dataclasses import replace
@@ -17,6 +18,7 @@ from . import daug
 from .autodiff import (
     GradTape,
     Tensor,
+    _erf,
     bilinear_resize,
     conv2d,
     conv_transpose2d,
@@ -50,6 +52,13 @@ def _checks():
         f = rng.normal(size=(1, 2, 6, 6)).astype(np.float32)
         out = wt_aug(f, WtAugConfig(keep_prob=(1, 1, 1, 1)), rng)
         assert np.array_equal(out, f)
+
+    def erf_kernel():
+        # the float32 kernel GELU runs, against the double-precision erf
+        x = np.linspace(-6.0, 6.0, 24001, dtype=np.float32)
+        want = np.array([math.erf(v) for v in x.tolist()])
+        err = np.max(np.abs(_erf(x) - want))
+        assert err <= 4e-7, f"erf kernel err {err}"
 
     def gradient_conv():
         k = Tensor(rng.normal(size=(2, 1, 3, 3)))
@@ -166,6 +175,7 @@ def _checks():
         ("wavelet round-trip", wavelet_roundtrip),
         ("wavelet energy preservation", wavelet_parseval),
         ("wavelet-mask identity", wt_aug_identity),
+        ("float32 erf kernel", erf_kernel),
         ("conv2d gradient", gradient_conv),
         ("conv weight gradients", gradient_conv_weights),
         ("conv2d / conv_transpose2d adjoint pair", adjoint_conv_transpose),

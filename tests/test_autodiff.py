@@ -1,9 +1,11 @@
 """Tensor core: arithmetic, convolution, reference ops, and gradient checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from augseg import autodiff
 from augseg.autodiff import (
@@ -14,6 +16,7 @@ from augseg.autodiff import (
     conv_transpose2d,
     finite_diff_check,
     _check_broadcastable,
+    _erf,
     _im2col,
     _interp_matrix,
     _record,
@@ -516,6 +519,58 @@ class TestUnary:
         np.testing.assert_allclose(out, [0.0, 0.8413447, -0.1586553], atol=1e-6)
 
 
+class TestErfKernel:
+    """GELU's ``_erf``: a float32 rational kernel, ``math.erf`` in float64."""
+
+    GRID = np.linspace(-8.0, 8.0, 1_600_001, dtype=np.float32)
+
+    def test_float32_within_4e7_of_double_erf(self):
+        got = _erf(self.GRID)
+        assert got.dtype == np.float32
+        assert np.max(np.abs(got - erf(self.GRID.astype(np.float64)))) <= 4e-7
+
+    def test_float32_random_inputs_within_4e7(self):
+        x = (np.random.default_rng(0).standard_normal(200_000) * 3
+             ).astype(np.float32)
+        assert np.max(np.abs(_erf(x) - erf(x.astype(np.float64)))) <= 4e-7
+
+    def test_odd_bit_for_bit_and_bounded_by_one(self):
+        assert _erf(-self.GRID).tobytes() == (-_erf(self.GRID)).tobytes()
+        assert np.max(np.abs(_erf(self.GRID))) <= 1.0
+
+    def test_special_values(self):
+        tiny = np.finfo(np.float32).smallest_subnormal
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan], np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _erf(x)
+        assert got[:2].tobytes() == x[:2].tobytes()    # signed zeros kept
+        np.testing.assert_array_equal(got[2:4], [1.0, -1.0])
+        assert np.isnan(got[4])
+        sub = np.array([tiny, 7 * tiny, 1e-40, 1.1e-38], np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = np.concatenate([_erf(sub), _erf(-sub)])
+        want = erf(np.concatenate([sub, -sub]).astype(np.float64))
+        assert np.all(np.sign(got) == np.sign(want))
+        assert np.max(np.abs(got - want)) <= tiny
+
+    @pytest.mark.parametrize("shape", [(), (2, 256, 128), (2, 64, 192),
+                                       (2, 16, 256)])
+    def test_keeps_shape_and_reads_only(self, shape):
+        x = np.random.default_rng(1).normal(size=shape).astype(np.float32)
+        before = x.copy()
+        assert _erf(x).shape == shape
+        np.testing.assert_array_equal(x, before)
+
+    def test_float64_is_math_erf(self):
+        x = np.random.default_rng(2).normal(size=(3, 7)) * 3
+        got = _erf(x)
+        assert got.dtype == np.float64
+        assert got.tolist() == [[math.erf(v) for v in row]
+                                for row in x.tolist()]
+
+
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = t64(np.arange(12).reshape(3, 4), requires_grad=True)
@@ -552,6 +607,23 @@ class TestBackward:
             tape.backward(mul(x, x), g)
         np.testing.assert_array_equal(x.grad, 2 * x.numpy() * g)
         np.testing.assert_array_equal(g, [0.5, 2.0, -1.0])   # only read
+
+    def test_output_computed_outside_the_block_rejected(self):
+        x = t64([1.0, -2.0, 3.0], requires_grad=True)
+        y = gelu(x)
+        with use_tape(GradTape()) as tape:
+            tsum(mul(x, x))
+            with pytest.raises(ContractError, match="not the output"):
+                tape.backward(y, np.ones(3))
+        assert x.grad is None
+
+    def test_bare_leaf_rejected(self):
+        x = t64([1.0, -2.0, 3.0], requires_grad=True)
+        with use_tape(GradTape()) as tape:
+            tsum(mul(x, x))
+            with pytest.raises(ContractError, match="not the output"):
+                tape.backward(x, np.ones(3))
+        assert x.grad is None
 
     @pytest.mark.parametrize("shape", [(2,), (3, 1), ()])
     def test_cotangent_of_another_shape_rejected(self, shape):

@@ -1,17 +1,22 @@
-"""The program loads only the scipy modules it runs, and its tensor core
-defines only the functions the program uses."""
+"""The program runs on its declared dependencies alone, loads no scipy,
+and its tensor core defines only the functions the program uses."""
 
 import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
+import pytest
+
 import augseg
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-def test_runtime_loads_neither_scipy_stats_nor_scipy_spatial():
+
+def test_runtime_loads_no_scipy_module():
     # a fresh interpreter: this test process has the tests' scipy imports
     src = os.path.dirname(os.path.dirname(os.path.abspath(augseg.__file__)))
     code = ("import json, sys\n"
@@ -24,9 +29,27 @@ def test_runtime_loads_neither_scipy_stats_nor_scipy_spatial():
                          capture_output=True, text=True).stdout
     loaded = json.loads(out)
     assert "augseg.selftest" in loaded
-    heavy = [m for m in loaded
-             if m.split(".")[:2] in (["scipy", "stats"], ["scipy", "spatial"])]
-    assert heavy == []
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+def test_third_party_imports_equal_declared_dependencies():
+    # every import in the package, function-level ones included, is the
+    # standard library, the package itself or a declared dependency, and
+    # every declared dependency is imported
+    tomllib = pytest.importorskip("tomllib")
+    pkg = pathlib.Path(augseg.__file__).parent
+    imported = set()
+    for path in pkg.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"augseg"}
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    assert third_party == {re.match(r"[A-Za-z0-9_.-]+", d).group()
+                           for d in declared}
 
 
 def test_every_public_autodiff_function_is_used_by_the_library():

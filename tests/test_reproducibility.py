@@ -113,3 +113,22 @@ def test_compare_names_each_difference(tmp_path, capsys):
                    "differs: t.daug: max |delta| 0.25",
                    "1 equal, 3 differ, 1 only in A, 1 only in B"]
     assert recipe.compare(runs[0], runs[0]) == 0
+
+
+def test_compare_counts_no_delta_for_nan_on_both_sides(tmp_path, capsys):
+    sys.path.insert(0, os.path.join(REPO, "tools"))
+    try:
+        import recipe
+    finally:
+        sys.path.pop(0)
+    runs = []
+    for name, loss in (("a", "1.5"), ("b", "1.25")):
+        root = tmp_path / name
+        root.mkdir()
+        (root / "log.csv").write_text(
+            f"epoch,loss,train_dice\n0,nan,nan\n1,{loss},nan\n")
+        recipe.write_sums(root)
+        runs.append(root)
+    assert recipe.compare(*runs) == 1
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "differs: log.csv: max |delta| 0.25 over 1 cells")

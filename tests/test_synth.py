@@ -12,6 +12,7 @@ from augseg.errors import ContractError, FormatError
 from augseg.synth import (
     FG_FRACTION_RANGE,
     CorruptionSpec,
+    _motion_blur,
     _shape_coverage,
     SynthConfig,
     corrupt,
@@ -303,6 +304,22 @@ class TestFeatureSpatialAug:
             want = data + (blurred - data).astype(dtype)
             assert out.dtype == dtype
             assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 64, 64), (2, 24, 16, 16)])
+    @pytest.mark.parametrize("length", range(3, 10))
+    def test_motion_blur_equals_scipy_convolve(self, shape, length):
+        # the numpy blur sums the taps as scipy.ndimage does, so the bytes
+        # match, on corrupt's [1,H,W] images and on stage-1 features
+        rng = np.random.default_rng(length)
+        for _ in range(4):
+            data = rng.normal(size=shape).astype(np.float32)
+            angle = rng.uniform(0, math.pi)
+            kernel = motion_blur_kernel(length, angle)
+            kernel = kernel.reshape((1,) * (len(shape) - 2) + kernel.shape)
+            want = convolve(data, kernel, mode="nearest")
+            got = _motion_blur(data, length, angle)
+            assert got.dtype == np.float32
+            assert got.tobytes() == want.tobytes()
 
     def test_random_corruption_is_seedable(self):
         a = random_corruption(np.random.default_rng(7))

@@ -29,6 +29,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 
@@ -142,7 +143,7 @@ def describe(a, b, rel):
         for row_a, row_b in zip(ra, rb):
             for x, y in zip(_numbers(row_a), _numbers(row_b)):
                 if isinstance(x, float) and isinstance(y, float):
-                    if x != y:
+                    if x != y and not (math.isnan(x) and math.isnan(y)):
                         deltas.append(abs(x - y))
                 elif x != y:
                     text += 1
