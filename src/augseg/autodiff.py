@@ -610,12 +610,18 @@ def finite_diff_check(f, x: Tensor, w=None, eps=1e-5) -> float:
     vector-Jacobian product ``J^T w`` with central differences of
     ``sum(f(x) * w)``; without one ``f(x)`` must be a scalar.  Error per
     coordinate is |a - n| / max(|a|, |n|, 1e-12).
+
+    An output no recorded op produced (``f`` ignores ``x``, or computes
+    outside the tape) has analytic gradient zero; the differences then
+    give 0 for a constant ``f`` and 1 for one that escaped the tape.
     """
     if eps <= 0:
         raise ContractError("eps must be positive")
     probe = Tensor(x.data.astype(np.float64, copy=True), requires_grad=True)
     with use_tape(GradTape()) as tape:
-        tape.backward(f(probe), w)
+        y = f(probe)
+        if any(node[0] is y for node in tape._nodes):
+            tape.backward(y, w)
     analytic = probe.grad if probe.grad is not None else np.zeros_like(probe.data)
 
     def value():

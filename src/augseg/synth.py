@@ -213,17 +213,19 @@ def _motion_blur(a: np.ndarray, length: int, angle: float) -> np.ndarray:
     """Convolve the last two axes of ``a`` with ``motion_blur_kernel``,
     edges repeated; returns ``a``'s shape and dtype.
 
-    The flipped kernel's nonzero taps are summed in row-major order into a
-    float64 buffer, then cast, as ``scipy.ndimage.convolve(mode="nearest")``
-    does, so the two agree bit for bit (tested).
+    The flipped kernel's nonzero taps are multiplied and summed in float64,
+    in row-major order, then cast, as
+    ``scipy.ndimage.convolve(mode="nearest")`` does, so the two agree bit
+    for bit (tested).
     """
     taps = motion_blur_kernel(length, angle)[::-1, ::-1]
     r = taps.shape[0] // 2
     h, w = a.shape[-2:]
     # clipped indices repeat the edge rows and columns, as np.pad's "edge"
-    # does, in two calls rather than np.pad's dozens
+    # does, in two calls rather than np.pad's dozens; the float64 copy makes
+    # every product float64 whatever numpy's scalar casting rules
     padded = a.take(np.arange(-r, h + r), axis=-2, mode="clip").take(
-        np.arange(-r, w + r), axis=-1, mode="clip")
+        np.arange(-r, w + r), axis=-1, mode="clip").astype(np.float64)
     acc = np.zeros(a.shape)
     for i, j in zip(*np.nonzero(taps)):
         acc += padded[..., i:i + h, j:j + w] * taps[i, j]

@@ -1167,6 +1167,14 @@ class TestFiniteDiffCheck:
         with pytest.raises(ContractError):
             finite_diff_check(tsum, t64([1.0]), eps=0.0)
 
+    def test_output_no_op_recorded_has_zero_analytic_gradient(self):
+        """A constant ``f`` checks clean; one that escapes the tape is
+        caught by the differences, not by ``backward``."""
+        x = t64([1.0, -2.0])
+        assert finite_diff_check(lambda t: tsum(t64([1.0, 2.0])), x) == 0.0
+        assert finite_diff_check(
+            lambda t: Tensor(np.sum(t.numpy() ** 2)), x) == 1.0
+
 
 class TestRandomizedGradientSweep:
     """Every differentiable op on randomized shapes up to 2x4x8x8."""

@@ -80,14 +80,14 @@ def test_run_pairs_records_the_order_it_ran():
 
     trees = {"parent": "P", "change": "C"}
     records, env = pairs.run_pairs(trees, workload="w", pairs=8, seconds=1,
-                                   seed=7, coin=3, run=run)
+                                   coin=3, run=run)
     assert env == {"python": "3"}
     assert ran == [(trees[side], 7 + i)
                    for i, r in enumerate(records) for side in r["order"]]
     orders = [tuple(r["order"]) for r in records]
     assert set(orders) == {("parent", "change"), ("change", "parent")}
     again, _ = pairs.run_pairs(trees, workload="w", pairs=8, seconds=1,
-                               seed=7, coin=3, run=run)
+                               coin=3, run=run)
     assert [tuple(r["order"]) for r in again] == orders
     assert records[0]["reported"]["change"] == {
         "job_s": {"value": 2.0, "unit": "s"}}
@@ -129,8 +129,7 @@ def test_end_to_end_with_a_stub_perfbench(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(repo)
     out = tmp_path / "BENCH.json"
     assert pairs.main(["HEAD", ".", "--workload", "w", "--pairs", "2",
-                       "--seconds", "1", "--coin", "1", "--root",
-                       str(tmp_path / "trees"), "--out", str(out)]) == 0
+                       "--seconds", "1", "--out", str(out)]) == 0
 
     bench = json.loads(out.read_text())
     committed = json.loads((REPO / "BENCH_25.json").read_text())

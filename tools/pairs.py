@@ -1,16 +1,15 @@
 """Run perfbench on two trees in interleaved pairs and summarize them.
 
     python tools/pairs.py PARENT CHANGE --workload W --pairs N --seconds S
-        [--seed 7] [--trace 0] [--coin 0] [--set A] [--root DIR] [--out F]
+        [--trace 0] [--set A] [--out F]
 
 Run from the repository root.  PARENT and CHANGE are commits, or ``.`` for
 the working tree with its untracked files (ignored ones left out).  Each
-is exported with ``git archive`` into its own directory under ``--root``
-(a temporary directory, removed after, when not given), so both sides
-run from sibling directories.  Pair ``i`` runs ``perfbench/run.py
---workload W --seed SEED+i --seconds S --trace T`` once in each tree;
-a coin seeded by ``--coin`` picks which side runs first, and the pair
-records that order.
+is exported with ``git archive`` into its own directory under one
+temporary directory, removed after, so both sides run from sibling
+directories.  Pair ``i`` runs ``perfbench/run.py --workload W --seed 7+i
+--seconds S --trace T`` once in each tree; a coin seeded with 0 picks
+which side runs first, and the pair records that order.
 
 ``--out`` writes the pairs in the BENCH format (``format``, ``parent``,
 ``change``, ``command``, ``env``, ``pairs``); if the file exists and holds
@@ -49,6 +48,7 @@ FORMAT = (
 COMMAND = ("python3 perfbench/run.py --workload <workload> --seed <seed> "
            "--seconds {seconds:g} --trace <trace>")
 SIDES = ("parent", "change")
+SEED = 7        # pair i runs perfbench seed SEED + i
 
 
 def git(*args, env=None) -> str:
@@ -89,7 +89,7 @@ def perfbench(tree, workload, seed, seconds, trace) -> tuple[dict, dict]:
     return json.loads(lines[-2])["report"], json.loads(lines[-1])
 
 
-def run_pairs(trees, *, workload, pairs, seconds, seed=7, trace=0, coin=0,
+def run_pairs(trees, *, workload, pairs, seconds, trace=0, coin=0,
               label="A", run=perfbench) -> tuple[list, dict]:
     """Run ``pairs`` pairs; ``trees`` maps each side to its directory.
 
@@ -99,11 +99,11 @@ def run_pairs(trees, *, workload, pairs, seconds, seed=7, trace=0, coin=0,
     records, env = [], None
     for i in range(pairs):
         order = list(SIDES) if flip.random() < 0.5 else list(SIDES[::-1])
-        record = {"set": label, "workload": workload, "seed": seed + i,
+        record = {"set": label, "workload": workload, "seed": SEED + i,
                   "trace": trace, "order": order}
         reported = {}
         for side in order:
-            report, result = run(trees[side], workload, seed + i, seconds,
+            report, result = run(trees[side], workload, SEED + i, seconds,
                                  trace)
             record[side] = result
             reported[side] = {k: v for k, v in report["metrics"].items()
@@ -171,13 +171,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
-    parser.add_argument("--seed", type=int, default=7,
-                        help="pair i runs seed SEED+i")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--coin", type=int, default=0,
-                        help="seed of the coin that orders each pair")
     parser.add_argument("--set", default="A", help="label of these pairs")
-    parser.add_argument("--root", help="directory for the two exports")
     parser.add_argument("--out", help="BENCH file to write or extend")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
@@ -199,15 +194,13 @@ def main(argv=None) -> int:
                 parser.error(f"{args.out} holds {key} {held[key]!r}, "
                              f"not {bench[key]!r}")
         bench = held
-    with tempfile.TemporaryDirectory() as tmp:
-        root = args.root or tmp
+    with tempfile.TemporaryDirectory() as root:
         trees = {side: os.path.join(root, side) for side in SIDES}
         for side in SIDES:
             export(refs[side][0], trees[side])
         records, env = run_pairs(
             trees, workload=args.workload, pairs=args.pairs,
-            seconds=args.seconds, seed=args.seed, trace=args.trace,
-            coin=args.coin, label=args.set)
+            seconds=args.seconds, trace=args.trace, label=args.set)
     print_summary(args.workload, records, gated)
     if args.out:
         bench["env"] = bench["env"] or env
