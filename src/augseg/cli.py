@@ -9,7 +9,6 @@ flag.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -22,7 +21,7 @@ from .metrics import MetricsRecord, dice_score, hd95, write_metrics_csv
 from .model import NetworkConfig
 from .netpbm import read_pgm, write_ppm
 from .pca import feature_pca, pca_to_image
-from .schema import check_keys, check_section
+from .schema import check_keys, check_section, read_json
 from .synth import SynthConfig, write_dataset
 from .trainer import (
     ARMS,
@@ -152,13 +151,7 @@ def _cmd_synth(args) -> int:
 def _load_configs(args):
     train_kwargs, net_kwargs = {}, {}
     if args.config:
-        try:
-            with open(args.config) as fh:
-                blob = json.load(fh)
-        except FileNotFoundError:
-            raise InputError(f"config file not found: {args.config}")
-        except ValueError as exc:    # JSONDecodeError, UnicodeDecodeError
-            raise InputError(f"{args.config}: invalid JSON ({exc})")
+        blob = read_json(args.config, "config file")
         check_keys(args.config, "the top level", blob, ("train", "network"))
         train_kwargs = blob.get("train", {})
         net_kwargs = blob.get("network", {})
@@ -219,8 +212,6 @@ _HAAR_LIMIT = _F32_MAX / 4
 
 
 def _read_rank4(path, limit=_F32_MAX):
-    if not os.path.exists(path):
-        raise InputError(f"tensor file not found: {path}")
     arr = daug.read_tensor(path)
     if arr.ndim != 4:
         raise InputError(f"{path}: expected a rank-4 tensor, got rank {arr.ndim}")

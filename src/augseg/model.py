@@ -35,7 +35,7 @@ from .autodiff import (
 from .errors import (ContractError, InputError, NumericDomainError,
                      check_seed, is_int)
 from .fusion import FusionParams, cg_fuse
-from .schema import check_keys, check_section
+from .schema import check_keys, check_section, read_json
 # wt_aug is unused here, but perfbench's tracer wraps augseg.model.wt_aug
 from .wavelet import WtAugConfig, wt_aug  # noqa: F401
 
@@ -351,13 +351,7 @@ def _write_checkpoint(out_dir, network, epoch, seed, extra):
 def load_checkpoint(ckpt_dir):
     """Rebuild the network (and manifest) from a checkpoint directory."""
     path = os.path.join(ckpt_dir, CHECKPOINT_MANIFEST)
-    if not os.path.exists(path):
-        raise InputError(f"checkpoint manifest missing: {path}")
-    with open(path) as fh:
-        try:
-            manifest = json.load(fh)
-        except ValueError as exc:
-            raise InputError(f"{path}: invalid JSON ({exc})")
+    manifest = read_json(path, "checkpoint manifest")
     check_keys(path, "the manifest", manifest, (
         "format", "epoch", "seed", "config", "parameters", "extra"))
     for key in ("config", "parameters"):

@@ -1,4 +1,5 @@
-"""JSON checks for config sections, at the boundary where files enter.
+"""JSON input files and their config sections, at the boundary where
+files enter.  ``read_json`` reads every JSON input the program takes.
 
 ``augseg train --config`` and checkpoint manifests both carry config
 dataclasses as JSON objects.  ``check_section`` rejects, with an
@@ -15,7 +16,20 @@ import types
 import typing
 from dataclasses import fields, is_dataclass
 
-from .errors import InputError
+from .errors import FormatError, InputError
+
+
+def read_json(path, what):
+    """The parsed UTF-8 JSON file at ``path``: ``InputError("{what} not
+    found: {path}")`` if it is missing, a ``FormatError`` naming ``path``
+    if it is not UTF-8 or not JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise InputError(f"{what} not found: {path}") from None
+    except ValueError as exc:    # JSONDecodeError, UnicodeDecodeError
+        raise FormatError(f"{path}: invalid JSON ({exc})") from None
 
 
 def check_keys(path, where, blob, known):

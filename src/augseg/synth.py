@@ -19,8 +19,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ContractError, FormatError, InputError, is_int, is_real
+from .errors import ContractError, FormatError, is_int, is_real
 from .netpbm import read_pgm, write_pgm
+from .schema import read_json
 
 CORRUPTION_KINDS = ("brightness", "motion_blur", "poisson", "rand_mask")
 
@@ -298,11 +299,14 @@ def random_corruption(rng, *, length_range=(3, 9), factor_range=(0.6, 1.5),
 
 
 # random_corruption's range keywords, and what each end must be for every
-# draw to be a valid CorruptionSpec
+# draw to be a valid CorruptionSpec that the corruptions can carry out: a
+# length-L blur builds an LxL kernel, and numpy's Poisson sampler rejects a
+# mean above ~9.2e18 (a pixel's mean is at most the scale)
 _STRENGTH_RANGES = {
-    "length_range": ("integers >= 1", lambda x: is_int(x) and x >= 1),
+    "length_range": ("integers >= 1 and <= 255",
+                     lambda x: is_int(x) and 1 <= x <= 255),
     "factor_range": ("finite numbers >= 0", lambda x: 0 <= x < math.inf),
-    "scale_range": ("finite numbers > 0", lambda x: 0 < x < math.inf),
+    "scale_range": ("numbers > 0 and <= 1000000", lambda x: 0 < x <= 1e6),
     "drop_range": ("numbers in [0, 1]", lambda x: 0 <= x <= 1),
 }
 
@@ -369,13 +373,7 @@ def write_dataset(out_dir, train_seeds, test_seeds, config: SynthConfig | None =
 
 
 def load_manifest(path):
-    try:
-        with open(path) as fh:
-            manifest = json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"manifest not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc})")
+    manifest = read_json(path, "manifest")
     if not isinstance(manifest, dict):
         raise FormatError(f"{path}: the manifest must be a JSON object")
     for key in ("image_size", "num_classes", "samples"):

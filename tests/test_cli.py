@@ -292,15 +292,6 @@ class TestTrainEvalCommands:
                          str(cfg_path), "--seed", "1"])
         assert code == 0
 
-    @pytest.mark.parametrize("content", [b"{", b'{"train": "\xff"}'])
-    def test_bad_config_is_exit_1(self, dataset, tmp_path, capsys, content):
-        bad = tmp_path / "bad.json"
-        bad.write_bytes(content)
-        code = dispatch(["train", "--data", str(dataset),
-                         "--out", str(tmp_path / "r"), "--config", str(bad)])
-        assert code == 1
-        assert "invalid JSON" in capsys.readouterr().err
-
     def test_unknown_config_key_is_exit_1(self, dataset, tmp_path, capsys):
         for blob, words in (({"train": {"epochz": 1}}, ("epochz", "train")),
                             ({"network": {"heads": 2}}, ("heads", "network")),
@@ -458,6 +449,8 @@ class TestTrainEvalCommands:
         ({"factor_range": [0.5]}, ("factor_range", "two")),
         ({"factor_range": [-0.5, 1]}, ("factor_range", ">= 0")),
         ({"scale_range": [0, 10]}, ("scale_range", "> 0")),
+        ({"length_range": [3, 256]}, ("length_range", "<= 255")),
+        ({"scale_range": [1e300, 1e300]}, ("scale_range", "<= 1000000")),
         ({"drop_range": [0.5, 1.5]}, ("drop_range", "[0, 1]"))])
     @pytest.mark.parametrize("arm", ["feature_spatial", "image_level"])
     def test_bad_corruption_strengths_are_exit_1(self, dataset, tmp_path,
@@ -528,8 +521,6 @@ class TestTrainEvalCommands:
         assert "fusion.level3.w_q" in err and "non-finite" in err
 
     @pytest.mark.parametrize("edit,words", [
-        (lambda m: "{", ("checkpoint.json", "invalid JSON")),
-        (lambda m: [m], ("checkpoint.json", "the manifest", "object")),
         (lambda m: {k: v for k, v in m.items() if k != "config"},
          ("missing key 'config'",)),
         (lambda m: {k: v for k, v in m.items() if k != "parameters"},
@@ -565,9 +556,7 @@ class TestTrainEvalCommands:
         ckpt = tmp_path / "ckpt"
         save_checkpoint(ckpt, Network(NetworkConfig()), epoch=0, seed=0)
         path = ckpt / "checkpoint.json"
-        edited = edit(json.loads(path.read_text()))
-        path.write_text(edited if isinstance(edited, str)
-                        else json.dumps(edited))
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         code = dispatch(["eval", "--checkpoint", str(ckpt),
                          "--data", str(dataset)])
         assert code == 1
@@ -716,8 +705,7 @@ class TestDatasetManifest:
         (lambda m: m | {"samples": 3}, ("samples", "list")),
         (lambda m: m | {"num_classes": "3"}, ("num_classes", "integer", '"3"')),
         (lambda m: m | {"image_size": 64.0}, ("image_size", "integer")),
-        (lambda m: m | {"num_classes": True}, ("num_classes", "integer")),
-        (lambda m: [m], ("manifest.json", "object"))])
+        (lambda m: m | {"num_classes": True}, ("num_classes", "integer"))])
     @pytest.mark.parametrize("cmd", ["train", "eval"])
     def test_bad_manifest_is_exit_1(self, dataset, tmp_path, capsys, cmd, edit,
                                     words):
@@ -735,6 +723,56 @@ class TestDatasetManifest:
         err = capsys.readouterr().err
         assert "internal error" not in err
         assert all(w in err for w in words), err
+        assert not out.exists()
+
+
+# each bad form of a JSON input file, as bytes made from its good bytes
+_BAD_JSON = {
+    "missing": None,
+    "empty": lambda good: b"",
+    # a Latin-1 "café" in front of the good content
+    "not_utf8": lambda good: b'{"note": "caf\xe9", ' + good[1:],
+    "truncated": lambda good: good[:len(good) // 2],
+    "list": lambda good: b"[" + good + b"]",
+}
+
+
+class TestJsonInputs:
+    """Every JSON input, in every bad form, is exit 1 in one line that
+    names the file, before anything is written."""
+
+    @pytest.mark.parametrize("form", list(_BAD_JSON))
+    @pytest.mark.parametrize("what,cmd", [
+        ("config file", "train"), ("manifest", "train"),
+        ("manifest", "eval"), ("checkpoint manifest", "eval")])
+    def test_bad_file_is_exit_1(self, dataset, tmp_path, capsys, what, cmd,
+                                form):
+        from augseg.model import Network, NetworkConfig, save_checkpoint
+        out = tmp_path / "out"
+        if cmd == "train":
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({"train": {"epochs": 1}}))
+            argv = ["train", "--data", str(dataset), "--out", str(out),
+                    "--config", str(config), "--shots", "1"]
+        else:
+            ckpt = tmp_path / "ckpt"
+            save_checkpoint(ckpt, Network(NetworkConfig()), epoch=0, seed=0)
+            argv = ["eval", "--checkpoint", str(ckpt), "--data", str(dataset),
+                    "--out", str(out)]
+        path = {"config file": tmp_path / "cfg.json",
+                "manifest": dataset / "manifest.json",
+                "checkpoint manifest": tmp_path / "ckpt" / "checkpoint.json",
+                }[what]
+        if form == "missing":
+            path.unlink()
+        else:
+            path.write_bytes(_BAD_JSON[form](path.read_bytes()))
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and str(path) in err, err
+        assert {"missing": f"augseg: {what} not found: {path}",
+                "list": "must be a JSON object"}.get(
+                    form, f"augseg: {path}: invalid JSON") in err, err
         assert not out.exists()
 
 
@@ -941,12 +979,6 @@ class TestExit1Messages:
                             str(tmp_path / "g.daug"), "--keep-prob", keep],
                    message)
 
-    def test_train_missing_config(self, dataset, tmp_path, capsys):
-        missing = tmp_path / "missing.json"
-        self.check(capsys, ["train", "--data", str(dataset), "--out",
-                            str(tmp_path / "run"), "--config", str(missing)],
-                   f"config file not found: {missing}")
-
     def test_metrics_missing_gt(self, tmp_path, capsys):
         pred, missing = tmp_path / "pred.pgm", tmp_path / "missing.pgm"
         write_pgm(pred, np.zeros((8, 8), dtype=np.uint8))
@@ -1021,7 +1053,12 @@ class TestExit2:
         monkeypatch.setattr(cli, "feature_pca", boom)
         infile = tmp_path / "f.daug"
         daug.write_tensor(infile, np.ones((1, 4, 4, 4), np.float32))
-        assert dispatch(["featviz", "--in", str(infile),
-                         "--out", str(tmp_path / "v.ppm")]) == 2
+        argv = ["featviz", "--in", str(infile), "--out", str(tmp_path / "v.ppm")]
+        assert dispatch(argv) == 2
         err = capsys.readouterr().err
         assert "augseg: internal error: ZeroDivisionError: boom" in err, err
+        # AUGSEG_DEBUG lets the exception and its traceback through
+        monkeypatch.setenv("AUGSEG_DEBUG", "1")
+        with pytest.raises(ZeroDivisionError, match="boom"):
+            dispatch(argv)
+        assert capsys.readouterr().err == ""

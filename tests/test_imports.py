@@ -74,3 +74,29 @@ def test_every_public_autodiff_function_is_used_by_the_library():
                 used.add(node.name)
     assert {"matmul", "gelu", "conv2d", "finite_diff_check"} <= set(public)
     assert [name for name in public if name not in used] == []
+
+
+
+def _json_parsers(tree):
+    """``json.load``/``json.loads`` references and ``from json import``
+    statements under ``tree``."""
+    return [node for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute)
+                and node.attr in ("load", "loads")
+                and isinstance(node.value, ast.Name) and node.value.id == "json")
+            or (isinstance(node, ast.ImportFrom) and node.module == "json")]
+
+
+def test_json_is_parsed_only_by_read_json():
+    # every JSON input goes through schema.read_json, so a missing,
+    # non-UTF-8 or unparseable file fails the same way wherever it enters
+    pkg = pathlib.Path(augseg.__file__).parent
+    trees = {p.stem: ast.parse(p.read_text()) for p in pkg.glob("*.py")}
+    reader = next(node for node in trees["schema"].body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "read_json")
+    inside = {id(node) for node in _json_parsers(reader)}
+    assert len(inside) == 1
+    outside = [f"{stem}.py:{node.lineno}" for stem, tree in sorted(trees.items())
+               for node in _json_parsers(tree) if id(node) not in inside]
+    assert outside == []

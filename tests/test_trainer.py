@@ -362,7 +362,10 @@ class TestAdamConfig:
         {"factor_range": [-0.1, 1]}, {"factor_range": [0, math.inf]},
         {"factor_range": [math.nan, 1]}, {"scale_range": [0, 10]},
         {"scale_range": ["1", 10]}, {"drop_range": [0.2, 1.1]},
-        {"drop_range": [-0.1, 0.2]}, {"drop_range": [0.3, 0.2]}, None])
+        {"drop_range": [-0.1, 0.2]}, {"drop_range": [0.3, 0.2]}, None,
+        # past the caps: a blur kernel or a Poisson mean too large to draw
+        {"length_range": [3, 256]}, {"scale_range": [30, 1.000001e6]},
+        {"scale_range": [1e300, 1e300]}])
     def test_corruption_strengths_rejected(self, strengths):
         with pytest.raises(ContractError, match="corruption_strengths"):
             TrainConfig(corruption_strengths=strengths)
@@ -375,6 +378,8 @@ class TestAdamConfig:
         rng = np.random.default_rng(0)
         for _ in range(20):
             random_corruption(rng, **strengths)
+        TrainConfig(corruption_strengths={"length_range": [255, 255],
+                                          "scale_range": [1e6, 1e6]})
 
     def test_corruption_strength_keys_are_random_corruptions(self):
         keywords = [name for name, p in
