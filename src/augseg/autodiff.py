@@ -14,8 +14,6 @@ norm, attention, residual and loss ops build on ``_record`` elsewhere.
 Conventions:
   * default compute dtype is float32; tests typically run float64
   * convolution is cross-correlation (no kernel flip)
-  * broadcasting is numpy-style singleton expansion only: shapes are
-    right-aligned and each axis pair must match or be 1
   * the tape is cleared when its block exits, so its records never
     outlive the block
   * ``Tensor.assign`` raises while a tape is recording, so no tensor can
@@ -241,70 +239,48 @@ def _record(out: Tensor, inputs, backward_fn):
     return out
 
 
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Sum-reduce a gradient back to the (possibly broadcast) input shape."""
-    if g.shape == tuple(shape):
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
-def _check_broadcastable(a_shape, b_shape):
-    ra, rb = len(a_shape), len(b_shape)
-    for i in range(1, min(ra, rb) + 1):
-        na, nb = a_shape[-i], b_shape[-i]
-        if na != nb and na != 1 and nb != 1:
-            raise DimensionError(
-                f"shapes {a_shape} and {b_shape} are not broadcast-compatible "
-                "(axes must match or be 1)")
-
-
 # ----------------------------------------------------------------------
 # matmul
 # ----------------------------------------------------------------------
-def matmul(a, b, bias=None) -> Tensor:
-    """Matrix product, plus an optional bias [P] over the last axis;
-    leading batch axes broadcast numpy-style.
+def matmul(x, w, b=None) -> Tensor:
+    """Tokens [..., K] times a 2-D weight [K, P], plus an optional bias
+    [P]: the affine map ``x @ w + b`` as one node.
 
-    ``matmul(x, w, b)`` is the affine map ``x @ w + b`` as one node; the
-    bias gradient sums ``g`` over every other axis.  The adjoint computes
-    an operand's gradient only when that operand requires grad.
+    The weight and bias gradients sum ``g`` over the leading axes.  The
+    adjoint computes an operand's gradient only when that operand
+    requires grad.
     """
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError("matmul requires rank >= 2 operands")
-    if a.shape[-1] != b.shape[-2]:
+    x = _as_tensor(x)
+    w = _as_tensor(w)
+    if x.ndim < 2 or w.ndim != 2:
         raise DimensionError(
-            f"matmul inner extents differ: {a.shape} x {b.shape}")
-    _check_broadcastable(a.shape[:-2], b.shape[:-2])
-    y = np.matmul(a.data, b.data)
-    inputs = (a, b)
-    if bias is not None:
-        bias = _as_tensor(bias)
-        if bias.shape != b.shape[-1:]:
-            raise DimensionError(
-                f"bias shape {bias.shape} != ({b.shape[-1]},)")
-        y += bias.data
-        inputs = (a, b, bias)
+            "matmul takes rank >= 2 tokens and a 2-D weight, got "
+            f"{x.shape} x {w.shape}")
+    if x.shape[-1] != w.shape[0]:
+        raise DimensionError(
+            f"matmul inner extents differ: {x.shape} x {w.shape}")
+    y = np.matmul(x.data, w.data)
+    inputs = (x, w)
+    if b is not None:
+        b = _as_tensor(b)
+        if b.shape != w.shape[1:]:
+            raise DimensionError(f"bias shape {b.shape} != ({w.shape[1]},)")
+        y += b.data
+        inputs = (x, w, b)
     out = Tensor(y)
+    lead = tuple(range(x.ndim - 2))
 
     def back(g):
-        da = db = None
-        if a.requires_grad:
-            da = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)),
-                              a.shape)
-        if b.requires_grad:
-            db = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
-                              b.shape)
-        if bias is not None:
-            return da, db, _unbroadcast(g, bias.shape)
-        return da, db
+        dx = dw = None
+        if x.requires_grad:
+            dx = np.matmul(g, w.data.T)
+        if w.requires_grad:
+            dw = np.matmul(np.swapaxes(x.data, -1, -2), g)
+            if lead:
+                dw = dw.sum(axis=lead)
+        if b is not None:
+            return dx, dw, g.sum(axis=lead + (x.ndim - 2,))
+        return dx, dw
 
     return _record(out, inputs, back)
 
@@ -424,17 +400,6 @@ def _im2col(x, kh, kw, stride, pad, oh, ow):
     return cols.reshape(n, c * kh * kw, oh * ow)
 
 
-def _dilate(g, stride):
-    """[N,C,H,W] ``g`` with ``stride - 1`` zero rows and columns between
-    its entries; ``g`` itself at stride 1."""
-    if stride == 1:
-        return g
-    n, c, h, w = g.shape
-    d = np.zeros((n, c, (h - 1) * stride + 1, (w - 1) * stride + 1), g.dtype)
-    d[:, :, ::stride, ::stride] = g
-    return d
-
-
 def conv2d(x, weight, bias=None, stride=1, padding=0) -> Tensor:
     """2-d cross-correlation (no kernel flip).
 
@@ -442,12 +407,16 @@ def conv2d(x, weight, bias=None, stride=1, padding=0) -> Tensor:
     channels; weight: [O,C,kh,kw]; optional bias [O].
     Output extent per axis: floor((n + 2*pad - k) / stride) + 1.
 
-    The input gradient is a gather, not a scatter: the stride-1
-    correlation of ``g``, dilated by ``stride``, with the kernel flipped
-    along both spatial axes, ``W' im2col(g)`` at pad ``k - 1 - pad`` (a
-    negative pad when ``pad >= k``, which crops) and the input's extent.
-    ``W'`` is the [C, O*kh*kw] flipped kernel; each map that requires
-    grad takes one GEMM over its own rows, the others none.
+    The input gradient exists at stride 1 only: only the frozen encoder
+    convolves with a stride, and it never records.  A strided conv2d
+    that would record with an input map that requires grad raises
+    ``ContractError``; the weight and bias gradients take every stride.
+    The input gradient is a gather, not a scatter: the correlation of
+    ``g`` with the kernel flipped along both spatial axes, ``W'
+    im2col(g)`` at pad ``k - 1 - pad`` (a negative pad when ``pad >= k``,
+    which crops) and the input's extent.  ``W'`` is the [C, O*kh*kw]
+    flipped kernel; each map that requires grad takes one GEMM over its
+    own rows, the others none.
     """
     blocks = [_as_tensor(t) for t in (x if isinstance(x, (list, tuple))
                                       else (x,))]
@@ -467,6 +436,10 @@ def conv2d(x, weight, bias=None, stride=1, padding=0) -> Tensor:
         raise ContractError("stride must be >= 1")
     if padding < 0:
         raise ContractError(f"padding must be >= 0, got {padding}")
+    if stride > 1 and _tape is not None and any(t.requires_grad
+                                                for t in blocks):
+        raise ContractError(
+            f"conv2d has no input gradient at stride {stride}")
     if kh > h + 2 * padding or kw > w + 2 * padding:
         raise DimensionError(
             f"kernel {kh}x{kw} larger than padded input "
@@ -492,8 +465,8 @@ def conv2d(x, weight, bias=None, stride=1, padding=0) -> Tensor:
         dxs = [None] * len(blocks)
         if any(t.requires_grad for t in blocks):
             # the flipped kernel as [C, O*kh*kw] rows, against the
-            # stride-1 columns of the dilated g at pad k-1-padding
-            gcols = _im2col(_dilate(g, stride), kh, kw, 1,
+            # columns of g at pad k-1-padding
+            gcols = _im2col(g, kh, kw, 1,
                             (kh - 1 - padding, kw - 1 - padding), h, w)
             wf = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(
                 c, o * kh * kw)

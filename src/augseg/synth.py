@@ -56,6 +56,22 @@ class Sample:
     shapes: list          # generation parameters, for provenance
 
 
+# random_corruption's range keywords, the CorruptionSpec field each draws,
+# and what a value of it must be for the corruptions to carry it out: a
+# length-L blur builds an LxL kernel, and numpy's Poisson sampler rejects a
+# mean above ~9.2e18 (a pixel's mean is at most the scale).  The spec and
+# check_strengths both read this table.
+_STRENGTH_RANGES = {
+    "length_range": ("length", "integers >= 1 and <= 255",
+                     lambda x: is_int(x) and 1 <= x <= 255),
+    "factor_range": ("factor", "finite numbers >= 0",
+                     lambda x: 0 <= x < math.inf),
+    "scale_range": ("scale", "numbers > 0 and <= 1000000",
+                    lambda x: 0 < x <= 1e6),
+    "drop_range": ("drop_prob", "numbers in [0, 1]", lambda x: 0 <= x <= 1),
+}
+
+
 @dataclass
 class CorruptionSpec:
     kind: str
@@ -68,10 +84,12 @@ class CorruptionSpec:
     def __post_init__(self):
         if self.kind not in CORRUPTION_KINDS:
             raise ContractError(f"unknown corruption kind {self.kind!r}")
-        if not 0.0 <= self.drop_prob <= 1.0:
-            raise ContractError("drop_prob outside [0, 1]")
-        if self.length < 1 or self.scale <= 0 or self.factor < 0:
-            raise ContractError("corruption strength outside documented range")
+        for name, what, ok in _STRENGTH_RANGES.values():
+            value = getattr(self, name)
+            if not (is_real(value) and ok(value)):
+                raise ContractError(
+                    f"CorruptionSpec.{name} must be one of the {what}, got "
+                    f"{value!r}")
 
 
 @lru_cache(maxsize=16)
@@ -298,19 +316,6 @@ def random_corruption(rng, *, length_range=(3, 9), factor_range=(0.6, 1.5),
     )
 
 
-# random_corruption's range keywords, and what each end must be for every
-# draw to be a valid CorruptionSpec that the corruptions can carry out: a
-# length-L blur builds an LxL kernel, and numpy's Poisson sampler rejects a
-# mean above ~9.2e18 (a pixel's mean is at most the scale)
-_STRENGTH_RANGES = {
-    "length_range": ("integers >= 1 and <= 255",
-                     lambda x: is_int(x) and 1 <= x <= 255),
-    "factor_range": ("finite numbers >= 0", lambda x: 0 <= x < math.inf),
-    "scale_range": ("numbers > 0 and <= 1000000", lambda x: 0 < x <= 1e6),
-    "drop_range": ("numbers in [0, 1]", lambda x: 0 <= x <= 1),
-}
-
-
 def check_strengths(strengths) -> None:
     """Reject ``TrainConfig.corruption_strengths`` that ``random_corruption``
     cannot take or cannot draw a valid spec from."""
@@ -325,7 +330,7 @@ def check_strengths(strengths) -> None:
                     "corruption_strengths.kinds must be a non-empty list of "
                     f"{list(CORRUPTION_KINDS)}, got {value!r}")
         elif key in _STRENGTH_RANGES:
-            what, ok = _STRENGTH_RANGES[key]
+            _, what, ok = _STRENGTH_RANGES[key]
             if (not isinstance(value, (list, tuple)) or len(value) != 2
                     or not all(is_real(x) and ok(x) for x in value)
                     or value[0] > value[1]):

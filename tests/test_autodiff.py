@@ -15,13 +15,11 @@ from augseg.autodiff import (
     conv2d,
     conv_transpose2d,
     finite_diff_check,
-    _check_broadcastable,
     _erf,
     _im2col,
     _interp_matrix,
     _record,
     _tap_slices,
-    _unbroadcast,
     gelu,
     matmul,
     relu,
@@ -41,9 +39,31 @@ def t64(data, requires_grad=False):
 # composed token-norm, loss, attention, fusion and Haar chains were built
 # from.  The fused ops and the shared Haar butterfly replaced those
 # chains, so these live here, where the tests rebuild the chains as
-# references.  add and mul broadcast numpy-style, and take a number for
-# ``b`` as a constant of ``a``'s dtype.
+# references.  add, mul and div broadcast numpy-style (shapes right-aligned,
+# each axis pair equal or 1); add and mul take a number for ``b`` as a
+# constant of ``a``'s dtype.
 # ----------------------------------------------------------------------
+def _check_broadcastable(a_shape, b_shape):
+    for na, nb in zip(a_shape[::-1], b_shape[::-1]):
+        if na != nb and na != 1 and nb != 1:
+            raise DimensionError(
+                f"shapes {a_shape} and {b_shape} are not broadcast-compatible "
+                "(axes must match or be 1)")
+
+
+def _unbroadcast(g, shape):
+    """Sum-reduce a gradient back to the (possibly broadcast) input shape."""
+    if g.shape == tuple(shape):
+        return g
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(shape)
+
+
 def _operands(a, b):
     if not isinstance(b, Tensor):
         b = Tensor(np.asarray(b, dtype=a.dtype))
@@ -171,6 +191,13 @@ class TestMatmul:
     def test_inner_mismatch(self):
         with pytest.raises(DimensionError):
             matmul(t64(np.zeros((2, 3))), t64(np.zeros((2, 3))))
+
+    @pytest.mark.parametrize("x_shape,w_shape", [
+        ((2, 4, 3), (2, 3, 5)), ((2, 4, 3), (1, 3, 5)), ((4, 3), (3,)),
+        ((3,), (3, 5))])
+    def test_weight_is_2d_and_tokens_rank_2_or_more(self, x_shape, w_shape):
+        with pytest.raises(DimensionError, match="2-D weight"):
+            matmul(t64(np.zeros(x_shape)), t64(np.zeros(w_shape)))
 
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -374,6 +401,16 @@ class TestConvChannelBlocks:
                    w)
 
 
+def assert_strided_input_gradient_refused(x, w, stride, padding):
+    """conv2d at ``stride`` > 1 over ``x``, some map of which requires
+    grad, raises ``ContractError`` in a tape block and records nothing."""
+    with use_tape(GradTape()) as tape:
+        with pytest.raises(ContractError,
+                           match=f"no input gradient at stride {stride}"):
+            conv2d(x, w, stride=stride, padding=padding)
+        assert len(tape) == 0
+
+
 class TestConv2d:
     def test_1x1_identity(self):
         x = t64(np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4))
@@ -403,15 +440,44 @@ class TestConv2d:
                                            (7, 8, 2, 3, 0), (5, 5, 1, 2, 0)])
     def test_input_gradient_at_edge_geometries(self, h, w, k, s, p):
         """Padding at or past the kernel (the gather's pad k-1-p goes
-        negative), gaps between windows, odd extents, 1x1 kernels."""
+        negative), gaps between windows, odd extents, 1x1 kernels.  At a
+        stride the input gradient is refused and the kernel's is checked
+        instead."""
         rng = np.random.default_rng(h * 1000 + w * 100 + k * 10 + s + p)
         kern = t64(rng.normal(size=(3, 2, k, k)))
         oh, ow = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
         wt = rng.normal(size=(1, 3, oh, ow))
-        err = finite_diff_check(
-            lambda x: conv2d(x, kern, stride=s, padding=p),
-            t64(rng.normal(size=(1, 2, h, w))), wt)
+        x = t64(rng.normal(size=(1, 2, h, w)))
+        if s == 1:
+            err = finite_diff_check(
+                lambda xx: conv2d(xx, kern, stride=s, padding=p), x, wt)
+        else:
+            assert_strided_input_gradient_refused(
+                t64(x.data, requires_grad=True), kern, s, p)
+            err = finite_diff_check(
+                lambda kk: conv2d(x, kk, stride=s, padding=p), kern, wt)
         assert err < 1e-6
+
+    @pytest.mark.parametrize("stride", [2, 3])
+    def test_strided_input_gradient_is_refused(self, stride):
+        """A strided conv2d with an input that requires grad raises inside
+        a tape block before it records; it runs outside one, and records
+        its kernel's gradient when the input is frozen."""
+        rng = np.random.default_rng(stride)
+        x = t64(rng.normal(size=(1, 2, 7, 7)), requires_grad=True)
+        k = t64(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        assert_strided_input_gradient_refused(x, k, stride, 1)
+        assert_strided_input_gradient_refused(
+            [x, t64(rng.normal(size=(1, 1, 7, 7)))],
+            t64(np.zeros((3, 3, 3, 3))), stride, 1)
+        assert conv2d(x, k, stride=stride, padding=1).shape[2] == \
+            6 // stride + 1
+        x.requires_grad = False
+        with use_tape(GradTape()) as tape:
+            y = conv2d(x, k, stride=stride, padding=1)
+            tape.backward(tsum(y))
+            assert len(tape) == 2
+        assert x.grad is None and k.grad.shape == k.shape
 
     def test_kernel_and_bias_gradients(self):
         rng = np.random.default_rng(3)
@@ -891,9 +957,11 @@ class TestKernelsAgainstReference:
     def test_conv2d(self, x_shape, w_shape, s, p, frozen):
         """Output, input and weight gradients against the padded einsum
         reference; with ``frozen`` > 0 the last ``frozen`` channels are a
-        second, frozen block, which gets no gradient.  The kernel is drawn
-        at fan-in scale and ``g`` at one over the root of its size, so
-        that the output and both gradients are sums of unit scale."""
+        second, frozen block, which gets no gradient.  At a stride the
+        input gradient is refused, so the input is frozen there.  The
+        kernel is drawn at fan-in scale and ``g`` at one over the root of
+        its size, so that the output and both gradients are sums of unit
+        scale."""
         rng = np.random.default_rng(sum(x_shape) + sum(w_shape) + 10 * s + p)
         x = rng.normal(size=x_shape).astype(np.float32)
         wt = (rng.normal(size=w_shape)
@@ -906,14 +974,20 @@ class TestKernelsAgainstReference:
         live = Tensor(x[:, :c], requires_grad=True)
         skip = Tensor(x[:, c:])
         w = Tensor(wt, requires_grad=True)
+        blocks = [live, skip] if frozen else live
+        if s > 1:
+            assert_strided_input_gradient_refused(blocks, w, s, p)
+            live.requires_grad = False
         with use_tape(GradTape()) as tape:
-            y = conv2d([live, skip] if frozen else live, w, stride=s,
-                       padding=p)
+            y = conv2d(blocks, w, stride=s, padding=p)
             tape.backward(y, g)
         dx, dw = vjp(g.astype(np.float64))
         assert y.dtype == np.float32 and skip.grad is None
         np.testing.assert_allclose(y.numpy(), want, **F32_TOL)
-        np.testing.assert_allclose(live.grad, dx[:, :c], **F32_TOL)
+        if s == 1:
+            np.testing.assert_allclose(live.grad, dx[:, :c], **F32_TOL)
+        else:
+            assert live.grad is None
         np.testing.assert_allclose(w.grad, dw, **F32_TOL)
 
     @pytest.mark.parametrize("shape,out_hw", [

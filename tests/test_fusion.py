@@ -9,6 +9,7 @@ import pytest
 from augseg.autodiff import (
     GradTape,
     Tensor,
+    _record,
     finite_diff_check,
     matmul,
     gelu,
@@ -45,6 +46,14 @@ def drawn_params(c_dec, c_enc, seed=0, head_count=4, dtype=np.float32):
         for name, t in params.named_tensors().items()})
 
 
+def batched_matmul(a, b):
+    """Reference: ``a @ b`` over stacks of matrices of one batch shape, as
+    one tape op; ``autodiff.matmul`` only multiplies by a 2-D weight."""
+    return _record(Tensor(np.matmul(a.data, b.data)), (a, b), lambda g: (
+        np.matmul(g, np.swapaxes(b.data, -1, -2)),
+        np.matmul(np.swapaxes(a.data, -1, -2), g)))
+
+
 def composed_attention(q, k, v, head_count):
     """Reference: the attention as a chain of primitive tape ops."""
     n, t_q, d = q.shape
@@ -54,10 +63,10 @@ def composed_attention(q, k, v, head_count):
     def split_heads(x, t):
         return transpose(reshape(x, (n, t, head_count, d_k)), (0, 2, 1, 3))
 
-    logits = matmul(split_heads(q, t_q),
-                    transpose(split_heads(k, t_k), (0, 1, 3, 2)))
+    logits = batched_matmul(split_heads(q, t_q),
+                            transpose(split_heads(k, t_k), (0, 1, 3, 2)))
     attn = softmax(mul(logits, 1.0 / np.sqrt(d_k)), axis=-1)
-    out = matmul(attn, split_heads(v, t_k))
+    out = batched_matmul(attn, split_heads(v, t_k))
     return reshape(transpose(out, (0, 2, 1, 3)), (n, t_q, d))
 
 

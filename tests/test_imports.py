@@ -53,28 +53,35 @@ def test_third_party_imports_equal_declared_dependencies():
 
 
 def test_every_public_autodiff_function_is_used_by_the_library():
-    # a tape op that only the tests use lives in the tests: each public
-    # top-level function of augseg.autodiff is named in another module of
-    # the package or called inside autodiff itself
+    # a tape op or helper that only the tests use lives in the tests: each
+    # public top-level function of augseg.autodiff is named in another
+    # module of the package or called inside autodiff itself, and each
+    # private one is named anywhere in the package
     pkg = pathlib.Path(augseg.__file__).parent
     trees = {p.stem: ast.parse(p.read_text()) for p in pkg.glob("*.py")}
     own = trees.pop("autodiff")
-    public = [node.name for node in own.body
-              if isinstance(node, ast.FunctionDef)
-              and not node.name.startswith("_")]
-    used = {node.func.id for node in ast.walk(own)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    functions = [node.name for node in own.body
+                 if isinstance(node, ast.FunctionDef)]
+    public = [name for name in functions if not name.startswith("_")]
+    private = [name for name in functions if name.startswith("_")]
+    called = {node.func.id for node in ast.walk(own)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    named_in_own = {node.id for node in ast.walk(own)
+                    if isinstance(node, ast.Name)}
+    named = set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                named.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                named.add(node.attr)
             elif isinstance(node, ast.alias):
-                used.add(node.name)
+                named.add(node.name)
     assert {"matmul", "gelu", "conv2d", "finite_diff_check"} <= set(public)
-    assert [name for name in public if name not in used] == []
-
+    assert {"_record", "_im2col", "_erf"} <= set(private)
+    assert [name for name in public if name not in called | named] == []
+    assert [name for name in private
+            if name not in named_in_own | named] == []
 
 
 def _json_parsers(tree):

@@ -12,6 +12,7 @@ from augseg.errors import ContractError, FormatError
 from augseg.synth import (
     FG_FRACTION_RANGE,
     CorruptionSpec,
+    _STRENGTH_RANGES,
     _motion_blur,
     _shape_coverage,
     SynthConfig,
@@ -20,6 +21,7 @@ from augseg.synth import (
     gen_sample,
     load_manifest,
     load_sample,
+    check_strengths,
     motion_blur_kernel,
     random_corruption,
     write_dataset,
@@ -254,6 +256,47 @@ class TestCorrupt:
         with pytest.raises(ContractError, match=r"\[1,H,W\]"):
             corrupt(np.zeros(shape, np.float32),
                     CorruptionSpec(kind="brightness"))
+
+
+# each strength field, the corruption that reads it, and values outside the
+# range it has in _STRENGTH_RANGES
+BAD_STRENGTHS = [
+    ("factor", "brightness", [-0.5, math.nan, math.inf, "1.3"]),
+    ("length", "motion_blur", [0, 2.5, 256, 10 ** 6, True]),
+    ("scale", "poisson", [0.0, -30.0, 1e300, math.nan]),
+    ("drop_prob", "rand_mask", [-0.1, 1.5, math.nan, None]),
+]
+
+
+class TestCorruptionSpecStrengths:
+    """A spec holds only strengths ``check_strengths`` accepts as a range
+    end, so no corruption builds an oversized blur kernel or draws from an
+    oversized Poisson mean."""
+
+    @pytest.mark.parametrize("field,kind,value", [
+        (field, kind, value) for field, kind, values in BAD_STRENGTHS
+        for value in values])
+    def test_strength_outside_its_range_rejected(self, field, kind, value):
+        with pytest.raises(ContractError):
+            corrupt(np.zeros((1, 8, 8), np.float32),
+                    CorruptionSpec(kind=kind, **{field: value}))
+
+    @pytest.mark.parametrize("key", sorted(_STRENGTH_RANGES))
+    def test_spec_agrees_with_check_strengths(self, key):
+        field = _STRENGTH_RANGES[key][0]
+        for value in (-1, 0, 0.5, 1, 1.5, 255, 255.0, 256, 1e6, 1.5e6,
+                      math.nan, math.inf, True):
+            try:
+                check_strengths({key: [value, value]})
+                as_range = True
+            except ContractError:
+                as_range = False
+            try:
+                CorruptionSpec(kind="brightness", **{field: value})
+                as_spec = True
+            except ContractError:
+                as_spec = False
+            assert as_spec == as_range, (key, value)
 
 
 class TestFeatureSpatialAug:
