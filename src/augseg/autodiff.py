@@ -243,8 +243,8 @@ def _record(out: Tensor, inputs, backward_fn):
 # matmul
 # ----------------------------------------------------------------------
 def matmul(x, w, b=None) -> Tensor:
-    """Tokens [..., K] times a 2-D weight [K, P], plus an optional bias
-    [P]: the affine map ``x @ w + b`` as one node.
+    """Tokens [..., T, K] times a 2-D weight [K, P], plus an optional
+    bias [P]: the affine map ``x @ w + b`` as one node.
 
     The weight and bias gradients sum ``g`` over the leading axes.  The
     adjoint computes an operand's gradient only when that operand
